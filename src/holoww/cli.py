@@ -11,12 +11,11 @@ from .suites import SUITES, verify
 
 
 def _cmd_simulate(args):
-    cfg = RunConfig.load(args.config)
     out = args.out or os.path.join(output_root(), time.strftime("run_%Y%m%d_%H%M%S"))
     if args.resume_from:
         resume(args.resume_from, out)
     else:
-        simulate(cfg, out)
+        simulate(RunConfig.load(args.config), out)
     print(f"run written to {out}")
     return 0
 
@@ -48,9 +47,11 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a configured experiment")
-    p_sim.add_argument("--config", required=True, help="key = value text file")
+    source = p_sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="key = value text file")
+    source.add_argument("--resume-from",
+                        help="existing run directory to continue, with its own config")
     p_sim.add_argument("--out", help="run directory (default under $HOLOWW_OUT)")
-    p_sim.add_argument("--resume-from", help="existing run directory to continue")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run an acceptance suite")

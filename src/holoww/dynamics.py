@@ -35,7 +35,6 @@ holomorphic input the projection only pins the k >= 0 modes that the torus
 discretization would otherwise populate at O(1/length).
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ import numpy as np
 from .errors import DegenerateJacobian, StabilityViolation
 from .grid import (
     Field,
-    GridSpec,
     frac_deriv,
     project_neg,
     read_field,
@@ -56,20 +54,26 @@ JACOBIAN_FLOOR = 0.25
 
 
 class _Aux:
-    """Auxiliary fields shared by the full and the differentiated system."""
+    """Auxiliary fields shared by the full and the differentiated system.
 
-    __slots__ = ("wa", "r", "y", "jac", "f", "f_rational", "b", "a", "m",
+    Takes R itself (differentiated system) or Q_a, from which
+    R = Q_a / (1 + W_a) (full system); raises below the Jacobian floor.
+    """
+
+    __slots__ = ("wa", "onewa", "r", "y", "jac", "f", "f_rational", "b", "a", "m",
                  "m_rational", "one_minus_y", "one_minus_ybar")
 
-    def __init__(self, wa, r, jac=None):
+    def __init__(self, wa, r=None, qa=None):
         grid = wa.grid
         one = Field.from_values(grid, np.ones(grid.n, dtype=complex))
         onewa = Field.from_values(grid, 1.0 + wa.values)
-        if jac is None:
-            jac = Field.from_values(grid, np.abs(onewa.values) ** 2)
+        jac = Field.from_values(grid, np.abs(onewa.values) ** 2)
         if float(np.min(np.real(jac.values))) < JACOBIAN_FLOOR:
             raise DegenerateJacobian("min J dropped below 1/4")
+        if r is None:
+            r = Field.from_values(grid, qa.values / onewa.values, dealias=True)
         self.wa = wa
+        self.onewa = onewa
         self.jac = jac
         self.y = Field.from_values(grid, wa.values / onewa.values, dealias=True)
         self.one_minus_y = one - self.y
@@ -103,13 +107,7 @@ class WaveState:
         self.t = t
         self.w = project_neg(w)
         self.q = project_neg(q)
-        wa = self.w.deriv()
-        onewa = Field.from_values(w.grid, 1.0 + wa.values)
-        jac = Field.from_values(w.grid, np.abs(onewa.values) ** 2)
-        if float(np.min(np.real(jac.values))) < JACOBIAN_FLOOR:
-            raise DegenerateJacobian("min J dropped below 1/4")
-        r = Field.from_values(w.grid, self.q.deriv().values / onewa.values, dealias=True)
-        self.aux = _Aux(wa, r, jac)
+        self.aux = _Aux(self.w.deriv(), qa=self.q.deriv())
 
     @property
     def grid(self):
@@ -149,31 +147,26 @@ def rhs_full(state):
     return dw, project_neg(dq)
 
 
-def rhs_diff(state):
-    """Projected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
-    aux = state.aux
-    grid = state.grid
-    onewa = Field.from_values(grid, 1.0 + aux.wa.values)
+def _diff_rates(aux):
+    """Unprojected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
     dwa = (
         -1.0 * (aux.b * aux.wa.deriv())
-        - onewa * aux.r.deriv() * aux.one_minus_ybar
-        + onewa * aux.m
+        - aux.onewa * aux.r.deriv() * aux.one_minus_ybar
+        + aux.onewa * aux.m
     )
     dr = -1.0 * (aux.b * aux.r.deriv()) + 1j * ((aux.wa - aux.a) * aux.one_minus_y)
+    return dwa, dr
+
+
+def rhs_diff(state):
+    """Projected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
+    dwa, dr = _diff_rates(state.aux)
     return project_neg(dwa), project_neg(dr)
 
 
 def rhs_diff_unprojected_defect(state):
     """Norm of the k >= 0 content the projection removes (diagnostic)."""
-    aux = state.aux
-    grid = state.grid
-    onewa = Field.from_values(grid, 1.0 + aux.wa.values)
-    dwa = (
-        -1.0 * (aux.b * aux.wa.deriv())
-        - onewa * aux.r.deriv() * aux.one_minus_ybar
-        + onewa * aux.m
-    )
-    dr = -1.0 * (aux.b * aux.r.deriv()) + 1j * ((aux.wa - aux.a) * aux.one_minus_y)
+    dwa, dr = _diff_rates(state.aux)
     dwa_pos = dwa - project_neg(dwa)
     dr_pos = dr - project_neg(dr)
     return math.sqrt(dwa_pos.l2() ** 2 + dr_pos.l2() ** 2)
@@ -247,13 +240,20 @@ def linearize(state, dir_w, dir_q, rel_step=1e-5, order=2):
 # time stepping --------------------------------------------------------------
 
 RK4_PHASE_MARGIN = 2.8  # |dt * omega| bound for the classical scheme
+TIME_TOL = 1e-9  # times closer than this count as equal
 
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """Step size and scheme of `step`.
+
+    "rk4_integrating_factor" advances the dispersive linear part exactly
+    through the phases exp(+-i omega dt); "rk4" is classical RK4, the
+    unit-phase case of the same driver.  Every step applies the dealias mask.
+    """
+
     dt: float
     scheme: str = "rk4_integrating_factor"
-    dealias: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("rk4", "rk4_integrating_factor"):
@@ -267,12 +267,6 @@ class StepperConfig:
             raise StabilityViolation(
                 f"dt*max(omega) = {self.dt * omega_max:.3f} >= {RK4_PHASE_MARGIN}"
             )
-
-
-def _nonlinear_rates(state):
-    """rhs_full minus the linear part (-Q_a, iW)."""
-    dw, dq = rhs_full(state)
-    return dw + state.q.deriv(), dq - 1j * state.w
 
 
 def _linear_phases(grid, dt):
@@ -295,109 +289,98 @@ def _from_diag(grid, zp, zm):
     return np.where(neg, wc, 0.0), qc
 
 
+def _rk4(t, y, a, rates, dt, half=None, full=None):
+    """One fourth-order Runge-Kutta step of  y' = L y + N(t, y)  on a tuple
+    of coefficient arrays; returns the new tuple.
+
+    `a` is N at (t, y), so stage 1 reuses the caller's state, and
+    `rates(t, z)` is N at a stage value z.  `half` and `full` hold per-slot
+    phases exp(L dt/2) and exp(L dt), which make this the integrating-factor
+    (Lawson) scheme, exact on the linear part.  Without them L = 0: classical
+    RK4 is the unit-phase case.
+    """
+    if half is None:
+        half = full = (1.0,) * len(y)
+    h = dt / 2
+    b = rates(t + h, [eh * (y0 + h * a0) for y0, a0, eh in zip(y, a, half)])
+    c = rates(t + h, [eh * y0 + h * b0 for y0, b0, eh in zip(y, b, half)])
+    d = rates(t + dt, [ef * y0 + dt * eh * c0
+                       for y0, c0, eh, ef in zip(y, c, half, full)])
+    return [ef * y0 + dt / 6 * (ef * a0 + 2.0 * eh * (b0 + c0) + d0)
+            for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)]
+
+
+def _fields(grid, coefs):
+    """Fields of the given coefficient arrays under the dealias mask."""
+    return [Field(grid, np.where(grid.dealias_mask, c, 0.0)) for c in coefs]
+
+
+def _coefs(fields):
+    return [u.coef for u in fields]
+
+
 def step(state, cfg):
     """One Runge-Kutta step; the integrating-factor variant advances the
     dispersive linear part (omega = sqrt|k| after diagonalization) exactly."""
     cfg.validate(state.grid)
+    grid, dt = state.grid, cfg.dt
     if cfg.scheme == "rk4":
-        return _step_rk4(state, cfg)
-    return _step_rk4_if(state, cfg)
+        def make(t, z):
+            return WaveState(t, *_fields(grid, z))
 
+        def rates(s):
+            return _coefs(rhs_full(s))
 
-def _step_rk4(state, cfg):
-    dt = cfg.dt
-    t, w, q = state.t, state.w, state.q
+        y, phases = _coefs((state.w, state.q)), ()
+    else:
+        def make(t, z):
+            return WaveState(t, *_fields(grid, _from_diag(grid, *z)))
 
-    k1w, k1q = rhs_full(state)
-    k2w, k2q = rhs_full(WaveState(t + dt / 2, w + (dt / 2) * k1w, q + (dt / 2) * k1q))
-    k3w, k3q = rhs_full(WaveState(t + dt / 2, w + (dt / 2) * k2w, q + (dt / 2) * k2q))
-    k4w, k4q = rhs_full(WaveState(t + dt, w + dt * k3w, q + dt * k3q))
-    w1 = w + (dt / 6) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    q1 = q + (dt / 6) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    if cfg.dealias:
-        w1, q1 = w1.dealiased(), q1.dealiased()
-    return WaveState(t + dt, w1, q1)
+        def rates(s):  # rhs_full minus the linear part (-Q_a, iW)
+            dw, dq = rhs_full(s)
+            return _to_diag(grid, (dw + s.q.deriv()).coef, (dq - 1j * s.w).coef)
 
-
-def _step_rk4_if(state, cfg):
-    grid = state.grid
-    dt = cfg.dt
-    t = state.t
-    ep_f, em_f = _linear_phases(grid, dt)
-    ep_h, em_h = _linear_phases(grid, dt / 2)
-
-    def nl_diag(s):
-        nw, nq = _nonlinear_rates(s)
-        return _to_diag(grid, nw.coef, nq.coef)
-
-    def make_state(tt, zp, zm):
-        wc, qc = _from_diag(grid, zp, zm)
-        w = Field(grid, np.where(grid.dealias_mask, wc, 0.0) if cfg.dealias else wc)
-        q = Field(grid, np.where(grid.dealias_mask, qc, 0.0) if cfg.dealias else qc)
-        return WaveState(tt, w, q)
-
-    zp0, zm0 = _to_diag(grid, state.w.coef, state.q.coef)
-    ap, am = nl_diag(state)
-
-    s2 = make_state(t + dt / 2, ep_h * (zp0 + dt / 2 * ap), em_h * (zm0 + dt / 2 * am))
-    bp, bm = nl_diag(s2)
-
-    s3 = make_state(t + dt / 2, ep_h * zp0 + dt / 2 * bp, em_h * zm0 + dt / 2 * bm)
-    cp, cm = nl_diag(s3)
-
-    s4 = make_state(t + dt, ep_f * zp0 + dt * ep_h * cp, em_f * zm0 + dt * em_h * cm)
-    dp, dm = nl_diag(s4)
-
-    zp1 = ep_f * zp0 + dt / 6 * (ep_f * ap + 2.0 * ep_h * (bp + cp) + dp)
-    zm1 = em_f * zm0 + dt / 6 * (em_f * am + 2.0 * em_h * (bm + cm) + dm)
-    return make_state(t + dt, zp1, zm1)
+        y = _to_diag(grid, state.w.coef, state.q.coef)
+        phases = (_linear_phases(grid, dt / 2), _linear_phases(grid, dt))
+    z = _rk4(state.t, y, rates(state), lambda t, z: rates(make(t, z)), dt, *phases)
+    return make(state.t + dt, z)
 
 
 def step_diff(state, cfg):
     """RK4 step of the self-contained differentiated system (plain scheme)."""
     cfg.validate(state.grid)
-    dt = cfg.dt
-    t, wa, r = state.t, state.wa, state.r
 
-    k1w, k1r = rhs_diff(state)
-    k2w, k2r = rhs_diff(DiffState(t + dt / 2, wa + (dt / 2) * k1w, r + (dt / 2) * k1r))
-    k3w, k3r = rhs_diff(DiffState(t + dt / 2, wa + (dt / 2) * k2w, r + (dt / 2) * k2r))
-    k4w, k4r = rhs_diff(DiffState(t + dt, wa + dt * k3w, r + dt * k3r))
-    wa1 = (wa + (dt / 6) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)).dealiased()
-    r1 = (r + (dt / 6) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)).dealiased()
-    return DiffState(t + dt, wa1, r1)
+    def make(t, z):
+        return DiffState(t, *_fields(state.grid, z))
+
+    z = _rk4(state.t, _coefs((state.wa, state.r)), _coefs(rhs_diff(state)),
+             lambda t, z: _coefs(rhs_diff(make(t, z))), cfg.dt)
+    return make(state.t + cfg.dt, z)
 
 
 def step_with_linearized(state, lin_w, lin_q, cfg, rel_step=1e-6):
     """Joint RK4 step of the base flow and a linearized perturbation."""
     cfg.validate(state.grid)
-    dt = cfg.dt
-    t = state.t
 
     def rates(s, lw, lq):
         bw, bq = rhs_full(s)
         dw, dq, _, _ = linearize(s, lw, lq, rel_step=rel_step)
-        return bw, bq, dw, dq
+        return _coefs((bw, bq, dw, dq))
 
-    k1 = rates(state, lin_w, lin_q)
-    s2 = WaveState(t + dt / 2, state.w + (dt / 2) * k1[0], state.q + (dt / 2) * k1[1])
-    k2 = rates(s2, lin_w + (dt / 2) * k1[2], lin_q + (dt / 2) * k1[3])
-    s3 = WaveState(t + dt / 2, state.w + (dt / 2) * k2[0], state.q + (dt / 2) * k2[1])
-    k3 = rates(s3, lin_w + (dt / 2) * k2[2], lin_q + (dt / 2) * k2[3])
-    s4 = WaveState(t + dt, state.w + dt * k3[0], state.q + dt * k3[1])
-    k4 = rates(s4, lin_w + dt * k3[2], lin_q + dt * k3[3])
+    def stage_rates(t, z):
+        w, q, lw, lq = _fields(state.grid, z)
+        return rates(WaveState(t, w, q), lw, lq)
 
-    w1 = (state.w + (dt / 6) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])).dealiased()
-    q1 = (state.q + (dt / 6) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])).dealiased()
-    lw1 = (lin_w + (dt / 6) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])).dealiased()
-    lq1 = (lin_q + (dt / 6) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])).dealiased()
-    return WaveState(t + dt, w1, q1), project_neg(lw1), project_neg(lq1)
+    y = _coefs((state.w, state.q, lin_w, lin_q))
+    z = _rk4(state.t, y, rates(state, lin_w, lin_q), stage_rates, cfg.dt)
+    w, q, lw, lq = _fields(state.grid, z)
+    return WaveState(state.t + cfg.dt, w, q), project_neg(lw), project_neg(lq)
 
 
 def evolve(state, cfg, t_end, observer=None):
-    """March to t_end (inclusive up to roundoff), calling observer per step."""
-    n = max(1, int(round((t_end - state.t) / cfg.dt)))
-    for _ in range(n):
+    """The march loop: `step` while t < t_end - TIME_TOL, calling
+    observer(state) after each step; returns the last state."""
+    while state.t < t_end - TIME_TOL:
         state = step(state, cfg)
         if observer is not None:
             observer(state)
@@ -469,10 +452,3 @@ def load_state(path):
         q = read_field(fh, grid=w.grid)
     return WaveState(meta["t"], w, q), meta
 
-
-def state_to_text(state):
-    buf = io.StringIO()
-    buf.write(json.dumps({"t": state.t}) + "\n")
-    write_field(buf, state.w)
-    write_field(buf, state.q)
-    return buf.getvalue()

@@ -212,21 +212,9 @@ class Field:
         return out if np.ndim(points) else complex(out[0])
 
 
-class HoloField(Field):
-    """Field whose spectrum is supported on strictly negative wavenumbers."""
-
-    __slots__ = ()
-
-
 def project_neg(u):
     """Projector P onto negative frequencies; the k = 0 mode is dropped."""
     coef = np.where(u.grid.k < 0, u.coef, 0.0)
-    return HoloField(u.grid, coef)
-
-
-def project_pos(u):
-    """Conjugate projector keeping strictly positive frequencies."""
-    coef = np.where(u.grid.k > 0, u.coef, 0.0)
     return Field(u.grid, coef)
 
 
@@ -263,17 +251,6 @@ def pair_sobolev(pair, s, homogeneous=True):
     w, r = pair
     ws = frac_deriv(w, s) if homogeneous else bracket_deriv(w, s)
     rs = frac_deriv(r, s + 0.5) if homogeneous else frac_deriv(bracket_deriv(r, s), 0.5)
-    return math.sqrt(ws.l2() ** 2 + rs.l2() ** 2)
-
-
-def pair_sobolev_from_deriv(w, q_alpha, s):
-    """Same pair norm, with the second slot handed over as q_alpha.
-
-    Uses ||D|^(s+1/2) q| = ||D|^(s-1/2) q_alpha| mode by mode, so no
-    antiderivative is needed (means of q_alpha blocks are ignored).
-    """
-    ws = frac_deriv(w, s)
-    rs = frac_deriv(q_alpha.demean(), s - 0.5)
     return math.sqrt(ws.l2() ** 2 + rs.l2() ** 2)
 
 

@@ -28,9 +28,10 @@ two spellings can be cross-checked to machine precision.
 from dataclasses import dataclass
 
 from .errors import InconsistentTimes, UnknownTerm
-from .grid import project_neg
-from .paradiff import DEFAULT, ParaConfig, balanced, para
+from .grid import Field, project_neg
+from .paradiff import DEFAULT, balanced, para
 from .dynamics import rhs_full
+from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value
 
 
 # transforms -----------------------------------------------------------------
@@ -247,8 +248,6 @@ def _sum_terms(values, grid, select):
     for t in TERMS:
         if select(t):
             total = values[t.tid] if total is None else total + values[t.tid]
-    from .grid import Field
-
     return total if total is not None else Field.zero(grid)
 
 
@@ -347,6 +346,22 @@ def nf_rate(state, cfg=DEFAULT):
         - balanced(state.r, dw2, cfg)
     )
     return project_neg(dwt), project_neg(dqt)
+
+
+def gamma_samples(state, vs):
+    """Rows (v, gamma, e, cubic) at each velocity v: the ray profile gamma
+    of the normal-form pair, its analytic rate minus the cubic term, and the
+    cubic term of the asymptotic equation."""
+    nf = para_nf(state)
+    dwt, dqt = nf_rate(state)
+    rows = []
+    for v in vs:
+        frame = build_packet(state.grid, state.t, v)
+        gam = gamma_value(nf.wt, nf.qt, frame)
+        rate = gamma_rate(nf.wt, nf.qt, dwt, dqt, frame)
+        cubic = cubic_coefficient(gam, state.t, v)
+        rows.append((v, gam, rate - cubic, cubic))
+    return rows
 
 
 def residual_from_rate(nf, dwt, dqt, cfg=DEFAULT):

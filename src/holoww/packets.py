@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, OutOfDomain, WrapAround
-from .grid import Field, frac_deriv, project_neg
+from .diagnostics import ell_hyp_split
+from .grid import Field, frac_deriv
 
 _BUMP_NORM = None
 
@@ -321,8 +322,6 @@ def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None, alpha_cap=None
     outside the windows of both neighbouring blocks, and the profile there
     is counted as elliptic.
     """
-    from .diagnostics import ell_hyp_split
-
     if split is None:
         split = ell_hyp_split((wt, qt), t, alpha_cap=alpha_cap)
     grid = wt.grid

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, project_neg
+from .grid import Field, frac_deriv, project_neg
 from .lp import lp_blocks, lowpass_symbol, apply_symbol
 
 
@@ -101,8 +101,6 @@ def commutator_norm(a, chi, band_m, cfg=DEFAULT, probes=6, seed=0):
     Measured as the worst ratio of homogeneous H^(1/4) norms over a seeded
     probe set; a reported figure for scaling studies, not an assertion.
     """
-    from .grid import frac_deriv
-
     grid = a.grid
     cfg = ParaConfig(cfg.separation, cfg.symmetric, False)  # P does not commute with chi
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ A run is one process marching one state forward while sampling norm records
 and the ray profile gamma(t, v); everything lands in a run directory:
 
     config.txt     the exact configuration text
-    manifest.json  code version, config hash, seed, grid
+    manifest.json  code version, config hash, grid
     norms.csv      one row per norm sample
     gamma.csv      rows (t, v, Re gamma, Im gamma, |e|, |cubic|)
     state_*.txt    checkpoints (final state always written)
@@ -21,29 +21,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientSamples, UsageError
+from .errors import UsageError
 from .grid import GridSpec
-from .diagnostics import SIGMA_DEFAULT, control_norms, decay_fit, weighted_energy
+from .diagnostics import (
+    SIGMA_DEFAULT,
+    NormRecord,
+    control_norms,
+    decay_fit,
+    weighted_energy,
+)
 from .dynamics import (
+    TIME_TOL,
     StepperConfig,
-    WaveState,
+    evolve,
     hamiltonian,
     load_state,
     packet_data,
     plateau_data,
     save_state,
-    step,
 )
-from .normalform import nf_rate, para_nf, scaling_fields
-from .packets import (
-    asymptotic_residual,
-    build_packet,
-    cubic_coefficient,
-    gamma_rate,
-    gamma_value,
-    omega0_band,
-    omega0_grid,
-)
+from .normalform import gamma_samples, scaling_fields
+from .packets import omega0_grid
 
 _DEFAULTS = {
     "grid.n": 2048,
@@ -66,10 +64,11 @@ _DEFAULTS = {
     "gamma.start": 20.0,
     "gamma.velocities": 9,
     "sigma": SIGMA_DEFAULT,
-    "seed": 1234,
 }
 
 _TYPES = {k: type(v) for k, v in _DEFAULTS.items()}
+_INTERVALS = ("run.norm_every", "run.checkpoint_every", "gamma.every")
+GAMMA_T_MIN = 4.0  # packets need t >= 4
 
 
 @dataclass
@@ -121,8 +120,9 @@ class RunConfig:
             raise UsageError("data.eps must be nonnegative")
         if self["sigma"] <= 2.75:
             raise UsageError("sigma must exceed 11/4")
-        if self["run.t_end"] <= 0:
-            raise UsageError("run.t_end must be positive")
+        for key in ("run.t_end", *_INTERVALS):
+            if self[key] <= 0:
+                raise UsageError(f"{key} must be positive")
         if self["data.kind"] not in ("packet", "plateau"):
             raise UsageError(f"unknown data.kind {self['data.kind']!r}")
 
@@ -152,33 +152,45 @@ class RunConfig:
 
 
 def _norm_header(sigma):
-    from .diagnostics import NormRecord
-
     return ",".join(NormRecord.CSV_FIELDS) + f",hs_0.25,hs_{sigma - 1.0:g},energy"
 
 
-def _gamma_samples(state, cfg):
-    """gamma, its analytic rate, and the cubic term on the velocity grid."""
-    t = state.t
-    grid = state.grid
-    vs = omega0_grid(t, count=cfg["gamma.velocities"])
-    nf = para_nf(state)
-    dwt, dqt = nf_rate(state)
-    rows = []
-    for v in vs:
-        frame = build_packet(grid, t, v)
-        gam = gamma_value(nf.wt, nf.qt, frame)
-        rate = gamma_rate(nf.wt, nf.qt, dwt, dqt, frame)
-        cubic = cubic_coefficient(gam, t, v)
-        rows.append((t, v, gam, rate - cubic, cubic))
-    return rows
+class _Schedule:
+    """Sample times start, start + every, ... (accumulated), each due once."""
+
+    def __init__(self, start, every):
+        self.next = start
+        self.every = every
+
+    def due(self, t):
+        if t < self.next - TIME_TOL:
+            return False
+        self.next += self.every
+        return True
+
+    def skip_through(self, t):
+        """Mark every sample time up to t as done."""
+        while self.due(t):
+            pass
+
+
+def _open_csv(path, mode, header):
+    """Open a CSV table, writing its header if the file is new or empty."""
+    fh = open(path, mode)
+    if os.path.getsize(path) == 0:
+        fh.write(header + "\n")
+    return fh
 
 
 def simulate(cfg, out_dir, resume_state=None):
-    """Run the configured experiment into `out_dir`; returns the directory."""
+    """Run the configured experiment into `out_dir`; returns the directory.
+
+    Runs start at t = 0.  A run resumed from a state at t_c appends to the
+    tables in `out_dir` and keeps the norm, gamma and checkpoint schedules
+    of that start, from the first sample time after t_c.
+    """
     os.makedirs(out_dir, exist_ok=True)
     grid = cfg.grid()
-    stepper = cfg.stepper()
     sigma = cfg["sigma"]
     state = resume_state if resume_state is not None else cfg.initial_state()
 
@@ -187,7 +199,6 @@ def simulate(cfg, out_dir, resume_state=None):
     manifest = {
         "version": __version__,
         "config_sha256": cfg.sha256(),
-        "seed": cfg["seed"],
         "grid": {"length": grid.length, "n": grid.n, "dealias": grid.dealias},
         "resumed_from_t": None if resume_state is None else resume_state.t,
     }
@@ -195,13 +206,9 @@ def simulate(cfg, out_dir, resume_state=None):
         json.dump(manifest, fh, indent=1)
 
     mode = "a" if resume_state is not None else "w"
-    norms_path = os.path.join(out_dir, "norms.csv")
-    gamma_path = os.path.join(out_dir, "gamma.csv")
-    norm_fh = open(norms_path, mode)
-    gamma_fh = open(gamma_path, mode)
-    if resume_state is None:
-        norm_fh.write(_norm_header(sigma) + "\n")
-        gamma_fh.write("t,v,re_gamma,im_gamma,abs_residual,abs_cubic\n")
+    norm_fh = _open_csv(os.path.join(out_dir, "norms.csv"), mode, _norm_header(sigma))
+    gamma_fh = _open_csv(os.path.join(out_dir, "gamma.csv"), mode,
+                         "t,v,re_gamma,im_gamma,abs_residual,abs_cubic")
 
     def sample_norms(st):
         rec = control_norms(st, sigma=sigma)
@@ -212,43 +219,39 @@ def simulate(cfg, out_dir, resume_state=None):
         norm_fh.write(row + f",{energy:.12e}\n")
 
     def sample_gamma(st):
-        lo, hi = omega0_band(st.t)
         if st.t < cfg["gamma.start"]:
             return
-        for t, v, gam, resid, cubic in _gamma_samples(st, cfg):
+        vs = omega0_grid(st.t, count=cfg["gamma.velocities"])
+        for v, gam, resid, cubic in gamma_samples(st, vs):
             gamma_fh.write(
-                f"{t:.6f},{v:.8f},{gam.real:.12e},{gam.imag:.12e},"
+                f"{st.t:.6f},{v:.8f},{gam.real:.12e},{gam.imag:.12e},"
                 f"{abs(resid):.12e},{abs(cubic):.12e}\n"
             )
 
-    t_end = cfg["run.t_end"]
-    next_norm = state.t if resume_state is None else state.t + cfg["run.norm_every"]
-    next_gamma = max(cfg["gamma.start"], state.t)
-    next_ckpt = state.t + cfg["run.checkpoint_every"]
-    eps = 1e-9
+    norms = _Schedule(0.0, cfg["run.norm_every"])
+    gammas = _Schedule(max(cfg["gamma.start"], 0.0), cfg["gamma.every"])
+    ckpts = _Schedule(0.0, cfg["run.checkpoint_every"])
+    ckpts.skip_through(state.t)
+    if resume_state is not None:
+        norms.skip_through(state.t)
+        if state.t >= GAMMA_T_MIN:
+            gammas.skip_through(state.t)
 
-    if cfg["data.eps"] == 0.0:
-        state = WaveState(state.t, state.w, state.q)
+    def save(st, name):
+        save_state(os.path.join(out_dir, f"state_{name}.txt"), st,
+                   extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
 
-    while True:
-        if state.t >= next_norm - eps:
-            sample_norms(state)
-            next_norm += cfg["run.norm_every"]
-        if cfg["gamma.enabled"] and state.t >= next_gamma - eps and state.t >= 4.0:
-            sample_gamma(state)
-            next_gamma += cfg["gamma.every"]
-        if state.t >= next_ckpt - eps:
-            save_state(os.path.join(out_dir, f"state_{state.t:012.4f}.txt"), state,
-                       extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
-            next_ckpt += cfg["run.checkpoint_every"]
-        if state.t >= t_end - eps:
-            break
-        state = step(state, stepper)
+    def observe(st):
+        if norms.due(st.t):
+            sample_norms(st)
+        if cfg["gamma.enabled"] and st.t >= GAMMA_T_MIN and gammas.due(st.t):
+            sample_gamma(st)
+        if ckpts.due(st.t):
+            save(st, f"{st.t:012.4f}")
 
-    save_state(os.path.join(out_dir, "state_final.txt"), state,
-               extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
-    norm_fh.close()
-    gamma_fh.close()
+    with norm_fh, gamma_fh:
+        observe(state)
+        save(evolve(state, cfg.stepper(), cfg["run.t_end"], observe), "final")
     return out_dir
 
 

@@ -306,6 +306,20 @@ def test_diff_system_trajectory_matches_differentiated_full(grid):
     assert (full.r - diff.r).l2() < 1e-8
 
 
+def test_evolve_stops_at_first_step_past_t_end(grid):
+    st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
+    seen = []
+    out = evolve(st, StepperConfig(dt=0.2), 0.5, seen.append)
+    assert [s.t for s in seen] == pytest.approx([0.2, 0.4, 0.6])
+    assert seen[-1] is out
+    # on the dt grid, roundoff in the accumulated time adds no step
+    seen.clear()
+    assert evolve(st, StepperConfig(dt=0.1), 1.0, seen.append).t == pytest.approx(1.0)
+    assert len(seen) == 10
+    assert evolve(st, StepperConfig(dt=0.1), 0.0, seen.append) is st
+    assert len(seen) == 10
+
+
 def test_checkpoint_roundtrip(tmp_path, grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     out = evolve(st, StepperConfig(dt=0.1), 1.0)

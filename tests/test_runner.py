@@ -1,0 +1,95 @@
+"""Runner and command line: a resumed run continues the uninterrupted one
+bit for bit, and the `holoww` subcommands work end to end (n = 256)."""
+
+import shutil
+
+import numpy as np
+import pytest
+
+from holoww.cli import main
+from holoww.dynamics import load_state
+
+# norm rows at 0, 1.2, ..., 13.2: after the t = 1 checkpoint they still span
+# the decade that `fit` needs; gamma rows at 4, 6, ..., 12
+CONFIG = """\
+grid.n = 256
+run.t_end = 13.2
+run.checkpoint_every = 1.0
+run.norm_every = 1.2
+gamma.start = 4.0
+gamma.every = 2.0
+gamma.velocities = 3
+"""
+TABLES = ("norms.csv", "gamma.csv")
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    (root / "config.txt").write_text(CONFIG)
+    out = root / "full"
+    assert main(["simulate", "--config", str(root / "config.txt"), "--out", str(out)]) == 0
+    return out
+
+
+def crashed_copy(full_run, t_ckpt, dest):
+    """The run directory as a crash just after the checkpoint at t_ckpt
+    leaves it: config, the checkpoint, and the table rows up to t_ckpt."""
+    dest.mkdir()
+    shutil.copy(full_run / "config.txt", dest)
+    shutil.copy(full_run / f"state_{t_ckpt:012.4f}.txt", dest)
+    for table in TABLES:
+        header, rows = table_rows(full_run / table)
+        kept = [r for r in rows if float(r.split(",")[0]) <= t_ckpt]
+        (dest / table).write_text("".join(line + "\n" for line in [header, *kept]))
+    return dest
+
+
+def table_rows(path, after=-np.inf):
+    header, *rows = path.read_text().splitlines()
+    return header, [r for r in rows if float(r.split(",")[0]) > after]
+
+
+def assert_same_final_state(run_a, run_b):
+    a, _ = load_state(run_a / "state_final.txt")
+    b, _ = load_state(run_b / "state_final.txt")
+    assert a.t == b.t
+    assert np.array_equal(a.w.coef, b.w.coef)
+    assert np.array_equal(a.q.coef, b.q.coef)
+
+
+def test_resume_into_new_directory_continues_the_run(full_run, tmp_path, capsys):
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--resume-from", str(crashed), "--out", str(out)]) == 0
+    assert_same_final_state(out, full_run)
+    for table in TABLES:
+        assert table_rows(out / table) == table_rows(full_run / table, after=1.0)
+    assert main(["fit", "--run", str(out), "--norm", "x"]) == 0
+    assert "x: slope" in capsys.readouterr().out
+
+
+def test_resume_in_place_rebuilds_the_uninterrupted_tables(full_run, tmp_path):
+    # at t = 5 the gamma schedule is under way: the next sample is at 6
+    crashed = crashed_copy(full_run, 5.0, tmp_path / "crashed")
+    assert main(["simulate", "--resume-from", str(crashed), "--out", str(crashed)]) == 0
+    assert_same_final_state(crashed, full_run)
+    for table in TABLES:
+        assert (crashed / table).read_text() == (full_run / table).read_text()
+
+
+def test_fit_cli(full_run, capsys):
+    assert main(["fit", "--run", str(full_run), "--norm", "a0"]) == 0
+    assert "(11 samples)" in capsys.readouterr().out
+    assert main(["fit", "--run", str(full_run), "--norm", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["simulate", "--config", "config.txt", "--resume-from", "run"],
+])
+def test_simulate_needs_exactly_one_of_config_and_resume(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
