@@ -66,7 +66,7 @@ class NormRecord:
         return ",".join(f"{v:.12e}" for v in vals)
 
 
-def control_norms(state, sigma=SIGMA_DEFAULT, hs_orders=(0.25,)):
+def control_norms(state, sigma=SIGMA_DEFAULT):
     """Scale-graded norms of one snapshot (sup norms as grid maxima)."""
     wa, r = state.wa, state.r
     y = state.aux.y
@@ -83,8 +83,7 @@ def control_norms(state, sigma=SIGMA_DEFAULT, hs_orders=(0.25,)):
         a_sharp=a_sharp,
         x=x_norm(wa, r),
     )
-    rec.hs = {s: pair_sobolev((wa, r), s) for s in hs_orders}
-    rec.hs[sigma - 1.0] = pair_sobolev((wa, r), sigma - 1.0)
+    rec.hs = {s: pair_sobolev((wa, r), s) for s in (0.25, sigma - 1.0)}
     return rec
 
 
@@ -223,14 +222,6 @@ def hyp_band_mass_fraction(block):
 
 # the X-sharp norms --------------------------------------------------------------
 
-def _pair_sobolev_from_deriv(w_a, q_a, s):
-    """Pair norm of (w, q)_alpha at order s: first slot |D|^s in L2, second
-    slot carries the extra half derivative."""
-    ws = frac_deriv(w_a.demean(), s)
-    rs = frac_deriv(q_a.demean(), s + 0.5)
-    return math.sqrt(ws.l2() ** 2 + rs.l2() ** 2)
-
-
 @dataclass
 class XSharpRecord:
     lo: float
@@ -251,7 +242,7 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
         frac_deriv(split.w_lo.demean(), 0.75).l2() ** 2
         + frac_deriv(split.qa_lo.demean(), 0.25).l2() ** 2
     )
-    hi = t**1.5 * _pair_sobolev_from_deriv(split.w_hi.deriv(), split.qa_hi, 0.25)
+    hi = t**1.5 * pair_sobolev((split.w_hi.deriv(), split.qa_hi), 0.25)
 
     per_block = []
     ell_per_block = []
@@ -261,11 +252,11 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
         qa_a = blk["qa"]
         above = band_high_symbol(grid, xi0)
         below = band_low_symbol(grid, xi0)
-        hi_part = t**0.5 * xi0**-0.5 * _pair_sobolev_from_deriv(
-            Field(grid, w_a.coef * above), Field(grid, qa_a.coef * above), 0.25
+        hi_part = t**0.5 * xi0**-0.5 * pair_sobolev(
+            (Field(grid, w_a.coef * above), Field(grid, qa_a.coef * above)), 0.25
         )
-        lo_part = t**0.5 * _pair_sobolev_from_deriv(
-            Field(grid, w_a.coef * below), Field(grid, qa_a.coef * below), -0.25
+        lo_part = t**0.5 * pair_sobolev(
+            (Field(grid, w_a.coef * below), Field(grid, qa_a.coef * below)), -0.25
         )
         weight = xi0**-a_exp if xi0 < 1.0 else xi0**b_exp
         band = weight * x_zero_norm(blk["w_hyp"].deriv(), blk["qa_hyp"])
@@ -273,8 +264,8 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
                           "value": hi_part + lo_part + band})
         ell_per_block.append({
             "m": blk["m"], "xi0": xi0,
-            "value": t**0.5 * xi0**-0.5 * _pair_sobolev_from_deriv(w_a, qa_a, 0.25)
-            + t**0.5 * _pair_sobolev_from_deriv(w_a, qa_a, -0.25),
+            "value": t**0.5 * xi0**-0.5 * pair_sobolev((w_a, qa_a), 0.25)
+            + t**0.5 * pair_sobolev((w_a, qa_a), -0.25),
         })
 
     sup_blocks = max((p["value"] for p in per_block), default=0.0)

@@ -147,6 +147,12 @@ def rhs_full(state):
     return dw, project_neg(dq)
 
 
+def r_rate(state, dw, dq):
+    """Rate of R = Q_a / (1 + W_a) under the rates (dw, dq) of (W, Q):
+    (dq' - R dw') (1 - Y)."""
+    return (dq.deriv() - state.r * dw.deriv()) * state.aux.one_minus_y
+
+
 def _diff_rates(aux):
     """Unprojected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
     dwa = (
@@ -231,7 +237,7 @@ def linearize(state, dir_w, dir_q, rel_step=1e-5, order=2):
         raise ValueError("order must be 2 or 4")
 
     base_dw, base_dq = rhs_full(state)
-    dr_base = (base_dq.deriv() - state.r * base_dw.deriv()) * state.aux.one_minus_y
+    dr_base = r_rate(state, base_dw, base_dq)
     dir_r = project_neg(dir_q - state.r * dir_w)
     rate_r = dq - dr_base * dir_w - state.r * dw
     return dw, project_neg(dq), project_neg(rate_r), dir_r

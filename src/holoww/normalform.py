@@ -25,12 +25,12 @@ independent whole-group transcriptions are kept in `_direct_groups` so the
 two spellings can be cross-checked to machine precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InconsistentTimes, UnknownTerm
 from .grid import Field, project_neg
-from .paradiff import DEFAULT, balanced, para
-from .dynamics import rhs_full
+from .paradiff import balanced, para
+from .dynamics import r_rate, rhs_full
 from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value
 
 
@@ -46,34 +46,30 @@ def classical_nf(state):
 
 @dataclass
 class NormalFormState:
-    """Paradifferential normal-form pair with its quadratic flux."""
+    """Normal-form pair (Wt, Qt) at time t with the derivative fields the
+    cubic terms read, and the quadratic flux formed from them once.
+
+    `para_nf` passes the spectral derivatives of Wt and Qt; a test profile
+    may pass independently supplied ones, as the monochrome ansatz does.
+    """
 
     t: float
     wt: object
     qt: object
-    f2: object  # P[conj(Qt_a) Wt_a - Qt_a conj(Wt_a)]
+    wt_a: object
+    qt_a: object
+    f2: object = field(init=False)  # P[conj(Qt_a) Wt_a - Qt_a conj(Wt_a)]
 
-    @property
-    def wt_a(self):
-        return self.wt.deriv()
-
-    @property
-    def qt_a(self):
-        return self.qt.deriv()
+    def __post_init__(self):
+        self.f2 = project_neg(self.qt_a.conj() * self.wt_a - self.qt_a * self.wt_a.conj())
 
 
-def para_nf(state, cfg=DEFAULT):
+def para_nf(state):
     """Partial (paradifferential) normal form of a state."""
     w2re = state.w.two_re()
-    wt = project_neg(state.w - para(state.wa, state.w, cfg) - balanced(state.wa, w2re, cfg))
-    qt = project_neg(state.q - para(state.r, state.w, cfg) - balanced(state.r, w2re, cfg))
-    return NormalFormState(state.t, wt, qt, quadratic_flux(wt, qt))
-
-
-def quadratic_flux(wt, qt):
-    wa = wt.deriv()
-    qa = qt.deriv()
-    return project_neg(qa.conj() * wa - qa * wa.conj())
+    wt = project_neg(state.w - para(state.wa, state.w) - balanced(state.wa, w2re))
+    qt = project_neg(state.q - para(state.r, state.w) - balanced(state.r, w2re))
+    return NormalFormState(state.t, wt, qt, wt.deriv(), qt.deriv())
 
 
 # the cubic source table -----------------------------------------------------
@@ -87,42 +83,6 @@ class Term:
     build: object
 
 
-class TermInputs:
-    """Fields a cubic term constructor consumes.
-
-    `from_state_pair` takes true normal-form variables (derivatives are
-    spectral); `from_ansatz` accepts independently supplied derivative
-    fields, which is how monochromatic test profiles are injected.
-    """
-
-    __slots__ = ("wt", "qt", "wt_a", "qt_a", "qt_aa", "f2", "cfg")
-
-    def __init__(self, wt, qt, wt_a, qt_a, f2, cfg):
-        self.wt = wt
-        self.qt = qt
-        self.wt_a = wt_a
-        self.qt_a = qt_a
-        self.qt_aa = qt_a.deriv()
-        self.f2 = f2
-        self.cfg = cfg
-
-    @classmethod
-    def from_nf(cls, nf, cfg=DEFAULT):
-        return cls(nf.wt, nf.qt, nf.wt_a, nf.qt_a, nf.f2, cfg)
-
-    @classmethod
-    def from_ansatz(cls, wt, wt_a, qt, qt_a, cfg=DEFAULT):
-        f2 = project_neg(qt_a.conj() * wt_a - qt_a * wt_a.conj())
-        return cls(wt, qt, wt_a, qt_a, f2, cfg)
-
-    # shorthands used by the constructors
-    def T(self, a, b):
-        return para(a, b, self.cfg)
-
-    def Pi(self, a, b):
-        return balanced(a, b, self.cfg)
-
-
 def _d(u):
     return u.deriv()
 
@@ -131,94 +91,97 @@ def _tr(u):
     return u.two_re()
 
 
+T, Pi = para, balanced  # the table's shorthands
+
+
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
     Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
-         lambda v: v.T(v.wt_a, v.qt_a * v.wt_a)),
+         lambda v: T(v.wt_a, v.qt_a * v.wt_a)),
     Term("g1.2", "g1", "nonresonant", "T[(Qt' Wt')'] Wt",
-         lambda v: v.T(_d(v.qt_a * v.wt_a), v.wt)),
+         lambda v: T(_d(v.qt_a * v.wt_a), v.wt)),
     Term("g1.3", "g1", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])",
-         lambda v: v.Pi(v.wt_a, _tr(v.qt_a * v.wt_a))),
+         lambda v: Pi(v.wt_a, _tr(v.qt_a * v.wt_a))),
     Term("g1.4", "g1", "nonresonant", "Pi((Qt' Wt')', Wt)",
-         lambda v: v.Pi(_d(v.qt_a * v.wt_a), v.wt)),
+         lambda v: Pi(_d(v.qt_a * v.wt_a), v.wt)),
     Term("g1.5", "g1", "resonant", "Pi((Qt' Wt')', conj Wt)",
-         lambda v: v.Pi(_d(v.qt_a * v.wt_a), v.wt.conj())),
+         lambda v: Pi(_d(v.qt_a * v.wt_a), v.wt.conj())),
     # --- cancellations against d_a Qt
     Term("g2.1", "g2", "null", "-Wt' F2",
          lambda v: -1.0 * (v.wt_a * v.f2)),
     Term("g2.2", "g2", "null", "T[F2'] Wt",
-         lambda v: v.T(_d(v.f2), v.wt)),
+         lambda v: T(_d(v.f2), v.wt)),
     Term("g2.3", "g2", "null", "Pi(F2', 2Re Wt)",
-         lambda v: v.Pi(_d(v.f2), _tr(v.wt))),
+         lambda v: Pi(_d(v.f2), _tr(v.wt))),
     Term("g2.4", "g2", "null", "Pi(F2, Wt')",
-         lambda v: v.Pi(v.f2, v.wt_a)),
+         lambda v: Pi(v.f2, v.wt_a)),
     Term("g2.5", "g2", "null", "Pi(Wt', conj F2)",
-         lambda v: v.Pi(v.wt_a, v.f2.conj())),
+         lambda v: Pi(v.wt_a, v.f2.conj())),
     Term("g2.6", "g2", "nonresonant", "-Pi(conj(Wt')^2, Qt')",
-         lambda v: -1.0 * v.Pi(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
+         lambda v: -1.0 * Pi(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
     Term("g2.7", "g2", "resonant", "Pi(conj Qt', Wt'^2)",
-         lambda v: v.Pi(v.qt_a.conj(), v.wt_a * v.wt_a)),
+         lambda v: Pi(v.qt_a.conj(), v.wt_a * v.wt_a)),
     Term("g2.8", "g2", "nonresonant", "-T[conj(Wt')^2] Qt'",
-         lambda v: -1.0 * v.T(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
+         lambda v: -1.0 * T(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
     Term("g2.9", "g2", "nonresonant", "-T[conj Wt'] F2",
-         lambda v: -1.0 * v.T(v.wt_a.conj(), v.f2)),
+         lambda v: -1.0 * T(v.wt_a.conj(), v.f2)),
     Term("g2.10", "g2", "nonresonant", "T[conj Qt'] Wt'^2",
-         lambda v: v.T(v.qt_a.conj(), v.wt_a * v.wt_a)),
+         lambda v: T(v.qt_a.conj(), v.wt_a * v.wt_a)),
     # --- rewriting the quadratic potentials in normal-form variables
     Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: v.T(_tr(_d(v.T(v.wt_a, v.wt) + v.Pi(v.wt_a, v.wt))), v.qt_a)),
+         lambda v: T(_tr(_d(T(v.wt_a, v.wt) + Pi(v.wt_a, v.wt))), v.qt_a)),
     Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
-         lambda v: v.T(_tr(_d(v.Pi(v.wt_a, v.wt.conj()))), v.qt_a)),
+         lambda v: T(_tr(_d(Pi(v.wt_a, v.wt.conj()))), v.qt_a)),
     Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
-         lambda v: -1.0 * v.T(_tr(v.wt_a), v.qt_a * v.wt_a)),
+         lambda v: -1.0 * T(_tr(v.wt_a), v.qt_a * v.wt_a)),
     Term("g3.4", "g3", "null", "T[2Re Wt'] F2",
-         lambda v: v.T(_tr(v.wt_a), v.f2)),
+         lambda v: T(_tr(v.wt_a), v.f2)),
     Term("g3.5", "g3", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: v.T(_tr(v.wt_a), _d(v.T(v.qt_a, v.wt) + v.Pi(v.qt_a, _tr(v.wt))))),
+         lambda v: T(_tr(v.wt_a), _d(T(v.qt_a, v.wt) + Pi(v.qt_a, _tr(v.wt))))),
     Term("g3.6", "g3", "nonresonant",
          "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: v.T(_tr(v.qt_a * v.wt_a - _d(v.T(v.qt_a, v.wt) + v.Pi(v.qt_a, v.wt))), v.wt_a)),
+         lambda v: T(_tr(v.qt_a * v.wt_a - _d(T(v.qt_a, v.wt) + Pi(v.qt_a, v.wt))), v.wt_a)),
     Term("g3.7", "g3", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
-         lambda v: -1.0 * v.T(_tr(_d(v.Pi(v.qt_a, v.wt.conj()))), v.wt_a)),
+         lambda v: -1.0 * T(_tr(_d(Pi(v.qt_a, v.wt.conj()))), v.wt_a)),
     Term("g3.8", "g3", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * v.T(_tr(v.qt_a), _d(v.T(v.wt_a, v.wt) + v.Pi(v.wt_a, _tr(v.wt))))),
+         lambda v: -1.0 * T(_tr(v.qt_a), _d(T(v.wt_a, v.wt) + Pi(v.wt_a, _tr(v.wt))))),
     # --- sources of the second equation
     Term("k1.1", "k1", "nonresonant", "T[Qt' Qt''] Wt",
-         lambda v: v.T(v.qt_a * v.qt_aa, v.wt)),
+         lambda v: T(v.qt_a * _d(v.qt_a), v.wt)),
     Term("k1.2", "k1", "null", "T[P[|Qt'|^2]'] Wt",
-         lambda v: v.T(_d(project_neg(v.qt_a * v.qt_a.conj())), v.wt)),
+         lambda v: T(_d(project_neg(v.qt_a * v.qt_a.conj())), v.wt)),
     Term("k1.3", "k1", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
-         lambda v: v.T(v.qt_a, v.T(v.wt_a, v.qt_a) + v.Pi(v.wt_a, v.qt_a))),
+         lambda v: T(v.qt_a, T(v.wt_a, v.qt_a) + Pi(v.wt_a, v.qt_a))),
     Term("k1.4", "k1", "null", "Pi(Qt' Qt'', 2Re Wt)",
-         lambda v: v.Pi(v.qt_a * v.qt_aa, _tr(v.wt))),
+         lambda v: Pi(v.qt_a * _d(v.qt_a), _tr(v.wt))),
     Term("k1.5", "k1", "null", "Pi(P[|Qt'|^2]', 2Re Wt)",
-         lambda v: v.Pi(_d(project_neg(v.qt_a * v.qt_a.conj())), _tr(v.wt))),
+         lambda v: Pi(_d(project_neg(v.qt_a * v.qt_a.conj())), _tr(v.wt))),
     Term("k1.6", "k1", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])",
-         lambda v: v.Pi(v.qt_a, _tr(v.qt_a * v.wt_a))),
+         lambda v: Pi(v.qt_a, _tr(v.qt_a * v.wt_a))),
     Term("k1.7", "k1", "nonresonant", "-Pi(Wt' Qt', Qt')",
-         lambda v: -1.0 * v.Pi(v.wt_a * v.qt_a, v.qt_a)),
+         lambda v: -1.0 * Pi(v.wt_a * v.qt_a, v.qt_a)),
     Term("k1.8", "k1", "null", "Pi(Qt', conj F2)",
-         lambda v: v.Pi(v.qt_a, v.f2.conj())),
+         lambda v: Pi(v.qt_a, v.f2.conj())),
     Term("k1.9", "k1", "nonresonant", "-T[Qt' Wt'] Qt'",
-         lambda v: -1.0 * v.T(v.qt_a * v.wt_a, v.qt_a)),
+         lambda v: -1.0 * T(v.qt_a * v.wt_a, v.qt_a)),
     Term("k2.1", "k2", "nonresonant", "i T[Wt'^2] Wt",
-         lambda v: 1j * v.T(v.wt_a * v.wt_a, v.wt)),
+         lambda v: 1j * T(v.wt_a * v.wt_a, v.wt)),
     Term("k2.2", "k2", "null", "i Pi(Wt'^2, 2Re Wt)",
-         lambda v: 1j * v.Pi(v.wt_a * v.wt_a, _tr(v.wt))),
+         lambda v: 1j * Pi(v.wt_a * v.wt_a, _tr(v.wt))),
     Term("k2.3", "k2", "null", "-T[F2] Qt'",
-         lambda v: -1.0 * v.T(v.f2, v.qt_a)),
+         lambda v: -1.0 * T(v.f2, v.qt_a)),
     Term("k3.1", "k3", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * v.T(_tr(_d(v.T(v.qt_a, v.wt) + v.Pi(v.qt_a, v.wt))), v.qt_a)),
+         lambda v: -1.0 * T(_tr(_d(T(v.qt_a, v.wt) + Pi(v.qt_a, v.wt))), v.qt_a)),
     Term("k3.2", "k3", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
-         lambda v: -1.0 * v.T(_tr(_d(v.Pi(v.qt_a, v.wt.conj()))), v.qt_a)),
+         lambda v: -1.0 * T(_tr(_d(Pi(v.qt_a, v.wt.conj()))), v.qt_a)),
     Term("k3.3", "k3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * v.T(_tr(v.qt_a), _d(v.T(v.qt_a, v.wt) + v.Pi(v.qt_a, _tr(v.wt))))),
+         lambda v: -1.0 * T(_tr(v.qt_a), _d(T(v.qt_a, v.wt) + Pi(v.qt_a, _tr(v.wt))))),
     Term("k3.4", "k3", "nonresonant", "T[2Re(Qt' Wt')] Qt'",
-         lambda v: v.T(_tr(v.qt_a * v.wt_a), v.qt_a)),
+         lambda v: T(_tr(v.qt_a * v.wt_a), v.qt_a)),
     Term("k3.5", "k3", "nonresonant", "T[conj Qt'](Qt' Wt')",
-         lambda v: v.T(v.qt_a.conj(), v.qt_a * v.wt_a)),
+         lambda v: T(v.qt_a.conj(), v.qt_a * v.wt_a)),
     Term("k3.6", "k3", "nonresonant", "T[Qt'] T[Qt'] Wt'",
-         lambda v: v.T(v.qt_a, v.T(v.qt_a, v.wt_a))),
+         lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
 )
 
 _BY_ID = {t.tid: t for t in TERMS}
@@ -238,9 +201,9 @@ def term_table_dump():
     return "\n".join(lines) + "\n"
 
 
-def evaluate_terms(inputs):
-    """Every term of the table on the given fields, keyed by id."""
-    return {t.tid: t.build(inputs) for t in TERMS}
+def evaluate_terms(nf):
+    """Every term of the table on the fields of a `NormalFormState`, keyed by id."""
+    return {t.tid: t.build(nf) for t in TERMS}
 
 
 def _sum_terms(values, grid, select):
@@ -251,9 +214,9 @@ def _sum_terms(values, grid, select):
     return total if total is not None else Field.zero(grid)
 
 
-def cubic_sources(nf, cfg=DEFAULT):
+def cubic_sources(nf):
     """Explicit cubic sources (G3, K3) with all groupings retained."""
-    values = evaluate_terms(TermInputs.from_nf(nf, cfg))
+    values = evaluate_terms(nf)
     grid = nf.wt.grid
     groups = {
         g: _sum_terms(values, grid, lambda t, g=g: t.group == g)
@@ -271,11 +234,9 @@ def cubic_sources(nf, cfg=DEFAULT):
     return g3, k3, groups, classes, values
 
 
-def _direct_groups(inputs):
+def _direct_groups(nf):
     """Whole-group transcriptions kept independent of the atom table."""
-    v = inputs
-    T, Pi = v.T, v.Pi
-    wt, qt, wa, qa, f2 = v.wt, v.qt, v.wt_a, v.qt_a, v.f2
+    wt, wa, qa, f2 = nf.wt, nf.wt_a, nf.qt_a, nf.f2
     g1 = T(wa, qa * wa) + T(_d(qa * wa), wt) + Pi(wa, _tr(qa * wa)) + Pi(_d(qa * wa), _tr(wt))
     g2 = (
         -1.0 * (wa * f2)
@@ -317,33 +278,33 @@ def _direct_groups(inputs):
     return g1, g2, g3, k1, k2, k3
 
 
-def cubic_sources_direct(nf, cfg=DEFAULT):
-    g1, g2, g3, k1, k2, k3 = _direct_groups(TermInputs.from_nf(nf, cfg))
+def cubic_sources_direct(nf):
+    g1, g2, g3, k1, k2, k3 = _direct_groups(nf)
     return g1 + g2 + g3, k1 + k2 + k3
 
 
 # measured flow residuals ----------------------------------------------------
 
-def nf_rate(state, cfg=DEFAULT):
+def nf_rate(state):
     """Analytic time derivative of the normal-form pair via the chain rule."""
     dw, dq = rhs_full(state)
     dwa = dw.deriv()
-    dr = (dq.deriv() - state.r * dwa) * state.aux.one_minus_y
+    dr = r_rate(state, dw, dq)
     w2 = state.w.two_re()
     dw2 = dw.two_re()
     dwt = (
         dw
-        - para(dwa, state.w, cfg)
-        - para(state.wa, dw, cfg)
-        - balanced(dwa, w2, cfg)
-        - balanced(state.wa, dw2, cfg)
+        - para(dwa, state.w)
+        - para(state.wa, dw)
+        - balanced(dwa, w2)
+        - balanced(state.wa, dw2)
     )
     dqt = (
         dq
-        - para(dr, state.w, cfg)
-        - para(state.r, dw, cfg)
-        - balanced(dr, w2, cfg)
-        - balanced(state.r, dw2, cfg)
+        - para(dr, state.w)
+        - para(state.r, dw)
+        - balanced(dr, w2)
+        - balanced(state.r, dw2)
     )
     return project_neg(dwt), project_neg(dqt)
 
@@ -364,32 +325,32 @@ def gamma_samples(state, vs):
     return rows
 
 
-def residual_from_rate(nf, dwt, dqt, cfg=DEFAULT):
+def residual_from_rate(nf, dwt, dqt):
     """Measured sources: move every non-source term to the left side."""
     wa, qa = nf.wt_a, nf.qt_a
-    g = dwt + qa - para(_tr(wa), qa, cfg) + para(_tr(qa), wa, cfg)
-    k = dqt - 1j * nf.wt + para(_tr(qa), qa, cfg)
+    g = dwt + qa - para(_tr(wa), qa) + para(_tr(qa), wa)
+    k = dqt - 1j * nf.wt + para(_tr(qa), qa)
     return project_neg(g), project_neg(k)
 
 
-def flow_residual_analytic(state, cfg=DEFAULT):
-    nf = para_nf(state, cfg)
-    dwt, dqt = nf_rate(state, cfg)
-    g, k = residual_from_rate(nf, dwt, dqt, cfg)
+def flow_residual_analytic(state):
+    nf = para_nf(state)
+    dwt, dqt = nf_rate(state)
+    g, k = residual_from_rate(nf, dwt, dqt)
     return nf, g, k
 
 
-def flow_residual_centered(prev, mid, nxt, cfg=DEFAULT):
+def flow_residual_centered(prev, mid, nxt):
     dt1 = mid.t - prev.t
     dt2 = nxt.t - mid.t
     if abs(dt1 - dt2) > 1e-12 * max(abs(dt1), 1e-30) or dt1 <= 0:
         raise InconsistentTimes("snapshots must be equally spaced in time")
-    nf_prev = para_nf(prev, cfg)
-    nf_mid = para_nf(mid, cfg)
-    nf_next = para_nf(nxt, cfg)
+    nf_prev = para_nf(prev)
+    nf_mid = para_nf(mid)
+    nf_next = para_nf(nxt)
     dwt = (0.5 / dt1) * (nf_next.wt - nf_prev.wt)
     dqt = (0.5 / dt1) * (nf_next.qt - nf_prev.qt)
-    g, k = residual_from_rate(nf_mid, dwt, dqt, cfg)
+    g, k = residual_from_rate(nf_mid, dwt, dqt)
     return nf_mid, g, k
 
 
@@ -407,7 +368,7 @@ class ScalingDerivatives:
     ts_defect_q: object
 
 
-def scaling_fields(state, nf=None, cfg=DEFAULT):
+def scaling_fields(state):
     """Scaling vector field S = t d_t + 2 alpha d_alpha and its variants.
 
     t d_t is evaluated analytically through the flow, never by differencing
@@ -421,18 +382,17 @@ def scaling_fields(state, nf=None, cfg=DEFAULT):
     frak_q = sq - 3.0 * state.q
     frak_r = frak_q - state.r * frak_w
 
-    if nf is None:
-        nf = para_nf(state, cfg)
+    nf = para_nf(state)
     wa, qa = nf.wt_a, nf.qt_a
     tilde_w = (
         2.0 * wa.alpha_times()
         - t * qa
-        + t * (para(_tr(wa), qa, cfg) - para(_tr(qa), wa, cfg))
+        + t * (para(_tr(wa), qa) - para(_tr(qa), wa))
     )
-    tilde_q = 2.0 * qa.alpha_times() + 1j * t * nf.wt - t * para(_tr(qa), qa, cfg)
+    tilde_q = 2.0 * qa.alpha_times() + 1j * t * nf.wt - t * para(_tr(qa), qa)
 
-    dwt, dqt = nf_rate(state, cfg)
-    g, k = residual_from_rate(nf, dwt, dqt, cfg)
+    dwt, dqt = nf_rate(state)
+    g, k = residual_from_rate(nf, dwt, dqt)
     swt = t * dwt + 2.0 * wa.alpha_times()
     sqt = t * dqt + 2.0 * qa.alpha_times()
     ts_w = swt - t * g - tilde_w

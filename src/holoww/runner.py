@@ -173,6 +173,11 @@ class _Schedule:
         while self.due(t):
             pass
 
+    def skip_before(self, t):
+        """Mark every sample time before t as done."""
+        while self.next < t - TIME_TOL:
+            self.next += self.every
+
 
 def _open_csv(path, mode, header):
     """Open a CSV table, writing its header if the file is new or empty."""
@@ -230,12 +235,12 @@ def simulate(cfg, out_dir, resume_state=None):
 
     norms = _Schedule(0.0, cfg["run.norm_every"])
     gammas = _Schedule(max(cfg["gamma.start"], 0.0), cfg["gamma.every"])
+    gammas.skip_before(GAMMA_T_MIN)
     ckpts = _Schedule(0.0, cfg["run.checkpoint_every"])
     ckpts.skip_through(state.t)
     if resume_state is not None:
         norms.skip_through(state.t)
-        if state.t >= GAMMA_T_MIN:
-            gammas.skip_through(state.t)
+        gammas.skip_through(state.t)
 
     def save(st, name):
         save_state(os.path.join(out_dir, f"state_{name}.txt"), st,

@@ -28,6 +28,7 @@ from .dynamics import (
     linear_propagate,
     packet_data,
     plateau_data,
+    r_rate,
     rhs_diff,
     rhs_full,
     step,
@@ -36,7 +37,7 @@ from .dynamics import (
 from .errors import UsageError
 from .normalform import (
     TERMS,
-    TermInputs,
+    NormalFormState,
     classical_nf,
     cubic_sources,
     evaluate_terms,
@@ -182,7 +183,7 @@ def _ladder_norms(grid, eps):
     wt, qt = classical_nf(st)
     w2, dw2 = st.w.two_re(), dw.two_re()
     dwt = project_neg(dw - project_neg(dw2 * st.wa) - project_neg(w2 * dw.deriv()))
-    dr = (dq.deriv() - st.r * dw.deriv()) * st.aux.one_minus_y
+    dr = r_rate(st, dw, dq)
     dqt = project_neg(dq - project_neg(dw2 * st.r) - project_neg(w2 * dr))
     classical = math.sqrt((dwt + qt.deriv()).l2() ** 2 + (dqt - 1j * wt).l2() ** 2)
     nf, g, k = flow_residual_analytic(st)
@@ -364,7 +365,7 @@ def suite_structure(n=None, seed=0):
     t, v = 18432.0, 1.0
     fr = build_packet(xl, t, v)
     wt, wt_a, qt, qt_a = monochrome_ansatz(xl, t, v, gamma0=1.0)
-    vals = evaluate_terms(TermInputs.from_ansatz(wt, wt_a, qt, qt_a))
+    vals = evaluate_terms(NormalFormState(t, wt, qt, wt_a, qt_a))
 
     def pairing(term, field):
         if term.group.startswith("g"):

@@ -1,13 +1,16 @@
 """Source hygiene checked with `ast`, in place of a linter: every import in
-`src/holoww` is used, and no function imports from a module that its file
-already imports from at the top."""
+`src/holoww` is used, no function imports from a module that its file
+already imports from at the top, and every top-level definition is named
+somewhere in the sources, the tests or the benchmark."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "holoww"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "holoww"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -53,6 +56,29 @@ def local_reimports(source):
             if line not in top and mod in top.values()]
 
 
+def named(source):
+    """Every name the code reads, imports or spells as a dotted string
+    (`"paradiff.para"` names `para`); a definition does not name itself."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def unnamed_definitions(source, names):
+    """Top-level functions and classes of `source` absent from `names`."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -63,9 +89,20 @@ def test_no_function_local_reimports(path):
     assert local_reimports(path.read_text()) == []
 
 
+def test_every_top_level_definition_is_named():
+    names = set()
+    for path in [*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        names |= named(path.read_text())
+    dead = {path.name: unnamed_definitions(path.read_text(), names) for path in MODULES}
+    assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
 def test_checkers_flag_what_they_should():
     source = ("import os\nfrom .grid import Field\n\n\ndef f():\n"
               "    from .grid import frac_deriv\n    return Field, frac_deriv\n")
     assert unused_imports(source) == ["os (line 1)"]
     assert local_reimports(source) == [".grid (line 6)"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    source = "def f():\n    return g()\n\n\ndef g():\n    pass\n\n\nclass C:\n    pass\n"
+    assert unnamed_definitions(source, named(source)) == ["f", "C"]
+    assert named("x = 'mod.g'\ny = 'not a name'\n") == {"x", "y", "mod", "g"}

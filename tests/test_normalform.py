@@ -6,10 +6,10 @@ import pytest
 from holoww.errors import InconsistentTimes, UnknownTerm
 from holoww.grid import Field, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_norm
-from holoww.dynamics import StepperConfig, WaveState, packet_data, rhs_full, step
+from holoww.dynamics import StepperConfig, WaveState, packet_data, r_rate, rhs_full, step
 from holoww.normalform import (
     TERMS,
-    TermInputs,
+    NormalFormState,
     classical_nf,
     classify_cubic,
     cubic_sources,
@@ -39,7 +39,7 @@ def classical_rate(st):
     dw, dq = rhs_full(st)
     w2, dw2 = st.w.two_re(), dw.two_re()
     dwt = project_neg(dw - project_neg(dw2 * st.wa) - project_neg(w2 * dw.deriv()))
-    dr = (dq.deriv() - st.r * dw.deriv()) * st.aux.one_minus_y
+    dr = r_rate(st, dw, dq)
     dqt = project_neg(dq - project_neg(dw2 * st.r) - project_neg(w2 * dr))
     return dwt, dqt
 
@@ -80,12 +80,12 @@ def test_para_nf_zero(grid):
 
 
 def test_para_nf_defining_identity(grid):
-    from holoww.paradiff import DEFAULT, balanced, para
+    from holoww.paradiff import balanced, para
 
     st = small_state(grid, 1e-2, seed=50)
     nf = para_nf(st)
     w2 = st.w.two_re()
-    resid = nf.wt - st.w + para(st.wa, st.w, DEFAULT) + balanced(st.wa, w2, DEFAULT)
+    resid = nf.wt - st.w + para(st.wa, st.w) + balanced(st.wa, w2)
     assert resid.l2() < 1e-13 * max(st.w.l2(), 1e-30)
 
 
@@ -123,12 +123,11 @@ def test_cubic_sources_zero(grid):
 def test_terms_are_trilinear(grid):
     st = small_state(grid, 1e-2, seed=51)
     nf = para_nf(st)
-    base = evaluate_terms(TermInputs.from_nf(nf))
+    base = evaluate_terms(nf)
     lam = 1.5
-    scaled_nf_inputs = TermInputs.from_ansatz(
-        lam * nf.wt, lam * nf.wt_a, lam * nf.qt, lam * nf.qt_a
+    scaled = evaluate_terms(
+        NormalFormState(nf.t, lam * nf.wt, lam * nf.qt, lam * nf.wt_a, lam * nf.qt_a)
     )
-    scaled = evaluate_terms(scaled_nf_inputs)
     scale = lam**3 * max(base[t.tid].l2() for t in TERMS)
     for t in TERMS:
         diff = (scaled[t.tid] - lam**3 * base[t.tid]).l2()
@@ -202,7 +201,7 @@ def test_flow_residual_is_cubic(grid):
 
 def test_linear_rate_leaves_only_paraproduct_terms(grid):
     # feeding the linear rates into the residual isolates the T-terms exactly
-    from holoww.paradiff import DEFAULT, para
+    from holoww.paradiff import para
 
     st = small_state(grid, 1e-2, seed=52)
     nf = para_nf(st)
@@ -210,8 +209,8 @@ def test_linear_rate_leaves_only_paraproduct_terms(grid):
     dqt = 1j * nf.wt
     g, k = residual_from_rate(nf, dwt, dqt)
     wa, qa = nf.wt_a, nf.qt_a
-    g_expect = project_neg(-1.0 * para(wa.two_re(), qa, DEFAULT) + para(qa.two_re(), wa, DEFAULT))
-    k_expect = project_neg(para(qa.two_re(), qa, DEFAULT))
+    g_expect = project_neg(-1.0 * para(wa.two_re(), qa) + para(qa.two_re(), wa))
+    k_expect = project_neg(para(qa.two_re(), qa))
     assert (g - g_expect).l2() < 1e-14 * max(g_expect.l2(), 1e-30)
     assert (k - k_expect).l2() < 1e-14 * max(k_expect.l2(), 1e-30)
 

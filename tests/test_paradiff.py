@@ -4,17 +4,20 @@ import pytest
 from holoww.grid import Field, project_neg
 from holoww.lp import block_range
 from holoww.paradiff import (
-    ParaConfig,
+    SEPARATION,
+    _lohi,
     balanced,
     commutator_norm,
     para,
-    para_adjoint,
     trichotomy_residual,
 )
 
 from conftest import smooth_field
 
-RAW = ParaConfig(implicit_p=False)
+
+def balanced_raw(a, b):
+    """Pi(a, b) before the negative-frequency projection."""
+    return a * b - _lohi(a, b) - _lohi(b, a)
 
 
 def mode_field(grid, target, amp=1.0):
@@ -44,7 +47,7 @@ def conv_product_oracle(a, b):
 def test_constant_symbol(grid):
     u = smooth_field(grid, seed=30).demean()
     const = Field.from_values(grid, np.full(grid.n, 2.5 + 0.0j))
-    t = para(const, u, RAW)
+    t = _lohi(const, u)
     assert np.max(np.abs(t.coef - 2.5 * u.coef)) < 1e-12 * u.linf()
 
 
@@ -54,18 +57,18 @@ def test_separated_modes_pass_to_paraproduct(grid):
     lo, hi = block_range(grid)
     a, ka = mode_field(grid, grid.dk)
     b, _ = mode_field(grid, 2.0**hi)
-    assert abs(ka) <= 2.0 ** (hi - 1 - RAW.separation)
-    t = para(a, b, RAW)
+    assert abs(ka) <= 2.0 ** (hi - 1 - SEPARATION)
+    t = _lohi(a, b)
     oracle = conv_product_oracle(a, b)
     assert np.max(np.abs(t.coef - oracle.coef)) < 1e-12
-    assert balanced(a, b, RAW).l2() < 1e-12
+    assert balanced_raw(a, b).l2() < 1e-12
 
 
 def test_reversed_separation_gives_zero(grid):
     lo, hi = block_range(grid)
     a, _ = mode_field(grid, 2.0**hi)
     b, _ = mode_field(grid, grid.dk)
-    assert para(a, b, RAW).l2() < 1e-12
+    assert _lohi(a, b).l2() < 1e-12
 
 
 def test_balanced_comparable_modes(grid):
@@ -73,7 +76,7 @@ def test_balanced_comparable_modes(grid):
     m = (lo + hi) // 2
     a, _ = mode_field(grid, 2.0**m)
     b, _ = mode_field(grid, 2.0 ** (m + 1))
-    pi = balanced(a, b, RAW)
+    pi = balanced_raw(a, b)
     oracle = conv_product_oracle(a, b)
     assert np.max(np.abs(pi.coef - oracle.coef)) < 1e-12
 
@@ -81,7 +84,7 @@ def test_balanced_comparable_modes(grid):
 def test_balanced_symmetric(grid):
     a = smooth_field(grid, seed=31)
     b = smooth_field(grid, seed=32)
-    d = balanced(a, b, RAW) - balanced(b, a, RAW)
+    d = balanced_raw(a, b) - balanced_raw(b, a)
     assert d.l2() < 1e-12 * max(a.l2() * b.l2(), 1e-30)
 
 
@@ -89,11 +92,11 @@ def test_bilinearity(grid):
     a = smooth_field(grid, seed=33)
     b = smooth_field(grid, seed=34)
     c = smooth_field(grid, seed=35)
-    lhs = para(a, b + 2.0 * c, RAW)
-    rhs = para(a, b, RAW) + 2.0 * para(a, c, RAW)
+    lhs = _lohi(a, b + 2.0 * c)
+    rhs = _lohi(a, b) + 2.0 * _lohi(a, c)
     assert (lhs - rhs).l2() < 1e-12 * max(lhs.l2(), 1e-30)
-    lhs2 = para(a + 2.0 * c, b, RAW)
-    rhs2 = para(a, b, RAW) + 2.0 * para(c, b, RAW)
+    lhs2 = _lohi(a + 2.0 * c, b)
+    rhs2 = _lohi(a, b) + 2.0 * _lohi(c, b)
     assert (lhs2 - rhs2).l2() < 1e-12 * max(lhs2.l2(), 1e-30)
 
 
@@ -118,32 +121,12 @@ def test_trichotomy_aliased_inputs_reported(grid):
     assert np.isfinite(resid)
 
 
-def test_adjoint_pairing(grid):
-    a = smooth_field(grid, seed=36)
-    u = smooth_field(grid, seed=37)
-    v = smooth_field(grid, seed=38)
-    lhs = para(a, u, RAW).inner(v)
-    rhs = u.inner(para_adjoint(a, v, RAW))
-    assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1e-30)
-
-
-def test_symmetric_average_self_adjoint(grid):
-    cfg = ParaConfig(symmetric=True, implicit_p=False)
-    a = Field.from_values(grid, np.real(smooth_field(grid, seed=39).values))
-    u = smooth_field(grid, seed=40)
-    v = smooth_field(grid, seed=41)
-    lhs = para(a, u, cfg).inner(v)
-    rhs = u.inner(para(a, v, cfg))
-    assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1e-30)
-
-
 def test_implicit_p_output_is_holomorphic(grid):
-    cfg = ParaConfig(implicit_p=True)
     a = smooth_field(grid, seed=42)
     b = smooth_field(grid, seed=43)
-    t = para(a, b, cfg)
+    t = para(a, b)
     assert np.all(t.coef[grid.k >= 0] == 0.0)
-    pi = balanced(a, b, cfg)
+    pi = balanced(a, b)
     assert np.all(pi.coef[grid.k >= 0] == 0.0)
 
 

@@ -1,0 +1,79 @@
+"""Property tests on generated data (Hypothesis, derandomized): the
+Littlewood-Paley partition of unity, the paraproduct trichotomy, the
+holomorphy and symmetry of the paradifferential operators, the
+negative-frequency projector, and the field text format."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from holoww.grid import Field, GridSpec, load_field, project_neg, save_field
+from holoww.lp import partition_defect
+from holoww.paradiff import balanced, para, trichotomy_residual
+
+PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
+
+
+def dealiased_fields(grid):
+    """Dealiased fields with real and imaginary coefficients in [-1, 1]."""
+    parts = arrays(np.float64, (2, grid.n), elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda x: Field(grid, x[0] + 1j * x[1]).dealiased())
+
+
+@PROPERTY
+@given(n=st.integers(8, 1024).map(lambda h: 2 * h), length=st.floats(1.0, 1e4))
+def test_lp_blocks_partition_unity_on_any_grid(n, length):
+    assert partition_defect(GridSpec(length, n)) < 1e-12
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trichotomy_residual_is_roundoff(grid, data):
+    a = data.draw(dealiased_fields(grid))
+    b = data.draw(dealiased_fields(grid))
+    assert trichotomy_residual(a, b) <= 1e-12 * (a * b).l2()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_para_and_balanced_vanish_at_nonnegative_frequencies(grid, data):
+    a = data.draw(dealiased_fields(grid))
+    b = data.draw(dealiased_fields(grid))
+    nonneg = grid.k >= 0
+    assert np.all(para(a, b).coef[nonneg] == 0.0)
+    assert np.all(balanced(a, b).coef[nonneg] == 0.0)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_balanced_is_symmetric(grid, data):
+    a = data.draw(dealiased_fields(grid))
+    b = data.draw(dealiased_fields(grid))
+    assert (balanced(a, b) - balanced(b, a)).l2() <= 1e-12 * max(a.l2() * b.l2(), 1e-300)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_projector_is_idempotent_and_orthogonal(grid, data):
+    u = data.draw(dealiased_fields(grid))
+    v = data.draw(dealiased_fields(grid))
+    pu = project_neg(u)
+    assert np.array_equal(project_neg(pu).coef, pu.coef)
+    assert pu.inner(v - project_neg(v)) == 0.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_save_load_field_round_trip_is_exact(grid, tmp_path_factory, data):
+    parts = data.draw(arrays(np.float64, (2, grid.n), elements=finite))
+    u = Field(grid, parts[0] + 1j * parts[1])
+    path = tmp_path_factory.getbasetemp() / "field.txt"
+    save_field(path, u)
+    back = load_field(path)
+    assert back.grid == grid
+    assert np.array_equal(back.coef.view(np.float64), u.coef.view(np.float64))
+    assert np.array_equal(np.signbit(back.coef.view(np.float64)),
+                          np.signbit(u.coef.view(np.float64)))

@@ -93,3 +93,16 @@ def test_simulate_needs_exactly_one_of_config_and_resume(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+def test_gamma_schedule_starting_before_t4_keeps_its_spacing(tmp_path):
+    # gamma needs t >= 4: the schedule 0, 1, 2, ... goes on at 4, 5, 6
+    # instead of sampling every step until it has caught up with t
+    (tmp_path / "config.txt").write_text(
+        "grid.n = 256\nrun.t_end = 6.0\n"
+        "gamma.start = 0.0\ngamma.every = 1.0\ngamma.velocities = 3\n"
+    )
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 0
+    _, rows = table_rows(out / "gamma.csv")
+    assert sorted({float(r.split(",")[0]) for r in rows}) == [4.0, 5.0, 6.0]
