@@ -68,8 +68,7 @@ class NormRecord:
 
 def control_norms(state, sigma=SIGMA_DEFAULT):
     """Scale-graded norms of one snapshot (sup norms as grid maxima)."""
-    wa, r = state.wa, state.r
-    y = state.aux.y
+    wa, r, y = state.wa, state.r, state.y
     half_r = frac_deriv(r, 0.5)
     a0 = wa.linf() + y.linf() + max(half_r.linf(), besov_inf2(half_r, 0.0))
     a_quarter = besov_inf2(wa, 0.25) + besov_inf2(r, 0.75)

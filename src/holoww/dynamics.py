@@ -7,21 +7,21 @@ The evolution is
     W_t + F (1 + W_a) = 0,
     Q_t + F Q_a - i W + P[conj(R) R] = 0,
 
-with the diagonal variables bW = W_a, R = Q_a / (1 + W_a), the Jacobian
-J = |1 + W_a|^2, Y = bW / (1 + bW), the transport speed
+with the diagonal variables bW = W_a, R = Q_a / (1 + W_a) and
+Y = bW / (1 + bW), which every state holds (checking J = |1 + W_a|^2
+against `JACOBIAN_FLOOR`).  `flux` forms the velocity F for `rhs_full`, and
+`diff_coefficients` the transport speed b, the Taylor coefficient
+perturbation a (1 + a is the normal pressure derivative) and the M of the
+differentiated system:
 
-    b = P[R (1 - conj Y)] + conj P[R (1 - conj Y)],
+    F = R + P[conj(R) Y - R conj(Y)],     b = 2 Re P[R (1 - conj Y)],
+    a = 2 Im P[R conj(R)_a],     M = 2 Re P[R conj(Y)_a - conj(R)_a Y].
 
-the Taylor coefficient perturbation a = i (conj z - z) with z = P[R conj(R)_a]
-(so 1 + a is the normal pressure derivative, real by construction), and
-
-    F = P[(Q_a - conj Q_a) / J] = R + P[conj(R) Y - R conj(Y)],
-    M = P[R conj(Y)_a - conj(R)_a Y] + conj(...same...),
-
-where both F and M are computed through both of their expressions.  The two
-M forms differ on a torus by a spatial constant of size O(|data|^2 / length)
+`rational_forms` gives the reference spellings of the identity checks,
+F = P[(Q_a - conj Q_a) / J] and M = R_a (1 - conj Y) + conj(R)_a (1 - Y) - b_a;
+on a torus the two M forms differ by a constant of size O(|data|^2 / length)
 (a wrap-around artifact of splitting the k = 0 mode between the projectors),
-so the rational form is reported with its mean removed.
+so the rational M is reported with its mean removed.
 
 The differentiated system evolves (bW, R):
 
@@ -53,126 +53,120 @@ from .grid import (
 JACOBIAN_FLOOR = 0.25
 
 
-class _Aux:
-    """Auxiliary fields shared by the full and the differentiated system.
+def _r_and_y(wa, r=None, qa=None):
+    """R (given, or Q_a / (1 + W_a)) and Y; raises below the Jacobian floor."""
+    onewa = 1.0 + wa.values
+    if float(np.min(np.abs(onewa) ** 2)) < JACOBIAN_FLOOR:
+        raise DegenerateJacobian("min J dropped below 1/4")
+    if r is None:
+        r = Field.from_values(wa.grid, qa.values / onewa, dealias=True)
+    return r, Field.from_values(wa.grid, wa.values / onewa, dealias=True)
 
-    Takes R itself (differentiated system) or Q_a, from which
-    R = Q_a / (1 + W_a) (full system); raises below the Jacobian floor.
-    """
 
-    __slots__ = ("wa", "onewa", "r", "y", "jac", "f", "f_rational", "b", "a", "m",
-                 "m_rational", "one_minus_y", "one_minus_ybar")
-
-    def __init__(self, wa, r=None, qa=None):
-        grid = wa.grid
-        one = Field.from_values(grid, np.ones(grid.n, dtype=complex))
-        onewa = Field.from_values(grid, 1.0 + wa.values)
-        jac = Field.from_values(grid, np.abs(onewa.values) ** 2)
-        if float(np.min(np.real(jac.values))) < JACOBIAN_FLOOR:
-            raise DegenerateJacobian("min J dropped below 1/4")
-        if r is None:
-            r = Field.from_values(grid, qa.values / onewa.values, dealias=True)
-        self.wa = wa
-        self.onewa = onewa
-        self.jac = jac
-        self.y = Field.from_values(grid, wa.values / onewa.values, dealias=True)
-        self.one_minus_y = one - self.y
-        self.one_minus_ybar = one - self.y.conj()
-        self.r = r
-        rbar = r.conj()
-        ybar = self.y.conj()
-        # F, both ways
-        qa = r * onewa
-        self.f_rational = project_neg((qa - qa.conj()) / jac)
-        self.f = r + project_neg(rbar * self.y - r * ybar)
-        # transport speed, manifestly real
-        zb = project_neg(r * self.one_minus_ybar)
-        self.b = Field.from_values(grid, 2.0 * np.real(zb.values))
-        # Taylor coefficient perturbation, manifestly real
-        za = project_neg(r * rbar.deriv())
-        self.a = Field.from_values(grid, 2.0 * np.imag(za.values))
-        # M, both ways; the rational form is defined modulo constants
-        zm = project_neg(r * ybar.deriv() - rbar.deriv() * self.y)
-        self.m = Field.from_values(grid, 2.0 * np.real(zm.values))
-        m_rat = r.deriv() * self.one_minus_ybar + rbar.deriv() * self.one_minus_y - self.b.deriv()
-        self.m_rational = m_rat.demean()
+def _one_minus(u):
+    return Field.from_values(u.grid, np.ones(u.grid.n, dtype=complex)) - u
 
 
 class WaveState:
-    """Snapshot of the full system at time t, auxiliaries precomputed."""
+    """Snapshot of the full system at time t, with W_a, R and Y."""
 
-    __slots__ = ("t", "w", "q", "aux")
+    __slots__ = ("t", "w", "q", "wa", "r", "y")
 
     def __init__(self, t, w, q):
         self.t = t
         self.w = project_neg(w)
         self.q = project_neg(q)
-        self.aux = _Aux(self.w.deriv(), qa=self.q.deriv())
+        self.wa = self.w.deriv()
+        self.r, self.y = _r_and_y(self.wa, qa=self.q.deriv())
 
     @property
     def grid(self):
         return self.w.grid
 
-    @property
-    def wa(self):
-        return self.aux.wa
-
-    @property
-    def r(self):
-        return self.aux.r
-
 
 class DiffState:
-    """Snapshot of the self-contained differentiated system (bW, R)."""
+    """Snapshot of the self-contained differentiated system (bW, R), with Y."""
 
-    __slots__ = ("t", "wa", "r", "aux")
+    __slots__ = ("t", "wa", "r", "y")
 
     def __init__(self, t, wa, r):
         self.t = t
         self.wa = project_neg(wa)
-        self.r = project_neg(r)
-        self.aux = _Aux(self.wa, self.r)
+        self.r, self.y = _r_and_y(self.wa, r=project_neg(r))
 
     @property
     def grid(self):
         return self.wa.grid
 
 
+def flux(state):
+    """F = R + P[conj(R) Y - R conj(Y)]."""
+    r, y = state.r, state.y
+    return r + project_neg(r.conj() * y - r * y.conj())
+
+
+def diff_coefficients(state):
+    """The real coefficients (b, a, M) of the differentiated system."""
+    r, y = state.r, state.y
+    rbar, ybar = r.conj(), y.conj()
+    b = project_neg(r * _one_minus(ybar)).two_re()
+    za = project_neg(r * rbar.deriv())
+    a = Field.from_values(state.grid, 2.0 * np.imag(za.values))
+    m = project_neg(r * ybar.deriv() - rbar.deriv() * y).two_re()
+    return b, a, m
+
+
+def rational_forms(state):
+    """F and M by their rational spellings (see the module notes), M mean-free:
+    what the identity checks compare `flux` and `diff_coefficients` with."""
+    grid, wa, r, y = state.grid, state.wa, state.r, state.y
+    onewa = Field.from_values(grid, 1.0 + wa.values)
+    jac = Field.from_values(grid, np.abs(onewa.values) ** 2)
+    qa = r * onewa
+    f = project_neg((qa - qa.conj()) / jac)
+    b, _, _ = diff_coefficients(state)
+    m = r.deriv() * _one_minus(y.conj()) + r.conj().deriv() * _one_minus(y) - b.deriv()
+    return f, m.demean()
+
+
 def rhs_full(state):
     """Projected time derivatives (dW/dt, dQ/dt)."""
-    aux = state.aux
-    dw = project_neg(-1.0 * (aux.f + aux.f * state.wa))
+    f = flux(state)
+    dw = project_neg(-1.0 * (f + f * state.wa))
     qa = state.q.deriv()
-    dq = project_neg(-1.0 * (aux.f * qa) - aux.r.conj() * aux.r) + 1j * state.w
+    dq = project_neg(-1.0 * (f * qa) - state.r.conj() * state.r) + 1j * state.w
     return dw, project_neg(dq)
 
 
 def r_rate(state, dw, dq):
     """Rate of R = Q_a / (1 + W_a) under the rates (dw, dq) of (W, Q):
     (dq' - R dw') (1 - Y)."""
-    return (dq.deriv() - state.r * dw.deriv()) * state.aux.one_minus_y
+    return (dq.deriv() - state.r * dw.deriv()) * _one_minus(state.y)
 
 
-def _diff_rates(aux):
+def _diff_rates(state):
     """Unprojected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
+    wa, r, y = state.wa, state.r, state.y
+    b, a, m = diff_coefficients(state)
+    onewa = Field.from_values(state.grid, 1.0 + wa.values)
     dwa = (
-        -1.0 * (aux.b * aux.wa.deriv())
-        - aux.onewa * aux.r.deriv() * aux.one_minus_ybar
-        + aux.onewa * aux.m
+        -1.0 * (b * wa.deriv())
+        - onewa * r.deriv() * _one_minus(y.conj())
+        + onewa * m
     )
-    dr = -1.0 * (aux.b * aux.r.deriv()) + 1j * ((aux.wa - aux.a) * aux.one_minus_y)
+    dr = -1.0 * (b * r.deriv()) + 1j * ((wa - a) * _one_minus(y))
     return dwa, dr
 
 
 def rhs_diff(state):
     """Projected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
-    dwa, dr = _diff_rates(state.aux)
+    dwa, dr = _diff_rates(state)
     return project_neg(dwa), project_neg(dr)
 
 
 def rhs_diff_unprojected_defect(state):
     """Norm of the k >= 0 content the projection removes (diagnostic)."""
-    dwa, dr = _diff_rates(state.aux)
+    dwa, dr = _diff_rates(state)
     dwa_pos = dwa - project_neg(dwa)
     dr_pos = dr - project_neg(dr)
     return math.sqrt(dwa_pos.l2() ** 2 + dr_pos.l2() ** 2)

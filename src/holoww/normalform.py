@@ -44,6 +44,15 @@ def classical_nf(state):
     return project_neg(wt), project_neg(qt)
 
 
+def classical_nf_rate(state, dw, dq):
+    """Rates of the classical pair (Wt, Qt) under the rates (dw, dq) of (W, Q)."""
+    w2, dw2 = state.w.two_re(), dw.two_re()
+    dwt = project_neg(dw - project_neg(dw2 * state.wa) - project_neg(w2 * dw.deriv()))
+    dr = r_rate(state, dw, dq)
+    dqt = project_neg(dq - project_neg(dw2 * state.r) - project_neg(w2 * dr))
+    return dwt, dqt
+
+
 @dataclass
 class NormalFormState:
     """Normal-form pair (Wt, Qt) at time t with the derivative fields the

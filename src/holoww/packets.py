@@ -106,6 +106,7 @@ def phase_alpha(t, alpha):
 
 
 def _geometry(grid, t, v, enforce=True):
+    """Width, y, alpha with 0 set to 1 (phases divide by it) and exp(i phi)."""
     if enforce:
         if t < 4.0:
             raise OutOfDomain("packets need t >= 4")
@@ -117,17 +118,17 @@ def _geometry(grid, t, v, enforce=True):
     if center + 6.0 * width > grid.length / 2.0 or center - 6.0 * width < -grid.length / 2.0:
         raise WrapAround("packet support must sit 5 widths inside the torus")
     y = (grid.alpha - center) / width
-    phi = np.where(np.abs(y) < 1.0, t**2 / (4.0 * np.where(grid.alpha != 0, grid.alpha, 1.0)), 0.0)
-    return width, y, phi
+    alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
+    phi = np.where(np.abs(y) < 1.0, t**2 / (4.0 * alpha), 0.0)
+    return width, y, alpha, np.exp(1j * phi)
 
 
 def build_packet(grid, t, v, enforce=True):
-    width, y, phi = _geometry(grid, t, v, enforce)
-    carrier = np.exp(1j * phi)
+    width, y, alpha, carrier = _geometry(grid, t, v, enforce)
     u_vals = v**-1.5 * bump(y) * carrier
     # w = -i v d_t u, assembled from the closed-form time derivative
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
-    phi_t = np.where(np.abs(y) < 1.0, phase_t(t, np.where(grid.alpha != 0, grid.alpha, 1.0)), 0.0)
+    phi_t = np.where(np.abs(y) < 1.0, phase_t(t, alpha), 0.0)
     du_t = v**-1.5 * carrier * (bump_d1(y) * y_t + 1j * phi_t * bump(y))
     w_vals = -1j * v * du_t
     u = Field.from_values(grid, u_vals)
@@ -140,9 +141,7 @@ def w_closed_form(frame):
     """Cross-check expansion of the W-side packet: u/2 plus a correction
     smaller by v^(1/2) t^(-1/2)."""
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, phi = _geometry(grid, t, v, enforce=False)
-    alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
-    carrier = np.exp(1j * phi)
+    _, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
     lead = 0.5 * frame.u.values
     corr = (
         ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
@@ -155,9 +154,7 @@ def w_closed_form(frame):
 def _carrier_derivatives(frame):
     """Pointwise closed-form d_a u and d_t^2 u on the grid."""
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, phi = _geometry(grid, t, v, enforce=False)
-    alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
-    carrier = np.exp(1j * phi)
+    width, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
@@ -199,9 +196,7 @@ def packet_defect_split(frame):
     subleading one gains another t^(1/2).
     """
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, phi = _geometry(grid, t, v, enforce=False)
-    alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
-    carrier = np.exp(1j * phi)
+    width, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
     a_minus = grid.alpha - v * t

@@ -9,12 +9,15 @@ from holoww.dynamics import (
     DiffState,
     StepperConfig,
     WaveState,
+    diff_coefficients,
     evolve,
+    flux,
     hamiltonian,
     linear_propagate,
     linearize,
     load_state,
     packet_data,
+    rational_forms,
     rhs_diff,
     rhs_diff_unprojected_defect,
     rhs_full,
@@ -41,17 +44,17 @@ def random_state(grid, eps, seed=0, center=0.6):
     return WaveState(0.0, w, q)
 
 
-# compute_aux ----------------------------------------------------------------
+# auxiliaries ----------------------------------------------------------------
 
 def test_zero_state_aux(grid):
     z = Field.zero(grid)
     st = WaveState(0.0, z, z)
-    assert st.aux.y.l2() == 0.0
-    assert st.aux.f.l2() == 0.0
-    assert st.aux.b.l2() == 0.0
-    assert st.aux.a.l2() == 0.0
-    assert st.aux.m.l2() == 0.0
-    assert float(np.min(np.real(st.aux.jac.values))) == pytest.approx(1.0)
+    b, a, m = diff_coefficients(st)
+    assert st.y.l2() == 0.0
+    assert flux(st).l2() == 0.0
+    assert b.l2() == 0.0
+    assert a.l2() == 0.0
+    assert m.l2() == 0.0
 
 
 def test_y_geometric_series(grid):
@@ -59,7 +62,7 @@ def test_y_geometric_series(grid):
     kk = grid.k[np.argmin(np.abs(grid.k + 0.5))]
     st = state_from_wa(grid, eps * np.exp(1j * kk * grid.alpha))
     series = eps * np.exp(1j * kk * grid.alpha) - eps**2 * np.exp(2j * kk * grid.alpha)
-    assert np.max(np.abs(st.aux.y.values - series)) < 1e-9
+    assert np.max(np.abs(st.y.values - series)) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -67,14 +70,17 @@ def test_f_and_m_identities(grid, seed):
     # moderate amplitude: the identity residuals must stay at roundoff
     st = random_state(grid, 0.05, seed=seed)
     assert st.wa.linf() < 0.1
-    assert (st.aux.f - st.aux.f_rational).l2() < 1e-10
-    assert (st.aux.m - st.aux.m_rational).l2() < 1e-10
+    f_rational, m_rational = rational_forms(st)
+    _, _, m = diff_coefficients(st)
+    assert (flux(st) - f_rational).l2() < 1e-10
+    assert (m - m_rational).l2() < 1e-10
 
 
 def test_taylor_term_and_transport_are_real(grid):
     st = random_state(grid, 0.05, seed=3)
-    assert np.max(np.abs(np.imag(st.aux.a.values))) < 1e-10
-    assert np.max(np.abs(np.imag(st.aux.b.values))) < 1e-10
+    b, a, _ = diff_coefficients(st)
+    assert np.max(np.abs(np.imag(a.values))) < 1e-10
+    assert np.max(np.abs(np.imag(b.values))) < 1e-10
 
 
 def test_degenerate_jacobian(grid):
@@ -318,6 +324,23 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
     assert len(seen) == 10
     assert evolve(st, StepperConfig(dt=0.1), 0.0, seen.append) is st
     assert len(seen) == 10
+
+
+def test_transform_budget(grid, monkeypatch):
+    # a state transforms W_a and Q_a to values and R and Y back; a step
+    # builds four states and evaluates four right-hand sides of 12 each
+    st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    WaveState(st.t, st.w, st.q)
+    assert len(calls) == 4
+    calls.clear()
+    step(st, StepperConfig(dt=0.05))
+    assert len(calls) == 64
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):

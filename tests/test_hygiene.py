@@ -1,7 +1,7 @@
 """Source hygiene checked with `ast`, in place of a linter: every import in
-`src/holoww` is used, no function imports from a module that its file
-already imports from at the top, and every top-level definition is named
-somewhere in the sources, the tests or the benchmark."""
+`src/holoww` and `tests` is used, no function imports from a module that its
+file already imports from at the top, and every top-level definition of
+`src/holoww` is named somewhere in the sources, the tests or the benchmark."""
 
 import ast
 import pathlib
@@ -12,6 +12,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "holoww"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imports(nodes):
@@ -79,19 +80,19 @@ def unnamed_definitions(source, names):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_function_local_reimports(path):
     assert local_reimports(path.read_text()) == []
 
 
 def test_every_top_level_definition_is_named():
     names = set()
-    for path in [*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+    for path in [*MODULES, *TESTS, *(ROOT / "perfbench").rglob("*.py")]:
         names |= named(path.read_text())
     dead = {path.name: unnamed_definitions(path.read_text(), names) for path in MODULES}
     assert {name: defs for name, defs in dead.items() if defs} == {}

@@ -1,17 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from holoww.errors import OutOfBand
 from holoww.grid import Field
 from holoww.lp import (
+    band_high_symbol,
+    band_low_symbol,
     band_symbol,
     besov_inf2,
     block_range,
     highpass_symbol,
     lowpass_symbol,
-    lp_blocks,
     lp_project,
     partition_defect,
 )
@@ -99,8 +98,6 @@ def test_besov_two_separated_modes(grid):
 
 
 def test_window_trichotomy(grid):
-    from holoww.lp import band_high_symbol, band_low_symbol
-
     center = 2.0 ** ((sum(block_range(grid))) // 2)
     total = (
         band_low_symbol(grid, center)

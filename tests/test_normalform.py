@@ -1,23 +1,22 @@
 import math
 
-import numpy as np
 import pytest
 
 from holoww.errors import InconsistentTimes, UnknownTerm
 from holoww.grid import Field, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_norm
-from holoww.dynamics import StepperConfig, WaveState, packet_data, r_rate, rhs_full, step
+from holoww.dynamics import StepperConfig, WaveState, packet_data, rhs_full, step
 from holoww.normalform import (
     TERMS,
     NormalFormState,
     classical_nf,
+    classical_nf_rate,
     classify_cubic,
     cubic_sources,
     cubic_sources_direct,
     evaluate_terms,
     flow_residual_analytic,
     flow_residual_centered,
-    nf_rate,
     para_nf,
     residual_from_rate,
     scaling_fields,
@@ -33,15 +32,6 @@ def small_state(grid, eps, seed=None):
     wa = holo_field(grid, seed=seed, center=0.6, sigma=0.2, amplitude=eps)
     w = project_neg(wa.antideriv())
     return WaveState(0.0, w, project_neg(frac_deriv(w, -0.5)))
-
-
-def classical_rate(st):
-    dw, dq = rhs_full(st)
-    w2, dw2 = st.w.two_re(), dw.two_re()
-    dwt = project_neg(dw - project_neg(dw2 * st.wa) - project_neg(w2 * dw.deriv()))
-    dr = r_rate(st, dw, dq)
-    dqt = project_neg(dq - project_neg(dw2 * st.r) - project_neg(w2 * dr))
-    return dwt, dqt
 
 
 # classical normal form --------------------------------------------------------
@@ -66,7 +56,7 @@ def test_classical_nf_sources_are_cubic(grid):
     for eps in (1e-3, 5e-4):
         st = small_state(grid, eps)
         wt, qt = classical_nf(st)
-        dwt, dqt = classical_rate(st)
+        dwt, dqt = classical_nf_rate(st, *rhs_full(st))
         sizes.append(math.sqrt((dwt + qt.deriv()).l2() ** 2 + (dqt - 1j * wt).l2() ** 2))
     assert 7.0 <= sizes[0] / sizes[1] <= 9.0
 

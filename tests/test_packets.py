@@ -5,8 +5,8 @@ import pytest
 
 from holoww.errors import InsufficientSamples, OutOfDomain, WrapAround
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg
-from holoww.dynamics import linear_propagate, packet_data
-from holoww.diagnostics import decay_fit
+from holoww.dynamics import WaveState, linear_propagate, plateau_data
+from holoww.diagnostics import decay_fit, ell_hyp_split
 from holoww.packets import (
     GammaProfile,
     asymptotic_residual,
@@ -21,6 +21,7 @@ from holoww.packets import (
     monochrome_ansatz,
     omega0_band,
     omega0_grid,
+    packet_dalpha_q,
     packet_defect,
     packet_defect_split,
     packet_rate,
@@ -143,8 +144,6 @@ def test_subleading_term_gains_half_power():
 def test_packet_rate_identities(frame64):
     # d_t q = i w holds exactly; d_t w is -d_a q plus the defect, with the
     # closed-form d_a q (the spectral one differs by sampling tails)
-    from holoww.packets import packet_dalpha_q
-
     dw, dq = packet_rate(frame64)
     assert (dq - 1j * frame64.w).l2() == 0.0
     g = packet_defect(frame64)
@@ -194,8 +193,6 @@ BIG = GridSpec(length=1600.0 * math.pi, n=8192)
 def test_gamma_constant_under_linear_flow():
     # dyadic window inside the genuine packet regime: the probe bandwidth
     # t^(-1/2) v^(-3/2) must sit well below |xi_v|, which needs t >~ 400
-    from holoww.dynamics import plateau_data
-
     state = plateau_data(BIG, 1e-3)
     mags = []
     for t in np.linspace(400.0, 1600.0, 7):
@@ -213,8 +210,6 @@ def test_gamma_constant_under_linear_flow():
     strict=False,
 )
 def test_gamma_constant_under_linear_flow_short_window():
-    from holoww.dynamics import plateau_data
-
     state = plateau_data(DESK, 1e-3, plateau=0.10)
     mags = []
     for t in np.linspace(20.0, 80.0, 7):
@@ -225,8 +220,6 @@ def test_gamma_constant_under_linear_flow_short_window():
 
 
 def test_gamma_rate_matches_centered_difference_second_order():
-    from holoww.dynamics import plateau_data
-
     state = plateau_data(DESK, 1e-3, plateau=0.10)
     t0 = 40.0
     st = linear_propagate(state, t0)
@@ -331,8 +324,6 @@ def test_reconstruction_weights_are_exact_multipliers(frame64):
     wt = project_neg(frame64.w)
     qt = project_neg(frame64.q)
     vs = np.array([1.0])
-    from holoww.diagnostics import ell_hyp_split
-
     split = ell_hyp_split((wt, qt), 64.0)
     e0w, _, g0 = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.0, split=split)
     ehw, _, gh = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.5, split=split)
@@ -343,8 +334,6 @@ def test_reconstruction_weights_are_exact_multipliers(frame64):
 
 
 def test_err_l2v_decays_on_linear_flow():
-    from holoww.dynamics import WaveState
-
     fr0 = build_packet(DESK, 16.0, 1.0)
     amp = 1e-3 / fr0.w.linf()
     state = WaveState(16.0, amp * fr0.w, amp * fr0.q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoww.grid import Field, project_neg
+from holoww.grid import Field
 from holoww.lp import block_range
 from holoww.paradiff import (
     SEPARATION,
