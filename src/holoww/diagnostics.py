@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import scaling_pair
 from .errors import InsufficientSamples, TimeTooSmall
 from .grid import Field, frac_deriv, pair_sobolev
 from .lp import (
@@ -86,12 +87,13 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
     return rec
 
 
-def weighted_energy(state, scaling, sigma=SIGMA_DEFAULT):
-    """Low norm of (W, Q), high norm of (bW, R), plus the generator pair."""
+def weighted_energy(state, sigma=SIGMA_DEFAULT):
+    """Low norm of (W, Q), high norm of (bW, R), plus the generator pair of
+    the scaling field (`scaling_pair`), all in the same pair norm."""
     return (
         pair_sobolev((state.w, state.q), 0.25)
         + pair_sobolev((state.wa, state.r), sigma - 1.0)
-        + pair_sobolev((scaling.frak_w, scaling.frak_r), 0.25)
+        + pair_sobolev(scaling_pair(state), 0.25)
     )
 
 
@@ -120,13 +122,13 @@ class Localizer:
         return ramp(y + 1.0) - ramp(y)
 
 
-def alpha_partition(grid, t, alpha_cap=None):
-    """Telescoping cover: low bump, dyadic blocks on [t^(3/4), t^2], high bump."""
+def alpha_partition(grid, t):
+    """Telescoping cover: low bump, dyadic blocks on [t^(3/4), t^2], high bump;
+    the blocks stop at a quarter of the period."""
     if t < 1.0:
         raise TimeTooSmall("the space-frequency split needs t >= 1")
-    cap = alpha_cap if alpha_cap is not None else grid.length / 4.0
     m_lo = round(math.log2(t**0.75))
-    m_hi = max(m_lo, round(math.log2(min(t**2, cap))))
+    m_hi = max(m_lo, round(math.log2(min(t**2, grid.length / 4.0))))
     y = _log2_abs_alpha(grid)
     lo = 1.0 - ramp(y - m_lo + 1.0)
     hi = ramp(y - m_hi)
@@ -139,8 +141,9 @@ class EllHypSplit:
     """Elliptic/hyperbolic decomposition of a pair (w, q).
 
     q is carried through its derivative everywhere.  `blocks` holds, per
-    dyadic center 2^m, the localized pair, the hyperbolic window center
-    xi_0 = t^2/(4 alpha_0^2), and the three-way frequency split.
+    dyadic center alpha_0 = 2^m, the localized pair (w, qa), the hyperbolic
+    window center xi_0 = t^2/(4 alpha_0^2), and the hyperbolic parts
+    (w_hyp, qa_hyp) of the pair.
     """
 
     t: float
@@ -161,12 +164,12 @@ class EllHypSplit:
         return math.sqrt(dw**2 + dq**2)
 
 
-def ell_hyp_split(pair, t, alpha_cap=None):
+def ell_hyp_split(pair, t):
     """Split (w, q) into elliptic and hyperbolic parts at the ray frequency."""
     w, q = pair
     grid = w.grid
     qa = q.deriv()
-    lo_sym, block_syms, hi_sym = alpha_partition(grid, t, alpha_cap)
+    lo_sym, block_syms, hi_sym = alpha_partition(grid, t)
 
     def localize(sym):
         return (
@@ -189,14 +192,11 @@ def ell_hyp_split(pair, t, alpha_cap=None):
         blocks.append(
             {
                 "m": m,
-                "alpha0": alpha0,
                 "xi0": xi0,
                 "w": wm,
                 "qa": qam,
                 "w_hyp": wm_hyp,
                 "qa_hyp": qam_hyp,
-                "w_ell": wm - wm_hyp,
-                "qa_ell": qam - qam_hyp,
             }
         )
         hyp_w = hyp_w + wm_hyp
@@ -303,7 +303,7 @@ def velocity_masked_hyp_x_norm(split, delta):
 
 # decay fitting -------------------------------------------------------------------
 
-def decay_fit(ts, values, min_samples=8, min_decade=10.0):
+def decay_fit(ts, values, min_samples=8):
     """Least-squares slope of log(value) against log(t), with its stderr."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -311,7 +311,7 @@ def decay_fit(ts, values, min_samples=8, min_decade=10.0):
     ts, values = ts[keep], values[keep]
     if ts.size < min_samples:
         raise InsufficientSamples(f"need at least {min_samples} positive samples")
-    if ts.max() / ts.min() < min_decade:
+    if ts.max() / ts.min() < 10.0:
         raise InsufficientSamples("samples must span at least one decade of t")
     x = np.log(ts)
     y = np.log(values)

@@ -64,7 +64,10 @@ def _r_and_y(wa, r=None, qa=None):
 
 
 def _one_minus(u):
-    return Field.from_values(u.grid, np.ones(u.grid.n, dtype=complex)) - u
+    """1 - u, with 1 as the unit coefficient vector (1 at k = 0)."""
+    one = np.zeros(u.grid.n, dtype=complex)
+    one[0] = 1.0
+    return Field(u.grid, one) - u
 
 
 class WaveState:
@@ -136,6 +139,17 @@ def rhs_full(state):
     qa = state.q.deriv()
     dq = project_neg(-1.0 * (f * qa) - state.r.conj() * state.r) + 1j * state.w
     return dw, project_neg(dq)
+
+
+def scaling_pair(state):
+    """Generator pair of the scaling field S = t d_t + 2 alpha d_alpha:
+    frak_w = S W - 2 W and frak_r = S Q - 3 Q - R frak_w.  t d_t is taken
+    analytically through the flow, never by differencing stored snapshots."""
+    t = state.t
+    dw, dq = rhs_full(state)
+    frak_w = t * dw + 2.0 * state.wa.alpha_times() - 2.0 * state.w
+    frak_q = t * dq + 2.0 * state.q.deriv().alpha_times() - 3.0 * state.q
+    return frak_w, frak_q - state.r * frak_w
 
 
 def r_rate(state, dw, dq):
@@ -358,13 +372,13 @@ def step_diff(state, cfg):
     return make(state.t + cfg.dt, z)
 
 
-def step_with_linearized(state, lin_w, lin_q, cfg, rel_step=1e-6):
+def step_with_linearized(state, lin_w, lin_q, cfg):
     """Joint RK4 step of the base flow and a linearized perturbation."""
     cfg.validate(state.grid)
 
     def rates(s, lw, lq):
         bw, bq = rhs_full(s)
-        dw, dq, _, _ = linearize(s, lw, lq, rel_step=rel_step)
+        dw, dq, _, _ = linearize(s, lw, lq, rel_step=1e-6)
         return _coefs((bw, bq, dw, dq))
 
     def stage_rates(t, z):
@@ -417,7 +431,7 @@ def packet_data(grid, eps, velocity=1.0, width=None, center=0.0):
     return WaveState(0.0, w, q)
 
 
-def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05, t0=0.0):
+def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05):
     """Right-moving data with a flat spectral shelf around `center`.
 
     The flat-top profile makes ray functionals sample a locally constant
@@ -431,7 +445,7 @@ def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05, t0=0.0):
     w = project_neg(Field(grid, prof.astype(complex)).dealiased())
     w = project_neg((eps / max(w.linf(), 1e-300)) * w)
     q = project_neg(frac_deriv(w, -0.5))
-    return WaveState(t0, w, q)
+    return WaveState(0.0, w, q)
 
 
 # checkpoints ----------------------------------------------------------------

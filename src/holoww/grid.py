@@ -158,8 +158,8 @@ class Field:
         """u + conj(u), i.e. twice the pointwise real part."""
         return Field.from_values(self.grid, 2.0 * np.real(self.values))
 
-    def deriv(self, order=1):
-        return Field(self.grid, self.coef * (1j * self.grid.k) ** order)
+    def deriv(self):
+        return Field(self.grid, self.coef * (1j * self.grid.k))
 
     def antideriv(self):
         """Inverse of d/d(alpha) on zero-mean fields (mean of output is 0)."""
@@ -239,18 +239,12 @@ def frac_deriv(u, s):
     return Field(grid, u.coef * mult)
 
 
-def bracket_deriv(u, s):
-    """Inhomogeneous multiplier <k>^s = (1 + k^2)^(s/2)."""
-    mult = (1.0 + u.grid.k**2) ** (s / 2.0)
-    return Field(u.grid, u.coef * mult)
-
-
-def pair_sobolev(pair, s, homogeneous=True):
+def pair_sobolev(pair, s):
     """Norm of (w, r) with first slot measured in L2 and second in H^(1/2),
-    both weighted by |k|^s (homogeneous) or <k>^s."""
+    both weighted by |k|^s."""
     w, r = pair
-    ws = frac_deriv(w, s) if homogeneous else bracket_deriv(w, s)
-    rs = frac_deriv(r, s + 0.5) if homogeneous else frac_deriv(bracket_deriv(r, s), 0.5)
+    ws = frac_deriv(w, s)
+    rs = frac_deriv(r, s + 0.5)
     return math.sqrt(ws.l2() ** 2 + rs.l2() ** 2)
 
 

@@ -365,32 +365,17 @@ def flow_residual_centered(prev, mid, nxt):
 
 # scaling vector fields -------------------------------------------------------
 
-@dataclass
-class ScalingDerivatives:
-    sw: object          # (t d_t + 2 a d_a) W
-    sq: object
-    frak_w: object      # diagonalized generator pair applied to (W, Q)
-    frak_r: object
-    tilde_w: object     # paradifferential scaling of the normal form
-    tilde_q: object
-    ts_defect_w: object  # tilde - (S - t*source) consistency residuals
-    ts_defect_q: object
-
-
 def scaling_fields(state):
-    """Scaling vector field S = t d_t + 2 alpha d_alpha and its variants.
+    """The scaling field S = t d_t + 2 alpha d_alpha on the normal-form side.
 
-    t d_t is evaluated analytically through the flow, never by differencing
-    stored snapshots.
+    Returns the paradifferential scaling (tilde_w, tilde_q) of the normal
+    form and the consistency defects S (Wt, Qt) - t (g, k) - (tilde_w,
+    tilde_q), where (g, k) are the measured sources of the same rate.  t d_t
+    is evaluated analytically through the flow, never by differencing
+    stored snapshots.  The generator pair of (W, Q) itself is
+    `dynamics.scaling_pair`.
     """
     t = state.t
-    dw, dq = rhs_full(state)
-    sw = t * dw + 2.0 * state.w.deriv().alpha_times()
-    sq = t * dq + 2.0 * state.q.deriv().alpha_times()
-    frak_w = sw - 2.0 * state.w
-    frak_q = sq - 3.0 * state.q
-    frak_r = frak_q - state.r * frak_w
-
     nf = para_nf(state)
     wa, qa = nf.wt_a, nf.qt_a
     tilde_w = (
@@ -402,8 +387,6 @@ def scaling_fields(state):
 
     dwt, dqt = nf_rate(state)
     g, k = residual_from_rate(nf, dwt, dqt)
-    swt = t * dwt + 2.0 * wa.alpha_times()
-    sqt = t * dqt + 2.0 * qa.alpha_times()
-    ts_w = swt - t * g - tilde_w
-    ts_q = sqt - t * k - tilde_q
-    return ScalingDerivatives(sw, sq, frak_w, frak_r, tilde_w, tilde_q, ts_w, ts_q)
+    ts_w = t * dwt + 2.0 * wa.alpha_times() - t * g - tilde_w
+    ts_q = t * dqt + 2.0 * qa.alpha_times() - t * k - tilde_q
+    return tilde_w, tilde_q, ts_w, ts_q

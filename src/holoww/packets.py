@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, OutOfDomain, WrapAround
+from .errors import OutOfDomain, WrapAround
 from .diagnostics import ell_hyp_split
 from .grid import Field, frac_deriv
 
@@ -105,14 +105,13 @@ def phase_alpha(t, alpha):
     return -(t**2) / (4.0 * alpha**2)
 
 
-def _geometry(grid, t, v, enforce=True):
+def _geometry(grid, t, v):
     """Width, y, alpha with 0 set to 1 (phases divide by it) and exp(i phi)."""
-    if enforce:
-        if t < 4.0:
-            raise OutOfDomain("packets need t >= 4")
-        lo, hi = omega0_band(t)
-        if not lo <= v <= hi:
-            raise OutOfDomain(f"velocity {v} outside [{lo:.4f}, {hi:.4f}]")
+    if t < 4.0:
+        raise OutOfDomain("packets need t >= 4")
+    lo, hi = omega0_band(t)
+    if not lo <= v <= hi:
+        raise OutOfDomain(f"velocity {v} outside [{lo:.4f}, {hi:.4f}]")
     width = math.sqrt(t) * v**1.5
     center = v * t
     if center + 6.0 * width > grid.length / 2.0 or center - 6.0 * width < -grid.length / 2.0:
@@ -123,8 +122,8 @@ def _geometry(grid, t, v, enforce=True):
     return width, y, alpha, np.exp(1j * phi)
 
 
-def build_packet(grid, t, v, enforce=True):
-    width, y, alpha, carrier = _geometry(grid, t, v, enforce)
+def build_packet(grid, t, v):
+    width, y, alpha, carrier = _geometry(grid, t, v)
     u_vals = v**-1.5 * bump(y) * carrier
     # w = -i v d_t u, assembled from the closed-form time derivative
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
@@ -141,7 +140,7 @@ def w_closed_form(frame):
     """Cross-check expansion of the W-side packet: u/2 plus a correction
     smaller by v^(1/2) t^(-1/2)."""
     grid, t, v = frame.grid, frame.t, frame.v
-    _, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
+    _, y, alpha, carrier = _geometry(grid, t, v)
     lead = 0.5 * frame.u.values
     corr = (
         ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
@@ -154,7 +153,7 @@ def w_closed_form(frame):
 def _carrier_derivatives(frame):
     """Pointwise closed-form d_a u and d_t^2 u on the grid."""
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
+    width, y, alpha, carrier = _geometry(grid, t, v)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
@@ -196,7 +195,7 @@ def packet_defect_split(frame):
     subleading one gains another t^(1/2).
     """
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, alpha, carrier = _geometry(grid, t, v, enforce=False)
+    width, y, alpha, carrier = _geometry(grid, t, v)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
     a_minus = grid.alpha - v * t
@@ -256,21 +255,12 @@ def gamma_rate(wt, qt, dwt, dqt, frame):
 
 @dataclass
 class GammaProfile:
-    """Samples of gamma(t, v) on a velocity grid, with rate estimates."""
+    """Samples of gamma(t, v) on a velocity grid, with their analytic rates."""
 
     ts: np.ndarray
     vs: np.ndarray
     gamma: np.ndarray            # shape (len(ts), len(vs))
-    rate_analytic: np.ndarray = None
-
-    def rate_centered(self):
-        if len(self.ts) < 3:
-            raise InsufficientSamples("need at least 3 time samples for d/dt")
-        ts = np.asarray(self.ts, dtype=float)
-        out = np.full_like(self.gamma, np.nan + 0j)
-        for i in range(1, len(ts) - 1):
-            out[i] = (self.gamma[i + 1] - self.gamma[i - 1]) / (ts[i + 1] - ts[i - 1])
-        return out
+    rate_analytic: np.ndarray
 
 
 def cubic_coefficient(gamma, t, v):
@@ -278,31 +268,25 @@ def cubic_coefficient(gamma, t, v):
     return 1j * gamma * np.abs(gamma) ** 2 / (2.0 * t * (2.0 * v) ** 5)
 
 
-def asymptotic_residual(profile, estimator="analytic"):
+def asymptotic_residual(profile):
     """e = d(gamma)/dt - cubic term, per (t, v) sample."""
-    if estimator == "analytic":
-        if profile.rate_analytic is None:
-            raise InsufficientSamples("no analytic rate stored on this profile")
-        rate = profile.rate_analytic
-    else:
-        rate = profile.rate_centered()
     ts = np.asarray(profile.ts, dtype=float)[:, None]
     vs = np.asarray(profile.vs, dtype=float)[None, :]
-    return rate - cubic_coefficient(profile.gamma, ts, vs)
+    return profile.rate_analytic - cubic_coefficient(profile.gamma, ts, vs)
 
 
-def theta_functional(f, grid, t, vs, enforce=True):
+def theta_functional(f, grid, t, vs):
     """theta(v) = int f u dalpha over a velocity grid."""
     out = np.zeros(len(vs), dtype=complex)
     for i, v in enumerate(vs):
-        frame = build_packet(grid, t, v, enforce=enforce)
+        frame = build_packet(grid, t, v)
         out[i] = complex(np.mean(f.values * frame.u.values) * grid.length)
     return out
 
 
 # ray reconstruction -------------------------------------------------------------
 
-def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None, alpha_cap=None):
+def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None):
     """Compare the hyperbolic part on rays with its gamma representation.
 
     Returns per-velocity errors for both slots together with gamma; the main
@@ -318,7 +302,7 @@ def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None, alpha_cap=None
     is counted as elliptic.
     """
     if split is None:
-        split = ell_hyp_split((wt, qt), t, alpha_cap=alpha_cap)
+        split = ell_hyp_split((wt, qt), t)
     grid = wt.grid
     hyp_w = split.hyp_w
     hyp_q = split.hyp_qa.antideriv()
@@ -369,16 +353,23 @@ def plateau_mask(grid, center, halfwidth, ramp_width):
     return np.where(x <= 0.0, 1.0, np.where(x >= 1.0, 0.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(x, 0.0, 1.0)))))
 
 
-def monochrome_ansatz(grid, t, v, gamma0=1.0, halfwidth_mult=3.0, ramp_mult=2.0):
+# plateau half-width and ramp width of `monochrome_ansatz`, in packet widths
+MONOCHROME_HALFWIDTH = 3.0
+MONOCHROME_RAMP = 2.0
+
+
+def monochrome_ansatz(grid, t, v, gamma0=1.0):
     """Idealized single-frequency profile riding the packet ray.
 
     Carries (Wt, Qt) plus independently supplied derivative fields in which
     d_alpha acts as multiplication by i xi_v; null-structure cancellations
-    are exact in this idealization.
+    are exact in this idealization.  The profile is flat within
+    MONOCHROME_HALFWIDTH packet widths t^(1/2) v^(3/2) of v t and falls to
+    zero over MONOCHROME_RAMP more.
     """
     width = math.sqrt(t) * v**1.5
     center = v * t
-    mask = plateau_mask(grid, center, halfwidth_mult * width, ramp_mult * width)
+    mask = plateau_mask(grid, center, MONOCHROME_HALFWIDTH * width, MONOCHROME_RAMP * width)
     alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
     phi = np.where(mask > 0, t**2 / (4.0 * alpha), 0.0)
     xi = -1.0 / (4.0 * v**2)

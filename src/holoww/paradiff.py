@@ -18,6 +18,7 @@ from .grid import Field, frac_deriv, project_neg
 from .lp import lp_blocks, lowpass_symbol, apply_symbol
 
 SEPARATION = 4  # octaves between symbol and argument
+PROBES = 6  # probe fields of one `commutator_norm` measurement
 
 
 def _lohi(a, b):
@@ -42,24 +43,19 @@ def balanced(a, b):
     return project_neg(a * b) - para(a, b) - para(b, a)
 
 
-def trichotomy_residual(a, b, consistent=True):
+def trichotomy_residual(a, b):
     """L2 size of  a b - T_a b - T_b a - Pi(a, b)  with the projection off.
 
-    With `consistent` the product is formed exactly as the operators form it
-    (dealiased), and the residual is zero up to roundoff.  With
-    `consistent=False` the raw, undealiased product is used instead, which
-    reports how much aliased content the mask is discarding.
+    The product is formed exactly as the operators form it (dealiased), and
+    the residual is zero up to roundoff.
     """
-    if consistent:
-        prod = a * b
-    else:
-        prod = Field.from_values(a.grid, a.values * b.values)
+    prod = a * b
     t_ab, t_ba = _lohi(a, b), _lohi(b, a)
     pi = a * b - t_ab - t_ba  # Pi(a, b) before the projection
     return (prod - t_ab - t_ba - pi).l2()
 
 
-def commutator_norm(a, chi, band_m, probes=6, seed=0):
+def commutator_norm(a, chi, band_m, seed=0):
     """Empirical norm of u -> [chi, T_a] d(alpha) u on probe fields at one band.
 
     Measured as the worst ratio of homogeneous H^(1/4) norms over a seeded
@@ -69,7 +65,7 @@ def commutator_norm(a, chi, band_m, probes=6, seed=0):
     grid = a.grid
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(PROBES):
         coef = np.zeros(grid.n, dtype=complex)
         sel = (np.abs(grid.abs_k / 2.0**band_m) > 0.5) & (np.abs(grid.abs_k / 2.0**band_m) < 2.0)
         idx = np.where(sel)[0]

@@ -40,7 +40,7 @@ from .dynamics import (
     plateau_data,
     save_state,
 )
-from .normalform import gamma_samples, scaling_fields
+from .normalform import gamma_samples
 from .packets import omega0_grid
 
 _DEFAULTS = {
@@ -218,7 +218,7 @@ def simulate(cfg, out_dir, resume_state=None):
     def sample_norms(st):
         rec = control_norms(st, sigma=sigma)
         if st.t > 0:
-            rec.wh_sharp = weighted_energy(st, scaling_fields(st), sigma=sigma)
+            rec.wh_sharp = weighted_energy(st, sigma=sigma)
         energy = hamiltonian(st).real
         row = rec.csv_row(hs_keys=(0.25, sigma - 1.0))
         norm_fh.write(row + f",{energy:.12e}\n")
@@ -302,12 +302,13 @@ class FitReport:
     table_path: str
 
 
-def fit(run_dir, norm_id, out_path=None):
-    """Log-log decay fit of one stored norm series."""
+def fit(run_dir, norm_id):
+    """Log-log decay fit of one stored norm series, with the series written
+    to `fit_<norm>.txt` in the run directory."""
     ts, vals = read_series(run_dir, norm_id)
     keep = ts > 0
     slope, stderr = decay_fit(ts[keep], vals[keep])
-    out_path = out_path or os.path.join(run_dir, f"fit_{norm_id}.txt")
+    out_path = os.path.join(run_dir, f"fit_{norm_id}.txt")
     with open(out_path, "w") as fh:
         fh.write(f"# {norm_id}: slope {slope:.6f} stderr {stderr:.6f}\n")
         for t, v in zip(ts, vals):
@@ -315,5 +316,5 @@ def fit(run_dir, norm_id, out_path=None):
     return FitReport(norm_id, slope, stderr, int(keep.sum()), out_path)
 
 
-def output_root(default="runs"):
-    return os.environ.get("HOLOWW_OUT", default)
+def output_root():
+    return os.environ.get("HOLOWW_OUT", "runs")

@@ -50,6 +50,7 @@ from .normalform import (
     scaling_fields,
 )
 from .packets import (
+    MONOCHROME_HALFWIDTH,
     GammaProfile,
     asymptotic_residual,
     build_packet,
@@ -234,8 +235,8 @@ def suite_consistency(n=None, seed=0):
 
     # scaling-identity defect against the discretization error scale
     st_t = WaveState(2.0, stp.w, stp.q)
-    sc = scaling_fields(st_t)
-    defect = math.sqrt(sc.ts_defect_w.l2() ** 2 + sc.ts_defect_q.l2() ** 2)
+    _, _, ts_w, ts_q = scaling_fields(st_t)
+    defect = math.sqrt(ts_w.l2() ** 2 + ts_q.l2() ** 2)
     checks.append(Check("scaling-identity-defect", defect, 10.0 * e2))
     return checks
 
@@ -385,7 +386,7 @@ def suite_structure(n=None, seed=0):
     nonres = abs(totals["nonresonant"][0]) + abs(totals["nonresonant"][1])
     null_g = abs(totals["null"][0])
     null_k = abs(totals["null"][1])
-    mask_halfwidth = 3.0 * fr.width
+    mask_halfwidth = MONOCHROME_HALFWIDTH * fr.width
     truncation = 1.0 / (abs(fr.xi_v) * mask_halfwidth)
 
     checks = [

@@ -5,7 +5,7 @@ import pytest
 
 from holoww.errors import InsufficientSamples, TimeTooSmall
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
-from holoww.dynamics import WaveState, linear_propagate, packet_data
+from holoww.dynamics import WaveState, linear_propagate, packet_data, scaling_pair
 from holoww.diagnostics import (
     alpha_partition,
     control_norms,
@@ -18,7 +18,6 @@ from holoww.diagnostics import (
     xsharp_exponents,
     xsharp_norm,
 )
-from holoww.normalform import scaling_fields
 from holoww.packets import build_packet, bump
 
 from conftest import holo_field
@@ -77,18 +76,17 @@ def test_a_quarter_controls_pointwise_fractional_sups(grid):
 
 def test_weighted_energy_zero_and_scaling(grid):
     st = zero_state(grid)
-    assert weighted_energy(st, scaling_fields(st)) == 0.0
+    assert weighted_energy(st) == 0.0
     vals = []
     for eps in (1e-3, 2e-3):
         stp = packet_data(grid, eps, velocity=1.4, width=8.0)
-        vals.append(weighted_energy(stp, scaling_fields(stp)))
+        vals.append(weighted_energy(stp))
     assert 1.9 <= vals[1] / vals[0] <= 2.1
 
 
 def test_weighted_energy_time_zero_moment_equivalence(grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=12.0)
-    sc = scaling_fields(st)
-    third = pair_sobolev((sc.frak_w, sc.frak_r), 0.25)
+    third = pair_sobolev(scaling_pair(st), 0.25)
     moment = pair_sobolev(
         (st.wa.alpha_times(), Field.from_values(grid, grid.alpha * st.r.values)), 0.25
     )

@@ -17,6 +17,7 @@ from holoww.dynamics import (
     linearize,
     load_state,
     packet_data,
+    r_rate,
     rational_forms,
     rhs_diff,
     rhs_diff_unprojected_defect,
@@ -328,7 +329,8 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
 
 def test_transform_budget(grid, monkeypatch):
     # a state transforms W_a and Q_a to values and R and Y back; a step
-    # builds four states and evaluates four right-hand sides of 12 each
+    # builds four states and evaluates four right-hand sides of 12 each;
+    # r_rate forms two products of three transforms, and 1 - Y needs none
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
@@ -341,6 +343,10 @@ def test_transform_budget(grid, monkeypatch):
     calls.clear()
     step(st, StepperConfig(dt=0.05))
     assert len(calls) == 64
+    dw, dq = rhs_full(st)
+    calls.clear()
+    r_rate(st, dw, dq)
+    assert len(calls) == 5
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):

@@ -1,7 +1,8 @@
 """Source hygiene checked with `ast`, in place of a linter: every import in
 `src/holoww` and `tests` is used, no function imports from a module that its
 file already imports from at the top, and every top-level definition of
-`src/holoww` is named somewhere in the sources, the tests or the benchmark."""
+`src/holoww` is named somewhere in the sources, the tests or the benchmark,
+and every defaulted parameter of `src/holoww` is passed by some call."""
 
 import ast
 import pathlib
@@ -80,6 +81,49 @@ def unnamed_definitions(source, names):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
 
 
+def defaulted_parameters(source):
+    """(function, parameter, call position or None) of every parameter with a
+    default; a method's position does not count its `self` or `cls`."""
+    tree = ast.parse(source)
+    methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(node.name, arg.arg, i - (node in methods))
+                    for i, arg in enumerate(positional[first:], first)]
+            out += [(node.name, arg.arg, None)
+                    for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unset_defaults(source, sources):
+    """Defaulted parameters of `source` that no call in `sources` passes.
+
+    A call passes a parameter by keyword or by position; a call with `*args`
+    or `**kwargs` passes everything, a call through a subscript (or any
+    other expression) passes its keywords to every function, and calls of
+    `cls` or of a class name are calls of `__init__`.
+    """
+    trees = [ast.parse(s) for s in sources]
+    classes = {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    keywords, positions = {}, {}  # called name (None: any) -> keywords, max positionals
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = "__init__" if name == "cls" or name in classes else name
+        passed = {k.arg or "*" for k in call.keywords}
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            passed.add("*")
+        keywords.setdefault(name, set()).update(passed)
+        positions[name] = max(positions.get(name, 0), len(call.args))
+    return [f"{name}({param})" for name, param, position in defaulted_parameters(source)
+            if not {param, "*"} & (keywords.get(name, set()) | keywords.get(None, set()))
+            and (position is None or positions.get(name, 0) <= position)]
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -98,6 +142,12 @@ def test_every_top_level_definition_is_named():
     assert {name: defs for name, defs in dead.items() if defs} == {}
 
 
+def test_every_default_parameter_is_set():
+    sources = [p.read_text() for p in [*MODULES, *TESTS, *(ROOT / "perfbench").rglob("*.py")]]
+    unset = {p.name: unset_defaults(p.read_text(), sources) for p in MODULES}
+    assert {name: params for name, params in unset.items() if params} == {}
+
+
 def test_checkers_flag_what_they_should():
     source = ("import os\nfrom .grid import Field\n\n\ndef f():\n"
               "    from .grid import frac_deriv\n    return Field, frac_deriv\n")
@@ -107,3 +157,8 @@ def test_checkers_flag_what_they_should():
     source = "def f():\n    return g()\n\n\ndef g():\n    pass\n\n\nclass C:\n    pass\n"
     assert unnamed_definitions(source, named(source)) == ["f", "C"]
     assert named("x = 'mod.g'\ny = 'not a name'\n") == {"x", "y", "mod", "g"}
+    source = ("def f(a, b=1, c=2, d=3):\n    pass\n\n\nclass C:\n"
+              "    def __init__(self, x=0, y=1):\n        pass\n\n"
+              "    def m(self, z=0):\n        pass\n\n\n"
+              "f(0, 1, d=4)\nC(5)\nTABLE['k'](y=2)\nc.m(*args)\n")
+    assert unset_defaults(source, [source]) == ["f(c)"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holoww.errors import InsufficientSamples, OutOfDomain, WrapAround
+from holoww.errors import OutOfDomain, WrapAround
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg
 from holoww.dynamics import WaveState, linear_propagate, plateau_data
 from holoww.diagnostics import decay_fit, ell_hyp_split
@@ -104,7 +104,7 @@ def test_w_matches_numerical_time_derivative(frame64):
     t, v, h = 64.0, 1.0, 1e-3
 
     def u_at(tt):
-        return build_packet(DESK, tt, v, enforce=False).u
+        return build_packet(DESK, tt, v).u
 
     d1 = (0.5 / h) * (u_at(t + h) - u_at(t - h))
     d2 = (1.0 / h) * (u_at(t + h / 2) - u_at(t - h / 2))
@@ -258,13 +258,6 @@ def test_residual_frozen_coefficient_audit():
     e = asymptotic_residual(prof)
     expect = -cubic_coefficient(c, ts[:, None], vs[None, :])
     assert np.max(np.abs(e - expect)) == 0.0
-
-
-def test_residual_centered_estimator_needs_samples():
-    prof = GammaProfile(np.array([4.0, 8.0]), np.array([1.0]),
-                        np.zeros((2, 1), complex))
-    with pytest.raises(InsufficientSamples):
-        prof.rate_centered()
 
 
 # theta ---------------------------------------------------------------------------

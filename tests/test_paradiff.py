@@ -112,15 +112,6 @@ def test_trichotomy_zero_field(grid):
     assert trichotomy_residual(Field.zero(grid), Field.zero(grid)) == 0.0
 
 
-def test_trichotomy_aliased_inputs_reported(grid):
-    # broadband (undealiased) data: the inconsistency is reported, not asserted
-    rng = np.random.default_rng(7)
-    a = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    b = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    resid = trichotomy_residual(a, b, consistent=False)
-    assert np.isfinite(resid)
-
-
 def test_implicit_p_output_is_holomorphic(grid):
     a = smooth_field(grid, seed=42)
     b = smooth_field(grid, seed=43)

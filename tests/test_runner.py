@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from holoww import normalform
 from holoww.cli import main
 from holoww.dynamics import load_state
 
@@ -106,3 +107,19 @@ def test_gamma_schedule_starting_before_t4_keeps_its_spacing(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 0
     _, rows = table_rows(out / "gamma.csv")
     assert sorted({float(r.split(",")[0]) for r in rows}) == [4.0, 5.0, 6.0]
+
+
+def test_norm_sample_builds_no_normal_form(tmp_path, monkeypatch):
+    # the weighted energy reads only the generator pair of (W, Q)
+    def refuse(*args):
+        raise AssertionError("a norm sample built the normal form")
+
+    monkeypatch.setattr(normalform, "para_nf", refuse)
+    monkeypatch.setattr(normalform, "nf_rate", refuse)
+    (tmp_path / "config.txt").write_text(
+        "grid.n = 256\nrun.t_end = 0.4\nrun.norm_every = 0.2\ngamma.enabled = false\n"
+    )
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 0
+    _, rows = table_rows(out / "norms.csv")
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.2, 0.4]
