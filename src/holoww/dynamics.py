@@ -71,16 +71,17 @@ def _one_minus(u):
 
 
 class WaveState:
-    """Snapshot of the full system at time t, with W_a, R and Y."""
+    """Snapshot of the full system at time t, with W_a, Q_a, R and Y."""
 
-    __slots__ = ("t", "w", "q", "wa", "r", "y")
+    __slots__ = ("t", "w", "q", "wa", "qa", "r", "y")
 
     def __init__(self, t, w, q):
         self.t = t
         self.w = project_neg(w)
         self.q = project_neg(q)
         self.wa = self.w.deriv()
-        self.r, self.y = _r_and_y(self.wa, qa=self.q.deriv())
+        self.qa = self.q.deriv()
+        self.r, self.y = _r_and_y(self.wa, qa=self.qa)
 
     @property
     def grid(self):
@@ -102,10 +103,10 @@ class DiffState:
         return self.wa.grid
 
 
-def flux(state):
-    """F = R + P[conj(R) Y - R conj(Y)]."""
+def flux(state, rbar):
+    """F = R + P[conj(R) Y - R conj(Y)], given rbar = conj(R)."""
     r, y = state.r, state.y
-    return r + project_neg(r.conj() * y - r * y.conj())
+    return r + project_neg(rbar * y - r * y.conj())
 
 
 def diff_coefficients(state):
@@ -134,10 +135,10 @@ def rational_forms(state):
 
 def rhs_full(state):
     """Projected time derivatives (dW/dt, dQ/dt)."""
-    f = flux(state)
+    rbar = state.r.conj()
+    f = flux(state, rbar)
     dw = project_neg(-1.0 * (f + f * state.wa))
-    qa = state.q.deriv()
-    dq = project_neg(-1.0 * (f * qa) - state.r.conj() * state.r) + 1j * state.w
+    dq = project_neg(-1.0 * (f * state.qa) - rbar * state.r) + 1j * state.w
     return dw, project_neg(dq)
 
 
@@ -148,7 +149,7 @@ def scaling_pair(state):
     t = state.t
     dw, dq = rhs_full(state)
     frak_w = t * dw + 2.0 * state.wa.alpha_times() - 2.0 * state.w
-    frak_q = t * dq + 2.0 * state.q.deriv().alpha_times() - 3.0 * state.q
+    frak_q = t * dq + 2.0 * state.qa.alpha_times() - 3.0 * state.q
     return frak_w, frak_q - state.r * frak_w
 
 
@@ -352,7 +353,7 @@ def step(state, cfg):
 
         def rates(s):  # rhs_full minus the linear part (-Q_a, iW)
             dw, dq = rhs_full(s)
-            return _to_diag(grid, (dw + s.q.deriv()).coef, (dq - 1j * s.w).coef)
+            return _to_diag(grid, (dw + s.qa).coef, (dq - 1j * s.w).coef)
 
         y = _to_diag(grid, state.w.coef, state.q.coef)
         phases = (_linear_phases(grid, dt / 2), _linear_phases(grid, dt))

@@ -11,12 +11,16 @@ to machine precision and makes `sum_m lp_project(u, m) = u - mean(u)` exact.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfBand
 from .grid import Field, frac_deriv
+
+SEPARATION = 4  # octaves between a paraproduct's symbol and its argument
+_BANDS = weakref.WeakKeyDictionary()  # grid -> `band_table`, dropped with the grid
 
 
 def ramp(x):
@@ -66,8 +70,7 @@ def lp_project(u, m):
     lo, hi = block_range(u.grid)
     if m < lo or m > hi:
         raise OutOfBand(f"2^{m} outside the resolvable band [2^{lo}, 2^{hi}]")
-    block = LPBlock(m, lo_clamped=(m == lo), hi_clamped=(m == hi))
-    return Field(u.grid, u.coef * block.symbol(u.grid))
+    return Field(u.grid, spread(u.coef, band_table(u.grid)[m - lo][1], u.grid.n))
 
 
 def partition_defect(grid):
@@ -79,12 +82,42 @@ def partition_defect(grid):
     return float(np.max(np.abs(total[nz] - 1.0)))
 
 
+def _fft_size(size):
+    """Smallest even 2^i 3^j >= size (lengths with a large prime factor are slow)."""
+    return min(3**j << max(1, (-(-size // 3**j) - 1).bit_length())
+               for j in range(int(math.log(size, 3)) + 1))
+
+
+def band_table(grid):
+    """(m, block, low, size) for every LP block m of `grid`, built once per grid:
+    the nonzero supports, as (int32 modes, values), of `LPBlock.symbol` and of
+    the low-pass symbol of cut 2^(m - SEPARATION), and the shortest fast grid
+    length N <= n with N/2 above the sum of their largest |mode|, which is
+    where the product of the two pieces can reach."""
+    if grid not in _BANDS:
+        table = []
+        for block in lp_blocks(grid):
+            syms = block.symbol(grid), lowpass_symbol(grid, 2.0 ** (block.m - SEPARATION))
+            supports = [(grid.modes[sym != 0].astype(np.int32), sym[sym != 0]) for sym in syms]
+            reach = sum(int(np.max(np.abs(modes), initial=0)) for modes, _ in supports)
+            table.append((block.m, *supports, min(grid.n, _fft_size(max(16, 2 * reach + 2)))))
+        _BANDS[grid] = tuple(table)
+    return _BANDS[grid]
+
+
+def spread(coef, support, size):
+    """`coef` times a `band_table` support, as fft-order coefficients on `size` modes."""
+    modes, sym = support
+    out = np.zeros(size, dtype=complex)
+    out[modes] = coef[modes] * sym
+    return out
+
+
 def besov_inf2(u, s):
     """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 )."""
     total = 0.0
-    for block in lp_blocks(u.grid):
-        piece = Field(u.grid, u.coef * block.symbol(u.grid))
-        total += 2.0 ** (2 * block.m * s) * piece.linf() ** 2
+    for m, block, _, _ in band_table(u.grid):
+        total += 2.0 ** (2 * m * s) * Field(u.grid, spread(u.coef, block, u.grid.n)).linf() ** 2
     return math.sqrt(total)
 
 
@@ -131,10 +164,6 @@ def band_high_symbol(grid, center):
     y = _log2_abs(grid.k) - math.log2(center)
     sym = ramp(2.0 * y - 1.0)
     return np.where(grid.k == 0, 0.0, sym)
-
-
-def apply_symbol(u, sym):
-    return Field(u.grid, u.coef * sym)
 
 
 def x_zero_norm(w_alpha, q_alpha):

@@ -256,7 +256,8 @@ def simulate(cfg, out_dir, resume_state=None):
 
     with norm_fh, gamma_fh:
         observe(state)
-        save(evolve(state, cfg.stepper(), cfg["run.t_end"], observe), "final")
+        start, state = [state], None  # hand over: the march holds its only reference
+        save(evolve(start.pop(), cfg.stepper(), cfg["run.t_end"], observe), "final")
     return out_dir
 
 

@@ -52,7 +52,7 @@ def test_zero_state_aux(grid):
     st = WaveState(0.0, z, z)
     b, a, m = diff_coefficients(st)
     assert st.y.l2() == 0.0
-    assert flux(st).l2() == 0.0
+    assert flux(st, st.r.conj()).l2() == 0.0
     assert b.l2() == 0.0
     assert a.l2() == 0.0
     assert m.l2() == 0.0
@@ -73,7 +73,7 @@ def test_f_and_m_identities(grid, seed):
     assert st.wa.linf() < 0.1
     f_rational, m_rational = rational_forms(st)
     _, _, m = diff_coefficients(st)
-    assert (flux(st) - f_rational).l2() < 1e-10
+    assert (flux(st, st.r.conj()) - f_rational).l2() < 1e-10
     assert (m - m_rational).l2() < 1e-10
 
 
@@ -328,9 +328,10 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
 
 
 def test_transform_budget(grid, monkeypatch):
-    # a state transforms W_a and Q_a to values and R and Y back; a step
-    # builds four states and evaluates four right-hand sides of 12 each;
-    # r_rate forms two products of three transforms, and 1 - Y needs none
+    # a state transforms W_a and Q_a to values and R and Y back and keeps
+    # them; a step builds four states and evaluates four right-hand sides of
+    # 10 each (conj(R) is formed once); r_rate forms two products of three
+    # transforms, and 1 - Y needs none
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
@@ -342,7 +343,7 @@ def test_transform_budget(grid, monkeypatch):
     assert len(calls) == 4
     calls.clear()
     step(st, StepperConfig(dt=0.05))
-    assert len(calls) == 64
+    assert len(calls) == 56
     dw, dq = rhs_full(st)
     calls.clear()
     r_rate(st, dw, dq)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from holoww.grid import Field
-from holoww.lp import block_range
+from holoww.grid import Field, GridSpec
+from holoww.lp import LPBlock, SEPARATION, block_range, lowpass_symbol, lp_blocks
 from holoww.paradiff import (
-    SEPARATION,
     _lohi,
     balanced,
     commutator_norm,
@@ -18,6 +17,23 @@ from conftest import smooth_field
 def balanced_raw(a, b):
     """Pi(a, b) before the negative-frequency projection."""
     return a * b - _lohi(a, b) - _lohi(b, a)
+
+
+def lohi_oracle(a, b, separation=SEPARATION):
+    """`_lohi` as the full-grid formula: one dealiased product per block."""
+    grid = a.grid
+    out = Field.zero(grid)
+    for block in lp_blocks(grid):
+        hi = Field(grid, b.coef * block.symbol(grid))
+        lo = Field(grid, a.coef * lowpass_symbol(grid, 2.0 ** (block.m - separation)))
+        out = out + lo * hi
+    return out
+
+
+def full_spectrum_field(grid, seed):
+    """Random coefficients at every mode, the top ones included."""
+    rng = np.random.default_rng(seed)
+    return Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
 
 
 def mode_field(grid, target, amp=1.0):
@@ -49,6 +65,42 @@ def test_constant_symbol(grid):
     const = Field.from_values(grid, np.full(grid.n, 2.5 + 0.0j))
     t = _lohi(const, u)
     assert np.max(np.abs(t.coef - 2.5 * u.coef)) < 1e-12 * u.linf()
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_lohi_matches_full_grid_formula(grid, n):
+    # full-spectrum inputs, so that the top blocks alias on the full grid;
+    # the oracle at separation 3 shows that the comparison can fail
+    g = grid if n == grid.n else GridSpec(grid.length, n)
+    a, b = full_spectrum_field(g, 50), full_spectrum_field(g, 51)
+    scale = a.linf() * b.linf()
+    got = _lohi(a, b).coef
+    assert np.max(np.abs(got - lohi_oracle(a, b).coef)) <= 1e-13 * scale
+    assert np.max(np.abs(got - lohi_oracle(a, b, separation=3).coef)) > 1e-6 * scale
+
+
+def test_para_cost_on_desk_grid(monkeypatch):
+    # each block's product is formed on a grid of its own length: about 8n
+    # transformed points per call, against 3n per block (30n) on the full
+    # grid; the symbols are built by the first call on a grid only
+    desk = GridSpec()
+    a, b = full_spectrum_field(desk, 52), full_spectrum_field(desk, 53)
+    points, symbols = [], []
+    for name in ("fft", "ifft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            points.append(len(x))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def symbol(self, grid, _fn=LPBlock.symbol):
+        symbols.append(self.m)
+        return _fn(self, grid)
+    monkeypatch.setattr(LPBlock, "symbol", symbol)
+    para(a, b)
+    assert sum(points) <= 9 * desk.n
+    symbols.clear()
+    para(a, b)
+    assert symbols == []
 
 
 def test_separated_modes_pass_to_paraproduct(grid):

@@ -1,14 +1,23 @@
 """Property tests on generated data (Hypothesis, derandomized): the
-Littlewood-Paley partition of unity, the paraproduct trichotomy, the
-holomorphy and symmetry of the paradifferential operators, the
-negative-frequency projector, and the field text format."""
+Littlewood-Paley partition of unity and band table, the paraproduct
+trichotomy, the holomorphy and symmetry of the paradifferential operators,
+the negative-frequency projector, and the field text format."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holoww.grid import Field, GridSpec, load_field, project_neg, save_field
-from holoww.lp import partition_defect
+from holoww.lp import (
+    SEPARATION,
+    band_table,
+    besov_inf2,
+    lowpass_symbol,
+    lp_blocks,
+    partition_defect,
+)
 from holoww.paradiff import balanced, para, trichotomy_residual
 
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
@@ -24,6 +33,32 @@ def dealiased_fields(grid):
 @given(n=st.integers(8, 1024).map(lambda h: 2 * h), length=st.floats(1.0, 1e4))
 def test_lp_blocks_partition_unity_on_any_grid(n, length):
     assert partition_defect(GridSpec(length, n)) < 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(8, 1024).map(lambda h: 2 * h), length=st.floats(1.0, 1e4),
+       seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.0, 0.25, 0.75]))
+def test_band_table_holds_the_dense_symbols(n, length, seed, s):
+    # each stored support scatters back to its dense symbol, and the product
+    # of the two pieces either stays below half the sub-grid length or is
+    # formed on the grid itself
+    grid = GridSpec(length, n)
+    rng = np.random.default_rng(seed)
+    u = Field(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    blocks = lp_blocks(grid)
+    assert len(band_table(grid)) == len(blocks)
+    total = 0.0
+    for (m, block_support, low_support, size), block in zip(band_table(grid), blocks):
+        low = lowpass_symbol(grid, 2.0 ** (m - SEPARATION))
+        reach = 0
+        for (modes, values), sym in ((block_support, block.symbol(grid)), (low_support, low)):
+            dense = np.zeros(n)
+            dense[modes % n] = values
+            assert np.array_equal(dense, sym)
+            reach += int(np.max(np.abs(modes), initial=0))
+        assert size == n or 2 * reach < size
+        total += 2.0 ** (2 * m * s) * Field(grid, u.coef * block.symbol(grid)).linf() ** 2
+    assert besov_inf2(u, s) == math.sqrt(total)
 
 
 @PROPERTY
