@@ -23,6 +23,14 @@ on a torus the two M forms differ by a constant of size O(|data|^2 / length)
 (a wrap-around artifact of splitting the k = 0 mode between the projectors),
 so the rational M is reported with its mean removed.
 
+One kernel on coefficient arrays forms a state and its rate, in the
+conformal-variable layout of Dyachenko, Kuznetsov, Spector and Zakharov
+(1996): products are pointwise in value space, and one call transforms a
+(2, n) stack where two fields need it.  A state (`WaveState`, an RK stage)
+takes inverse (W_a, Q_a), forward (Q_a, W_a) / (1 + W_a) = (R, Y); its rate
+(`rhs_full`, `flux`, a stage) inverse (R, Y), forward conj(R) Y - R conj(Y)
+for F, inverse F, forward (F W_a, F Q_a + |R|^2): 10 transforms in 6 calls.
+
 The differentiated system evolves (bW, R):
 
     D_t bW + (1 + bW) R_a / (1 + conj bW) = (1 + bW) M,
@@ -37,7 +45,10 @@ discretization would otherwise populate at O(1/length).
 
 import json
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,16 +62,57 @@ from .grid import (
 )
 
 JACOBIAN_FLOOR = 0.25
+_TABLES = weakref.WeakKeyDictionary()  # grid -> `_tables`, dropped with the grid
+
+_Arrays = namedtuple("_Arrays", "w q da va ry")  # see `_state_arrays`
 
 
-def _r_and_y(wa, r=None, qa=None):
-    """R (given, or Q_a / (1 + W_a)) and Y; raises below the Jacobian floor."""
-    onewa = 1.0 + wa.values
+def _tables(grid):
+    """Per-grid arrays of the kernel and the stepper, built once: the masks
+    k < 0 and k < 0 inside the dealias band (`keep`), sqrt|k| and 0.5 / sqrt|k|
+    on k < 0, and the integrating-factor phases of each step size."""
+    if grid not in _TABLES:
+        neg, root = grid.k < 0, np.sqrt(grid.abs_k)
+        _TABLES[grid] = SimpleNamespace(
+            neg=neg, keep=neg & grid.dealias_mask, root=root, phases={},
+            half_root=np.divide(0.5, root, where=neg, out=np.zeros(grid.n)))
+    return _TABLES[grid]
+
+
+def _floor(onewa):
+    """Raises where J = |1 + W_a|^2 drops below `JACOBIAN_FLOOR`."""
     if float(np.min(np.abs(onewa) ** 2)) < JACOBIAN_FLOOR:
         raise DegenerateJacobian("min J dropped below 1/4")
-    if r is None:
-        r = Field.from_values(wa.grid, qa.values / onewa, dealias=True)
-    return r, Field.from_values(wa.grid, wa.values / onewa, dealias=True)
+
+
+def _state_arrays(grid, wc, qc):
+    """The kernel's state half: projected (W, Q) coefficients, (2, n) stacks of
+    the coefficients and values of (W_a, Q_a), dealiased coefficients of (R, Y)."""
+    da = np.empty((2, grid.n), dtype=complex)
+    np.multiply(wc, grid.k, out=da[0])
+    np.multiply(qc, grid.k, out=da[1])
+    da *= 1j
+    va = grid.values_from_coef(da)
+    onewa = 1.0 + va[0]
+    _floor(onewa)
+    ry = grid.coef_from_values(va[::-1] / onewa)
+    ry *= grid.dealias_mask
+    return _Arrays(wc, qc, da, va, ry)
+
+
+def _rate_arrays(grid, s, ryv):
+    """The kernel's rate half: the coefficients of F and the (2, n) stack of
+    (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry."""
+    tab, (rv, yv) = _tables(grid), ryv
+    # conj(R) Y - R conj(Y) = 2i Im(conj(R) Y)
+    fc = grid.coef_from_values(2j * (np.conj(rv) * yv).imag) * tab.keep + s.ry[0]
+    prod = s.va * grid.values_from_coef(fc)
+    prod[1] += np.square(rv.real) + np.square(rv.imag)
+    rates = grid.coef_from_values(prod)
+    rates *= tab.keep
+    rates[0] = -(fc + rates[0]) * tab.neg
+    rates[1] = 1j * s.w - rates[1]
+    return fc, rates
 
 
 def _one_minus(u):
@@ -73,19 +125,28 @@ def _one_minus(u):
 class WaveState:
     """Snapshot of the full system at time t, with W_a, Q_a, R and Y."""
 
-    __slots__ = ("t", "w", "q", "wa", "qa", "r", "y")
+    __slots__ = ("t", "w", "q", "wa", "qa", "r", "y", "_arrays")
 
     def __init__(self, t, w, q):
         self.t = t
         self.w = project_neg(w)
         self.q = project_neg(q)
-        self.wa = self.w.deriv()
-        self.qa = self.q.deriv()
-        self.r, self.y = _r_and_y(self.wa, qa=self.qa)
+        grid = self.grid
+        self._arrays = s = _state_arrays(grid, self.w.coef, self.q.coef)
+        self.wa, self.qa = (Field(grid, c, v) for c, v in zip(s.da, s.va))
+        self.r, self.y = (Field(grid, c) for c in s.ry)
 
     @property
     def grid(self):
         return self.w.grid
+
+
+def _rates(state):
+    """The kernel's rate half at a state, whose (R, Y) values it keeps."""
+    r, y = state.r, state.y
+    if r._values is None or y._values is None:
+        r._values, y._values = state.grid.values_from_coef(state._arrays.ry)
+    return _rate_arrays(state.grid, state._arrays, (r._values, y._values))
 
 
 class DiffState:
@@ -96,17 +157,19 @@ class DiffState:
     def __init__(self, t, wa, r):
         self.t = t
         self.wa = project_neg(wa)
-        self.r, self.y = _r_and_y(self.wa, r=project_neg(r))
+        self.r = project_neg(r)
+        onewa = 1.0 + self.wa.values
+        _floor(onewa)
+        self.y = Field.from_values(self.grid, self.wa.values / onewa, dealias=True)
 
     @property
     def grid(self):
         return self.wa.grid
 
 
-def flux(state, rbar):
-    """F = R + P[conj(R) Y - R conj(Y)], given rbar = conj(R)."""
-    r, y = state.r, state.y
-    return r + project_neg(rbar * y - r * y.conj())
+def flux(state):
+    """F = R + P[conj(R) Y - R conj(Y)], as the kernel forms it."""
+    return Field(state.grid, _rates(state)[0])
 
 
 def diff_coefficients(state):
@@ -123,11 +186,11 @@ def diff_coefficients(state):
 def rational_forms(state):
     """F and M by their rational spellings (see the module notes), M mean-free:
     what the identity checks compare `flux` and `diff_coefficients` with."""
-    grid, wa, r, y = state.grid, state.wa, state.r, state.y
-    onewa = Field.from_values(grid, 1.0 + wa.values)
-    jac = Field.from_values(grid, np.abs(onewa.values) ** 2)
-    qa = r * onewa
-    f = project_neg((qa - qa.conj()) / jac)
+    grid, r, y = state.grid, state.r, state.y
+    onewa = 1.0 + state.wa.values
+    qa = Field.from_values(grid, r.values * onewa, dealias=True)
+    f = project_neg(Field.from_values(grid, (qa - qa.conj()).values / np.abs(onewa) ** 2,
+                                      dealias=True))
     b, _, _ = diff_coefficients(state)
     m = r.deriv() * _one_minus(y.conj()) + r.conj().deriv() * _one_minus(y) - b.deriv()
     return f, m.demean()
@@ -135,11 +198,7 @@ def rational_forms(state):
 
 def rhs_full(state):
     """Projected time derivatives (dW/dt, dQ/dt)."""
-    rbar = state.r.conj()
-    f = flux(state, rbar)
-    dw = project_neg(-1.0 * (f + f * state.wa))
-    dq = project_neg(-1.0 * (f * state.qa) - rbar * state.r) + 1j * state.w
-    return dw, project_neg(dq)
+    return tuple(Field(state.grid, c) for c in _rates(state)[1])
 
 
 def scaling_pair(state):
@@ -163,11 +222,12 @@ def _diff_rates(state):
     """Unprojected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
     wa, r, y = state.wa, state.r, state.y
     b, a, m = diff_coefficients(state)
-    onewa = Field.from_values(state.grid, 1.0 + wa.values)
+    onewa = 1.0 + wa.values
     dwa = (
         -1.0 * (b * wa.deriv())
-        - onewa * r.deriv() * _one_minus(y.conj())
-        + onewa * m
+        - Field.from_values(state.grid, onewa * r.deriv().values, dealias=True)
+        * _one_minus(y.conj())
+        + Field.from_values(state.grid, onewa * m.values, dealias=True)
     )
     dr = -1.0 * (b * r.deriv()) + 1j * ((wa - a) * _one_minus(y))
     return dwa, dr
@@ -201,11 +261,7 @@ def hamiltonian_density(state):
     energy (1/2) int (Im W)^2 (1 + Re W_a); the whole expression is four
     times the physical energy and is exactly conserved.
     """
-    w, q = state.w, state.q
-    wv = w.values
-    qv = q.values
-    qav = q.deriv().values
-    wav = state.wa.values
+    wv, qv, wav, qav = state.w.values, state.q.values, state.wa.values, state.qa.values
     dens = (
         np.abs(wv) ** 2
         + (qv * np.conj(qav) - np.conj(qv) * qav) / 2j
@@ -284,45 +340,50 @@ class StepperConfig:
             )
 
 
-def _linear_phases(grid, dt):
-    k = grid.k
-    omega = np.sqrt(np.abs(k))
-    zp = np.exp(1j * omega * dt)
-    return zp, np.conj(zp)
+def _to_diag(tab, wc, qc):
+    """(2, n) stack of the diagonal pair (W + |D|^(1/2) Q, conj(W - |D|^(1/2) Q));
+    the conjugate makes both rows turn with the same phase exp(i omega t)."""
+    out = np.empty((2, len(wc)), dtype=complex)
+    rq = tab.root * qc
+    np.add(wc, rq, out=out[0])
+    np.subtract(wc, rq, out=out[1])
+    np.conjugate(out[1], out=out[1])
+    return out
 
 
-def _to_diag(grid, wc, qc):
-    root = np.sqrt(np.abs(grid.k))
-    return wc + root * qc, wc - root * qc
-
-
-def _from_diag(grid, zp, zm):
-    neg = grid.k < 0
-    root = np.where(neg, np.sqrt(np.abs(grid.k)), 1.0)
-    wc = 0.5 * (zp + zm)
-    qc = np.where(neg, 0.5 * (zp - zm) / root, 0.0)
-    return np.where(neg, wc, 0.0), qc
+def _from_diag(tab, z, mask):
+    """(W, Q) coefficients of the diagonal pair z, zero off `mask` (in k < 0)."""
+    zm = np.conj(z[1])
+    return (z[0] + zm) * (0.5 * mask), (z[0] - zm) * (mask * tab.half_root)
 
 
 def _rk4(t, y, a, rates, dt, half=None, full=None):
-    """One fourth-order Runge-Kutta step of  y' = L y + N(t, y)  on a tuple
-    of coefficient arrays; returns the new tuple.
+    """One fourth-order Runge-Kutta step of  y' = L y + N(t, y)  on a stack
+    of coefficient arrays; returns the new stack.
 
     `a` is N at (t, y), so stage 1 reuses the caller's state, and
-    `rates(t, z)` is N at a stage value z.  `half` and `full` hold per-slot
-    phases exp(L dt/2) and exp(L dt), which make this the integrating-factor
-    (Lawson) scheme, exact on the linear part.  Without them L = 0: classical
-    RK4 is the unit-phase case.
+    `rates(t, z)` is N at a stage value z.  `half` and `full` hold the
+    phases exp(L dt/2) and exp(L dt) of every row, which make this the
+    integrating-factor (Lawson) scheme, exact on the linear part.  Without
+    them L = 0: classical RK4 is the unit-phase case.
     """
     if half is None:
-        half = full = (1.0,) * len(y)
+        half = full = 1.0
     h = dt / 2
-    b = rates(t + h, [eh * (y0 + h * a0) for y0, a0, eh in zip(y, a, half)])
-    c = rates(t + h, [eh * y0 + h * b0 for y0, b0, eh in zip(y, b, half)])
-    d = rates(t + dt, [ef * y0 + dt * eh * c0
-                       for y0, c0, eh, ef in zip(y, c, half, full)])
-    return [ef * y0 + dt / 6 * (ef * a0 + 2.0 * eh * (b0 + c0) + d0)
-            for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)]
+    b = rates(t + h, half * (y + h * a))
+    c = rates(t + h, half * y + h * b)
+    acc = b + c  # full a + 2 half (b + c), formed before the last stage
+    acc *= 2.0 * half
+    acc += full * a
+    del a, b
+    z = c * (dt * half)
+    z += full * y
+    del c
+    out = rates(t + dt, z)
+    out += acc
+    out *= dt / 6
+    out += full * y
+    return out
 
 
 def _fields(grid, coefs):
@@ -331,34 +392,38 @@ def _fields(grid, coefs):
 
 
 def _coefs(fields):
-    return [u.coef for u in fields]
+    return np.stack([u.coef for u in fields])
 
 
 def step(state, cfg):
     """One Runge-Kutta step; the integrating-factor variant advances the
-    dispersive linear part (omega = sqrt|k| after diagonalization) exactly."""
+    dispersive linear part (omega = sqrt|k| after diagonalization) exactly.
+    The stages run the kernel on coefficient stacks."""
     cfg.validate(state.grid)
-    grid, dt = state.grid, cfg.dt
-    if cfg.scheme == "rk4":
-        def make(t, z):
-            return WaveState(t, *_fields(grid, z))
+    grid, dt, tab = state.grid, cfg.dt, _tables(state.grid)
+    integrating = cfg.scheme == "rk4_integrating_factor"
 
-        def rates(s):
-            return _coefs(rhs_full(s))
+    def coefs(z):
+        return _from_diag(tab, z, tab.keep) if integrating else z * tab.keep
 
-        y, phases = _coefs((state.w, state.q)), ()
-    else:
-        def make(t, z):
-            return WaveState(t, *_fields(grid, _from_diag(grid, *z)))
+    def nonlinear(s, d):  # the phases carry the linear part (-Q_a, iW)
+        if integrating:
+            d[0] += s.da[1]
+            d[1] -= 1j * s.w
+            d = _to_diag(tab, *d)
+        return d
 
-        def rates(s):  # rhs_full minus the linear part (-Q_a, iW)
-            dw, dq = rhs_full(s)
-            return _to_diag(grid, (dw + s.qa).coef, (dq - 1j * s.w).coef)
+    def stage(t, z):
+        s = _state_arrays(grid, *coefs(z))
+        return nonlinear(s, _rate_arrays(grid, s, grid.values_from_coef(s.ry))[1])
 
-        y = _to_diag(grid, state.w.coef, state.q.coef)
-        phases = (_linear_phases(grid, dt / 2), _linear_phases(grid, dt))
-    z = _rk4(state.t, y, rates(state), lambda t, z: rates(make(t, z)), dt, *phases)
-    return make(state.t + dt, z)
+    y, phases = _coefs((state.w, state.q)), ()
+    if integrating:
+        if dt not in tab.phases:
+            tab.phases[dt] = np.exp(1j * tab.root * (dt / 2)), np.exp(1j * tab.root * dt)
+        y, phases = _to_diag(tab, *y), tab.phases[dt]
+    z = _rk4(state.t, y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
+    return WaveState(state.t + dt, *(Field(grid, c) for c in coefs(z)))
 
 
 def step_diff(state, cfg):
@@ -404,12 +469,9 @@ def evolve(state, cfg, t_end, observer=None):
 
 def linear_propagate(state, t_target):
     """Exact solution of the linearized system W_t = -Q_a, Q_t = iW."""
-    grid = state.grid
-    dt = t_target - state.t
-    ep, em = _linear_phases(grid, dt)
-    zp, zm = _to_diag(grid, state.w.coef, state.q.coef)
-    wc, qc = _from_diag(grid, ep * zp, em * zm)
-    return WaveState(t_target, Field(grid, wc), Field(grid, qc))
+    grid, tab = state.grid, _tables(state.grid)
+    z = np.exp(1j * tab.root * (t_target - state.t)) * _to_diag(tab, state.w.coef, state.q.coef)
+    return WaveState(t_target, *(Field(grid, c) for c in _from_diag(tab, z, tab.neg)))
 
 
 # initial data ---------------------------------------------------------------

@@ -16,6 +16,7 @@ constants, and pinning the mean keeps homogeneous negative-order multipliers
 finite).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,10 +81,15 @@ class GridSpec:
         return np.pi * self.n / self.length
 
     def coef_from_values(self, values):
-        return np.fft.fft(values) / self.n * self.center_phase
+        coef = np.fft.fft(values)
+        coef /= self.n
+        coef *= self.center_phase
+        return coef
 
     def values_from_coef(self, coef):
-        return np.fft.ifft(coef * self.center_phase * self.n)
+        scaled = coef * self.center_phase
+        scaled *= self.n
+        return np.fft.ifft(scaled)
 
 
 class Field:
@@ -143,13 +149,6 @@ class Field:
 
     def __rmul__(self, scalar):
         return Field(self.grid, self.coef * scalar)
-
-    def __truediv__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            quot = self.values / other.values
-            return Field.from_values(self.grid, quot, dealias=True)
-        return Field(self.grid, self.coef / other)
 
     def conj(self):
         return Field.from_values(self.grid, np.conj(self.values))
@@ -250,6 +249,9 @@ def pair_sobolev(pair, s):
 
 # serialization ------------------------------------------------------------
 
+_ROWS = 4096  # rows per block of a text checkpoint
+
+
 def save_field(path, u):
     """Columnar text dump: header with grid data, one `m re im` row per mode."""
     with open(path, "w") as fh:
@@ -257,10 +259,13 @@ def save_field(path, u):
 
 
 def write_field(fh, u):
+    """Header, then the `m re im` rows, formatted a block at a time."""
     g = u.grid
     fh.write(f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n")
-    for m, c in zip(g.modes, u.coef):
-        fh.write(f"{m} {float(c.real)!r} {float(c.imag)!r}\n")
+    for lo in range(0, g.n, _ROWS):
+        part = slice(lo, lo + _ROWS)
+        rows = zip(g.modes[part].tolist(), u.coef.real[part].tolist(), u.coef.imag[part].tolist())
+        fh.write("".join([f"{m} {re!r} {im!r}\n" for m, re, im in rows]))
 
 
 def load_field(path):
@@ -269,12 +274,17 @@ def load_field(path):
 
 
 def read_field(fh, grid=None):
+    """The field `write_field` wrote, parsed a block of rows at a time; reads
+    its n rows and no further, and raises on a short or malformed block."""
     header = fh.readline().split()
     meta = dict(item.split("=") for item in header[1:])
     g = grid or GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
     coef = np.zeros(g.n, dtype=complex)
-    order = {m: i for i, m in enumerate(g.modes)}
-    for _ in range(g.n):
-        m_s, re_s, im_s = fh.readline().split()
-        coef[order[int(m_s)]] = complex(float(re_s), float(im_s))
+    for lo in range(0, g.n, _ROWS):
+        rows = min(_ROWS, g.n - lo)
+        tokens = "".join(itertools.islice(fh, rows)).split()
+        if len(tokens) != 3 * rows:
+            raise ValueError(f"expected {g.n} rows of `m re im`")
+        modes = np.array(tokens[0::3], dtype=int) % g.n
+        coef.real[modes], coef.imag[modes] = (np.array(tokens[i::3], dtype=float) for i in (1, 2))
     return Field(g, coef)

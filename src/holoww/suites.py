@@ -127,7 +127,7 @@ def suite_identities(n=None, seed=1234):
     st = _random_state(grid, 0.08, seed + 1)
     f_rational, m_rational = rational_forms(st)
     _, taylor, m = diff_coefficients(st)
-    checks.append(Check("f-identity", (flux(st, st.r.conj()) - f_rational).l2(), 1e-10))
+    checks.append(Check("f-identity", (flux(st) - f_rational).l2(), 1e-10))
     checks.append(Check("m-identity", (m - m_rational).l2(), 1e-10))
     checks.append(
         Check("taylor-term-real", float(np.max(np.abs(np.imag(taylor.values)))), 1e-10)

@@ -52,7 +52,7 @@ def test_zero_state_aux(grid):
     st = WaveState(0.0, z, z)
     b, a, m = diff_coefficients(st)
     assert st.y.l2() == 0.0
-    assert flux(st, st.r.conj()).l2() == 0.0
+    assert flux(st).l2() == 0.0
     assert b.l2() == 0.0
     assert a.l2() == 0.0
     assert m.l2() == 0.0
@@ -73,7 +73,7 @@ def test_f_and_m_identities(grid, seed):
     assert st.wa.linf() < 0.1
     f_rational, m_rational = rational_forms(st)
     _, _, m = diff_coefficients(st)
-    assert (flux(st, st.r.conj()) - f_rational).l2() < 1e-10
+    assert (flux(st) - f_rational).l2() < 1e-10
     assert (m - m_rational).l2() < 1e-10
 
 
@@ -124,6 +124,74 @@ def test_single_mode_period_return(grid):
     period = 2 * math.pi / omega
     out = evolve(st, StepperConfig(dt=period / 128), period)
     assert (out.w - w0).l2() / w0.l2() < 1e-8
+
+
+def rhs_full_oracle(w, q):
+    """`rhs_full` as Field operations: each product dealiased on its own,
+    one transform per field."""
+    grid = w.grid
+    wa, qa = w.deriv(), q.deriv()
+    onewa = 1.0 + wa.values
+    r = Field.from_values(grid, qa.values / onewa, dealias=True)
+    y = Field.from_values(grid, wa.values / onewa, dealias=True)
+    rbar = r.conj()
+    f = r + project_neg(rbar * y - r * y.conj())
+    dw = project_neg(-1.0 * (f + f * wa))
+    dq = project_neg(-1.0 * (f * qa) - rbar * r) + 1j * w
+    return dw, project_neg(dq)
+
+
+def step_oracle(w, q, cfg):
+    """`step` on Fields with `rhs_full_oracle`: RK4 on slot lists, in the
+    diagonal variables with exact phases for the integrating-factor scheme."""
+    grid, dt, h = w.grid, cfg.dt, cfg.dt / 2
+    neg, root = grid.k < 0, np.sqrt(grid.abs_k)
+    integrating = cfg.scheme == "rk4_integrating_factor"
+
+    def fields(z):
+        if integrating:
+            z = (0.5 * (z[0] + z[1]), np.where(neg, 0.5 * (z[0] - z[1]) / np.where(neg, root, 1.0), 0.0))
+        return [project_neg(Field(grid, c).dealiased()) for c in z]
+
+    def rates(w, q):
+        dw, dq = rhs_full_oracle(w, q)
+        if not integrating:
+            return [dw.coef, dq.coef]
+        nw, nq = (dw + q.deriv()).coef, (dq - 1j * w).coef
+        return [nw + root * nq, nw - root * nq]
+
+    if integrating:
+        y = [w.coef + root * q.coef, w.coef - root * q.coef]
+        ph = np.exp(1j * root * h), np.exp(1j * root * dt)
+        half, full = (ph[0], np.conj(ph[0])), (ph[1], np.conj(ph[1]))
+    else:
+        y, half, full = [w.coef, q.coef], (1.0, 1.0), (1.0, 1.0)
+    a = rates(w, q)
+    b = rates(*fields([eh * (y0 + h * a0) for y0, a0, eh in zip(y, a, half)]))
+    c = rates(*fields([eh * y0 + h * b0 for y0, b0, eh in zip(y, b, half)]))
+    d = rates(*fields([ef * y0 + dt * eh * c0 for y0, c0, eh, ef in zip(y, c, half, full)]))
+    return fields([ef * y0 + dt / 6 * (ef * a0 + 2.0 * eh * (b0 + c0) + d0)
+                   for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)])
+
+
+def relative_gap(got, want):
+    """Largest coefficient gap over the largest coefficient of `want`."""
+    gap = max(np.max(np.abs(g.coef - o.coef)) for g, o in zip(got, want))
+    return gap / max(np.max(np.abs(o.coef)) for o in want)
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_rhs_full_matches_field_oracle(n):
+    grid = GridSpec(length=64.0, n=n)
+    st = random_state(grid, 0.05, seed=15)
+    assert relative_gap(rhs_full(st), rhs_full_oracle(st.w, st.q)) <= 1e-14
+    for scheme in ("rk4_integrating_factor", "rk4"):
+        cfg = StepperConfig(dt=0.1, scheme=scheme)
+        got, w, q = st, st.w, st.q
+        for _ in range(20):
+            got = step(got, cfg)
+            w, q = step_oracle(w, q, cfg)
+        assert relative_gap((got.w, got.q), (w, q)) <= 1e-13
 
 
 # rhs_diff -------------------------------------------------------------------
@@ -261,6 +329,20 @@ def test_stability_guard(grid):
         step(st, StepperConfig(dt=10.0))
 
 
+def test_stage_below_jacobian_floor_raises(grid):
+    # the input state clears the floor (min J = 0.55^2); the second stage of a
+    # classical step, W + dt/2 dW/dt, does not, and `step` raises from it
+    kk = grid.k[np.argmin(np.abs(grid.k + 1.0))]
+    st = state_from_wa(grid, 0.45 * np.exp(1j * kk * grid.alpha), q_mode="zero")
+    st = WaveState(0.0, st.w, 0.6j / kk * st.w)
+    cfg = StepperConfig(dt=0.4, scheme="rk4")
+    dw, dq = rhs_full(st)
+    with pytest.raises(DegenerateJacobian):
+        WaveState(0.0, st.w + 0.2 * dw, st.q + 0.2 * dq)
+    with pytest.raises(DegenerateJacobian):
+        step(st, cfg)
+
+
 def test_integrating_factor_exact_linear_phase(grid):
     k_idx = np.argmin(np.abs(grid.k + 1.0))
     coef = np.zeros(grid.n, dtype=complex)
@@ -328,26 +410,36 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
 
 
 def test_transform_budget(grid, monkeypatch):
-    # a state transforms W_a and Q_a to values and R and Y back and keeps
-    # them; a step builds four states and evaluates four right-hand sides of
-    # 10 each (conj(R) is formed once); r_rate forms two products of three
-    # transforms, and 1 - Y needs none
+    # counted as (calls, 1-D transforms).  A state makes one inverse call for
+    # (W_a, Q_a) and one forward call for (R, Y).  A rate makes four calls of
+    # six rows: inverse (R, Y), the flux product, inverse F and the
+    # (F W_a, F Q_a + |R|^2) stack.  A step makes four rates, three of which
+    # first form their stage state, and builds the state it returns; a second
+    # step from the same state finds its (R, Y) values kept.  r_rate forms
+    # two products of three transforms and reads the kept values of R.
+    # rhs_diff and rational_forms transform no 1 + W_a or J
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(name)
-            return _fn(*args, **kwargs)
+        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(np.size(x) // np.shape(x)[-1])
+            return _fn(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    WaveState(st.t, st.w, st.q)
-    assert len(calls) == 4
-    calls.clear()
-    step(st, StepperConfig(dt=0.05))
-    assert len(calls) == 56
+
+    def budget(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls), sum(calls)
+
+    assert budget(WaveState, st.t, st.w, st.q) == (2, 4)
+    assert budget(step, st, StepperConfig(dt=0.05)) == (24, 40)
+    assert budget(step, st, StepperConfig(dt=0.05, scheme="rk4")) == (23, 38)
+    assert budget(rhs_full, WaveState(st.t, st.w, st.q)) == (4, 6)
     dw, dq = rhs_full(st)
-    calls.clear()
-    r_rate(st, dw, dq)
-    assert len(calls) == 5
+    assert budget(r_rate, st, dw, dq) == (5, 5)
+    ds = DiffState(st.t, st.wa, st.r)
+    assert budget(rhs_diff, ds) == (32, 32)
+    assert budget(rational_forms, st) == (29, 29)
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):

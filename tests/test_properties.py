@@ -3,13 +3,15 @@ Littlewood-Paley partition of unity and band table, the paraproduct
 trichotomy, the holomorphy and symmetry of the paradifferential operators,
 the negative-frequency projector, and the field text format."""
 
+import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holoww.grid import Field, GridSpec, load_field, project_neg, save_field
+from holoww.grid import Field, GridSpec, load_field, project_neg, read_field, save_field
 from holoww.lp import (
     SEPARATION,
     band_table,
@@ -112,3 +114,36 @@ def test_save_load_field_round_trip_is_exact(grid, tmp_path_factory, data):
     assert np.array_equal(back.coef.view(np.float64), u.coef.view(np.float64))
     assert np.array_equal(np.signbit(back.coef.view(np.float64)),
                           np.signbit(u.coef.view(np.float64)))
+
+
+def per_row_text(u):
+    """`write_field` as one formatted row per mode."""
+    g = u.grid
+    out = [f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n"]
+    for m, c in zip(g.modes, u.coef):
+        out.append(f"{m} {float(c.real)!r} {float(c.imag)!r}\n")
+    return "".join(out)
+
+
+edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                        1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308])
+
+
+@PROPERTY
+@given(data=st.data(), n=st.sampled_from([16, 4098, 8200]))
+def test_field_text_matches_per_row_writer_and_round_trips(tmp_path_factory, data, n):
+    # n = 4098 and 8200 span two and three blocks of rows, the last one short
+    grid = GridSpec(64.0, n)
+    parts = data.draw(arrays(np.float64, (2, n), elements=st.one_of(edge, finite), fill=edge))
+    u = Field(grid, parts[0] + 1j * parts[1])
+    path = tmp_path_factory.getbasetemp() / "edge.txt"
+    save_field(path, u)
+    assert path.read_text() == per_row_text(u)
+    back = load_field(path)
+    assert back.coef.tobytes() == u.coef.tobytes()
+    # two fields in one stream: each read stops after its own n rows
+    text = per_row_text(u)
+    fh = io.StringIO(text + text)
+    assert [read_field(fh).coef.tobytes() for _ in range(2)] == [u.coef.tobytes()] * 2
+    with pytest.raises(ValueError):
+        read_field(io.StringIO(text[: len(text) // 2]))
