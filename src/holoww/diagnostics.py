@@ -33,6 +33,7 @@ from .lp import (
     besov_inf2,
     ramp,
     x_norm,
+    x_sup_norm,
     x_zero_norm,
 )
 
@@ -72,7 +73,7 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
     wa, r, y = state.wa, state.r, state.y
     half_r = frac_deriv(r, 0.5)
     a0 = wa.linf() + y.linf() + max(half_r.linf(), besov_inf2(half_r, 0.0))
-    a_quarter = besov_inf2(wa, 0.25) + besov_inf2(r, 0.75)
+    a_quarter = x_zero_norm(wa, r)
     a_half = frac_deriv(wa, 0.5).linf() + r.deriv().linf()
     a_sharp = frac_deriv(wa, 0.25).lp(4) + frac_deriv(r, 0.75).lp(4)
     rec = NormRecord(
@@ -81,7 +82,7 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
         a_quarter=a_quarter,
         a_half=a_half,
         a_sharp=a_sharp,
-        x=x_norm(wa, r),
+        x=x_sup_norm(wa, r) + a_quarter,  # `x_norm`, its Besov pair computed once
     )
     rec.hs = {s: pair_sobolev((wa, r), s) for s in (0.25, sigma - 1.0)}
     return rec

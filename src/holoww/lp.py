@@ -13,6 +13,7 @@ to machine precision and makes `sum_m lp_project(u, m) = u - mean(u)` exact.
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +52,15 @@ class LPBlock:
     lo_clamped: bool = False
     hi_clamped: bool = False
 
-    def symbol(self, grid):
-        y = _log2_abs(grid.k) - self.m
+    def symbol(self, k):
+        """The profile at the wavenumbers `k` (an array, e.g. `grid.k`)."""
+        y = _log2_abs(k) - self.m
         sym = ramp(y + 1.0) - ramp(y)
         if self.lo_clamped:
-            sym = np.where(_log2_abs(grid.k) <= self.m, 1.0 - ramp(y), sym)
+            sym = np.where(_log2_abs(k) <= self.m, 1.0 - ramp(y), sym)
         if self.hi_clamped:
-            sym = np.where(_log2_abs(grid.k) >= self.m, ramp(y + 1.0), sym)
-        return np.where(grid.k == 0, 0.0, sym)
+            sym = np.where(_log2_abs(k) >= self.m, ramp(y + 1.0), sym)
+        return np.where(k == 0, 0.0, sym)
 
 
 def lp_blocks(grid):
@@ -70,14 +72,14 @@ def lp_project(u, m):
     lo, hi = block_range(u.grid)
     if m < lo or m > hi:
         raise OutOfBand(f"2^{m} outside the resolvable band [2^{lo}, 2^{hi}]")
-    return Field(u.grid, spread(u.coef, band_table(u.grid)[m - lo][1], u.grid.n))
+    return Field(u.grid, spread(u.coef, band_table(u.grid)[m - lo][1]))
 
 
 def partition_defect(grid):
     """max_k |sum_m symbol_m(k) - 1| over nonzero resolvable frequencies."""
     total = np.zeros(grid.n)
     for block in lp_blocks(grid):
-        total += block.symbol(grid)
+        total += block.symbol(grid.k)
     nz = grid.k != 0
     return float(np.max(np.abs(total[nz] - 1.0)))
 
@@ -88,54 +90,124 @@ def _fft_size(size):
                for j in range(int(math.log(size, 3)) + 1))
 
 
+class Band(NamedTuple):
+    """A symbol's nonzero run on the consecutive modes start, start + 1, ...:
+    `values[run]` belongs at the fft-order slice `at` of a grid array, for
+    each (at, run) in `parts` (two parts where the run wraps past index 0)."""
+
+    start: int
+    values: np.ndarray
+    parts: tuple
+
+
+class HalfBlock(NamedTuple):
+    """One half (k < 0 or k > 0) of an LP block, with what its product needs."""
+
+    block: Band  # the half's support
+    low: Band  # the low-pass support of cut 2^(m - SEPARATION)
+    size: int  # fast length N' >= the product band's width
+    out: tuple  # (at, run) parts of the product band, its modes taken mod n
+    neg: bool  # the product reaches a kept mode with k < 0
+
+
+def _parts(n, start, size):
+    """(at, run) slice pairs of the modes start .. start + size - 1 (size <= n)."""
+    lo = start % n
+    if lo + size <= n:
+        return ((slice(lo, lo + size), slice(0, size)),)
+    return ((slice(lo, n), slice(0, n - lo)), (slice(0, lo + size - n), slice(n - lo, size)))
+
+
+def _band(n, start, sym):
+    """The nonzero run of `sym`, a symbol on the modes start, start + 1, ..."""
+    nz = np.flatnonzero(sym)
+    first, stop = int(nz[0]), int(nz[-1]) + 1
+    return Band(start + first, sym[first:stop], _parts(n, start + first, stop - first))
+
+
+def _window(grid, inner, outer):
+    """Wavenumbers of the modes -outer .. -inner, then inner .. outer (below n/2)."""
+    n = grid.n
+    return np.concatenate((grid.k[n - outer: n - inner + 1],
+                           grid.k[inner: min(outer, n // 2 - 1) + 1]))
+
+
 def band_table(grid):
-    """(m, block, low, size) for every LP block m of `grid`, built once per grid:
-    the nonzero supports, as (int32 modes, values), of `LPBlock.symbol` and of
-    the low-pass symbol of cut 2^(m - SEPARATION), and the shortest fast grid
-    length N <= n with N/2 above the sum of their largest |mode|, which is
-    where the product of the two pieces can reach."""
+    """(m, halves) for every LP block m of `grid`, built once per grid.
+
+    `LPBlock.symbol` is evaluated on its window 2^(m-1) < |k| < 2^(m+1) only
+    (open at a clamped end), and the low-pass symbol of cut 2^(m - SEPARATION)
+    on |k| < 2^(m + 1 - SEPARATION); each is stored as its nonzero run on
+    consecutive modes (`Band`), the block split at k = 0 into two
+    `HalfBlock`s.  A half times the low piece lies in a band of width
+    len(half) + len(low) - 1, which is formed on the shortest fast length N'
+    that holds it and added back at its modes mod n, so the top blocks alias
+    as on the full grid.  Only the k < 0 halves reach a kept k < 0 mode,
+    unless the dealias cut lies within the low reach of n/2, where the top
+    k > 0 half wraps there too.  Table build and storage are O(n)."""
     if grid not in _BANDS:
+        n, top = grid.n, grid.n // 2
+        kept_neg = grid.dealias_mask & (grid.modes < 0)
         table = []
         for block in lp_blocks(grid):
-            syms = block.symbol(grid), lowpass_symbol(grid, 2.0 ** (block.m - SEPARATION))
-            supports = [(grid.modes[sym != 0].astype(np.int32), sym[sym != 0]) for sym in syms]
-            reach = sum(int(np.max(np.abs(modes), initial=0)) for modes, _ in supports)
-            table.append((block.m, *supports, min(grid.n, _fft_size(max(16, 2 * reach + 2)))))
+            m = block.m
+            inner = 1 if block.lo_clamped else max(1, math.floor(2.0 ** (m - 1) / grid.dk))
+            outer = top if block.hi_clamped else min(top, math.ceil(2.0 ** (m + 1) / grid.dk))
+            sym = block.symbol(_window(grid, inner, outer))
+            split = outer - inner + 1
+            reach = min(top - 1, math.ceil(2.0 ** (m + 1 - SEPARATION) / grid.dk))
+            low = _band(n, -reach, lowpass_symbol(_window(grid, 0, reach), 2.0 ** (m - SEPARATION)))
+            halves = []
+            for half in (_band(n, -outer, sym[:split]), _band(n, inner, sym[split:])):
+                width = len(half.values) + len(low.values) - 1
+                out = _parts(n, half.start + low.start, width)
+                neg = any(kept_neg[at].any() for at, _ in out)
+                halves.append(HalfBlock(half, low, _fft_size(width), out, neg))
+            table.append((m, tuple(halves)))
         _BANDS[grid] = tuple(table)
     return _BANDS[grid]
 
 
-def spread(coef, support, size):
-    """`coef` times a `band_table` support, as fft-order coefficients on `size` modes."""
-    modes, sym = support
+def spread(coef, halves):
+    """`coef` times the block symbol made of `halves`, as fft-order coefficients."""
+    out = np.zeros(len(coef), dtype=complex)
+    for half in halves:
+        for at, run in half.block.parts:
+            out[at] = coef[at] * half.block.values[run]
+    return out
+
+
+def gather(coef, band, size):
+    """`coef` times the symbol of `band`, its mode `band.start` at index 0 of `size`."""
     out = np.zeros(size, dtype=complex)
-    out[modes] = coef[modes] * sym
+    for at, run in band.parts:
+        out[run] = coef[at] * band.values[run]
     return out
 
 
 def besov_inf2(u, s):
     """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 )."""
     total = 0.0
-    for m, block, _, _ in band_table(u.grid):
-        total += 2.0 ** (2 * m * s) * Field(u.grid, spread(u.coef, block, u.grid.n)).linf() ** 2
+    for m, halves in band_table(u.grid):
+        total += 2.0 ** (2 * m * s) * Field(u.grid, spread(u.coef, halves)).linf() ** 2
     return math.sqrt(total)
 
 
 # smooth one-sided windows keyed to an arbitrary (non-dyadic) center --------
 
-def lowpass_symbol(grid, cut):
+def lowpass_symbol(k, cut):
     """1 for |k| <= cut, raised-cosine decay to 0 at 2*cut; passes k = 0."""
     if cut <= 0:
-        return np.where(grid.k == 0, 1.0, 0.0)
-    y = _log2_abs(grid.k) - math.log2(cut)
-    return np.where(grid.k == 0, 1.0, 1.0 - ramp(y))
+        return np.where(k == 0, 1.0, 0.0)
+    y = _log2_abs(k) - math.log2(cut)
+    return np.where(k == 0, 1.0, 1.0 - ramp(y))
 
 
-def highpass_symbol(grid, cut):
+def highpass_symbol(k, cut):
     if cut <= 0:
-        return np.where(grid.k == 0, 0.0, 1.0)
-    y = _log2_abs(grid.k) - math.log2(cut)
-    return np.where(grid.k == 0, 0.0, ramp(y))
+        return np.where(k == 0, 0.0, 1.0)
+    y = _log2_abs(k) - math.log2(cut)
+    return np.where(k == 0, 0.0, ramp(y))
 
 
 def band_symbol(grid, center):
@@ -171,11 +243,12 @@ def x_zero_norm(w_alpha, q_alpha):
     return besov_inf2(w_alpha, 0.25) + besov_inf2(q_alpha, 0.75)
 
 
+def x_sup_norm(w_alpha, r):
+    """Sup-norm part of `x_norm`:  | |D|^(-1/2) w_alpha |_Linf + | r |_Linf."""
+    return frac_deriv(w_alpha.demean(), -0.5).linf() + r.linf()
+
+
 def x_norm(w_alpha, r):
-    """Pointwise control norm of the differentiated pair (w_alpha, r)."""
-    return (
-        frac_deriv(w_alpha.demean(), -0.5).linf()
-        + r.linf()
-        + besov_inf2(w_alpha, 0.25)
-        + besov_inf2(r, 0.75)
-    )
+    """Pointwise control norm of the differentiated pair (w_alpha, r):
+    `x_sup_norm` plus the Besov pair `x_zero_norm`."""
+    return x_sup_norm(w_alpha, r) + x_zero_norm(w_alpha, r)

@@ -11,39 +11,50 @@ operators return the negative-frequency projection P of that sum; the
 unprojected low-high sum `_lohi` is what the trichotomy and commutator
 measurements use, since P does not commute with multiplication.
 
-Each block product is formed on a grid of its own length N (`lp.band_table`),
-whose N/2 exceeds the largest |mode| the product of the two pieces reaches
-(Bony's support property).  There its transform is their exact convolution,
-as on the full grid when N < n; so scattering it into the grid, summing and
-masking once gives the full-grid sum to rounding.  The top blocks have N = n
-and alias as before.  A call transforms about 8n points, not 3n per block.
+Each LP block's support is split at k = 0 (`lp.band_table`).  One half of
+P_m b spans 2^(m-1) < |k| < 2^(m+1) on one side of 0, and the low piece of a
+reaches |k| < 2^(m-3), so their product lies in a band about 1.75 2^m wide
+on that side (Bony's support property).  It is formed on the shortest fast
+length N' that holds the band, the half placed at the band's offset, and
+added back at its modes mod n: its transform is the exact convolution, so
+the sum is the full-grid one to rounding, aliasing of the top blocks
+included.  `_lohi` sums both halves of every block; `para` only the halves
+whose product reaches a kept k < 0 mode, the k < 0 ones.  A `para` call
+transforms about 3.5n points and `_lohi` about 7n.
 """
 
 import numpy as np
 
 from .grid import Field, frac_deriv, project_neg
-from .lp import band_table, spread
+from .lp import band_table, gather
 
 PROBES = 6  # probe fields of one `commutator_norm` measurement
 
 
-def _lohi(a, b):
-    """Unprojected low-high sum: P_m b times the part of a below 2^(m - SEPARATION)."""
+def _half_sum(a, b, halves):
+    """Sum over `halves` of one half of P_m b times the part of a below
+    2^(m - SEPARATION), unprojected."""
     a._check(b)
     grid = a.grid
     coef = np.zeros(grid.n, dtype=complex)
-    for _, block, low, size in band_table(grid):
-        prod = np.fft.ifft(spread(a.coef, low, size), norm="forward")
-        prod *= np.fft.ifft(spread(b.coef, block, size), norm="forward")
-        prod = np.fft.fft(prod, norm="forward")  # the cyclic convolution of the pieces
-        coef[: size // 2] += prod[: size // 2]
-        coef[grid.n - size // 2:] += prod[size // 2:]
+    for half in halves:
+        prod = np.fft.ifft(gather(a.coef, half.low, half.size), norm="forward")
+        prod *= np.fft.ifft(gather(b.coef, half.block, half.size), norm="forward")
+        prod = np.fft.fft(prod, norm="forward")  # the linear convolution of the pieces
+        for at, run in half.out:
+            coef[at] += prod[run]
     return Field(grid, np.where(grid.dealias_mask, coef, 0.0))
 
 
+def _lohi(a, b):
+    """Unprojected low-high sum: P_m b times the part of a below 2^(m - SEPARATION)."""
+    return _half_sum(a, b, [half for _, pair in band_table(a.grid) for half in pair])
+
+
 def para(a, b):
-    """Low-high paraproduct T_a b."""
-    return project_neg(_lohi(a, b))
+    """Low-high paraproduct T_a b, from the halves whose product reaches k < 0."""
+    halves = [half for _, pair in band_table(a.grid) for half in pair if half.neg]
+    return project_neg(_half_sum(a, b, halves))
 
 
 def balanced(a, b):

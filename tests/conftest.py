@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holoww.grid import Field, GridSpec, project_neg
+from holoww.lp import SEPARATION, lowpass_symbol, lp_blocks
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +34,32 @@ def smooth_field(grid, seed=0, center=2.0, sigma=None, amplitude=1.0, holo=False
 def holo_field(grid, seed=0, center=2.0, amplitude=1.0, sigma=None):
     return smooth_field(grid, seed=seed, center=center, sigma=sigma,
                         amplitude=amplitude, holo=True)
+
+
+def full_spectrum_field(grid, seed):
+    """Random coefficients at every mode, the top ones included."""
+    rng = np.random.default_rng(seed)
+    return Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+
+
+def lohi_oracle(a, b, separation=SEPARATION):
+    """`paradiff._lohi` as the full-grid formula: one dealiased product per block."""
+    grid = a.grid
+    out = Field.zero(grid)
+    for block in lp_blocks(grid):
+        hi = Field(grid, b.coef * block.symbol(grid.k))
+        lo = Field(grid, a.coef * lowpass_symbol(grid.k, 2.0 ** (block.m - separation)))
+        out = out + lo * hi
+    return out
+
+
+def scatter(band, n):
+    """A `lp.Band` as a dense symbol on n modes, placed through its `parts`
+    and checked against its start mode."""
+    dense = np.zeros(n)
+    for at, run in band.parts:
+        dense[at] = band.values[run]
+    by_start = np.zeros(n)
+    by_start[(band.start + np.arange(len(band.values))) % n] = band.values
+    assert np.array_equal(dense, by_start)
+    return dense

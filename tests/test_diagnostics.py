@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holoww import diagnostics, lp
 from holoww.errors import InsufficientSamples, TimeTooSmall
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.dynamics import WaveState, linear_propagate, packet_data, scaling_pair
@@ -42,6 +43,22 @@ def small_random_state(grid, eps, seed):
 def test_control_norms_zero(grid):
     rec = control_norms(zero_state(grid))
     assert rec.a0 == rec.a_quarter == rec.a_half == rec.a_sharp == rec.x == 0.0
+
+
+def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
+    # a0 reads one Besov norm, a_quarter and x share the pair (w_alpha, r)
+    calls = []
+
+    def counted(u, s, _fn=lp.besov_inf2):
+        calls.append(s)
+        return _fn(u, s)
+    monkeypatch.setattr(lp, "besov_inf2", counted)
+    monkeypatch.setattr(diagnostics, "besov_inf2", counted)
+    st = small_random_state(grid, 1e-3, 7)
+    rec = control_norms(st)
+    assert sorted(calls) == [0.0, 0.25, 0.75]
+    assert rec.x == pytest.approx(lp.x_norm(st.wa, st.r), rel=1e-15)
+    assert rec.a_quarter == lp.x_zero_norm(st.wa, st.r)
 
 
 def test_control_norms_single_mode(grid):

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from holoww.errors import OutOfBand
-from holoww.grid import Field
+from holoww.grid import Field, GridSpec
 from holoww.lp import (
+    SEPARATION,
     band_high_symbol,
     band_low_symbol,
     band_symbol,
+    band_table,
     besov_inf2,
     block_range,
     highpass_symbol,
     lowpass_symbol,
+    lp_blocks,
     lp_project,
     partition_defect,
 )
 
-from conftest import smooth_field
+from conftest import scatter, smooth_field
 
 
 def test_partition_of_unity(grid):
@@ -107,5 +110,19 @@ def test_window_trichotomy(grid):
     nz = grid.k != 0
     assert np.max(np.abs(total[nz] - 1.0)) < 1e-12
     # the one-sided windows also pair into a smooth two-way split
-    pair = lowpass_symbol(grid, center) + highpass_symbol(grid, center)
+    pair = lowpass_symbol(grid.k, center) + highpass_symbol(grid.k, center)
     assert np.max(np.abs(pair[nz] - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("length, n", [(64.0, 256), (64.0, 1000), (12800.0 * np.pi, 65536)])
+def test_band_table_holds_the_nonzero_dense_entries(grid, length, n):
+    # each symbol is evaluated on its window only; the stored runs are the
+    # nonzero entries of the dense symbols, bit for bit (the fixture grid,
+    # a grid with n not a power of two, the structure suite's grid)
+    g = grid if (length, n) == (grid.length, grid.n) else GridSpec(length, n)
+    for (m, halves), block in zip(band_table(g), lp_blocks(g)):
+        low = halves[0].low
+        for bands, dense in (([h.block for h in halves], block.symbol(g.k)),
+                             ([low], lowpass_symbol(g.k, 2.0 ** (m - SEPARATION)))):
+            assert all(np.all(band.values != 0) for band in bands)
+            assert np.array_equal(sum(scatter(band, n) for band in bands), dense)

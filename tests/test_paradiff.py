@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from holoww.grid import Field, GridSpec
-from holoww.lp import LPBlock, SEPARATION, block_range, lowpass_symbol, lp_blocks
+from holoww.grid import Field, GridSpec, project_neg
+from holoww.lp import LPBlock, SEPARATION, block_range
 from holoww.paradiff import (
     _lohi,
     balanced,
@@ -11,29 +11,12 @@ from holoww.paradiff import (
     trichotomy_residual,
 )
 
-from conftest import smooth_field
+from conftest import full_spectrum_field, lohi_oracle, smooth_field
 
 
 def balanced_raw(a, b):
     """Pi(a, b) before the negative-frequency projection."""
     return a * b - _lohi(a, b) - _lohi(b, a)
-
-
-def lohi_oracle(a, b, separation=SEPARATION):
-    """`_lohi` as the full-grid formula: one dealiased product per block."""
-    grid = a.grid
-    out = Field.zero(grid)
-    for block in lp_blocks(grid):
-        hi = Field(grid, b.coef * block.symbol(grid))
-        lo = Field(grid, a.coef * lowpass_symbol(grid, 2.0 ** (block.m - separation)))
-        out = out + lo * hi
-    return out
-
-
-def full_spectrum_field(grid, seed):
-    """Random coefficients at every mode, the top ones included."""
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
 
 
 def mode_field(grid, target, amp=1.0):
@@ -79,10 +62,23 @@ def test_lohi_matches_full_grid_formula(grid, n):
     assert np.max(np.abs(got - lohi_oracle(a, b, separation=3).coef)) > 1e-6 * scale
 
 
+@pytest.mark.parametrize("n", [256, 1000])
+def test_para_matches_projected_full_grid_formula(grid, n):
+    # `para` sums only the halves of the blocks whose product reaches k < 0;
+    # with full-spectrum inputs the top blocks alias, and the oracle at
+    # separation 3 shows that the comparison can fail
+    g = grid if n == grid.n else GridSpec(grid.length, n)
+    a, b = full_spectrum_field(g, 54), full_spectrum_field(g, 55)
+    scale = a.linf() * b.linf()
+    got = para(a, b).coef
+    assert np.max(np.abs(got - project_neg(lohi_oracle(a, b)).coef)) <= 1e-13 * scale
+    assert np.max(np.abs(got - project_neg(lohi_oracle(a, b, separation=3)).coef)) > 1e-6 * scale
+
+
 def test_para_cost_on_desk_grid(monkeypatch):
-    # each block's product is formed on a grid of its own length: about 8n
-    # transformed points per call, against 3n per block (30n) on the full
-    # grid; the symbols are built by the first call on a grid only
+    # each half-block product is formed on the shortest fast length that
+    # holds its band: `para` reads the k < 0 halves only, `_lohi` both; the
+    # symbols are built by the first call on a grid only
     desk = GridSpec()
     a, b = full_spectrum_field(desk, 52), full_spectrum_field(desk, 53)
     points, symbols = [], []
@@ -92,12 +88,15 @@ def test_para_cost_on_desk_grid(monkeypatch):
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
-    def symbol(self, grid, _fn=LPBlock.symbol):
+    def symbol(self, k, _fn=LPBlock.symbol):
         symbols.append(self.m)
-        return _fn(self, grid)
+        return _fn(self, k)
     monkeypatch.setattr(LPBlock, "symbol", symbol)
     para(a, b)
-    assert sum(points) <= 9 * desk.n
+    assert sum(points) <= 4 * desk.n
+    points.clear()
+    _lohi(a, b)
+    assert sum(points) <= 7.5 * desk.n
     symbols.clear()
     para(a, b)
     assert symbols == []

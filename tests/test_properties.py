@@ -20,7 +20,9 @@ from holoww.lp import (
     lp_blocks,
     partition_defect,
 )
-from holoww.paradiff import balanced, para, trichotomy_residual
+from holoww.paradiff import _lohi, balanced, para, trichotomy_residual
+
+from conftest import full_spectrum_field, lohi_oracle, scatter
 
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
 
@@ -41,26 +43,40 @@ def test_lp_blocks_partition_unity_on_any_grid(n, length):
 @given(n=st.integers(8, 1024).map(lambda h: 2 * h), length=st.floats(1.0, 1e4),
        seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.0, 0.25, 0.75]))
 def test_band_table_holds_the_dense_symbols(n, length, seed, s):
-    # each stored support scatters back to its dense symbol, and the product
-    # of the two pieces either stays below half the sub-grid length or is
-    # formed on the grid itself
+    # the two halves of each block scatter back to its dense symbol, the low
+    # support to the dense low-pass symbol; each half's product band fits its
+    # sub-grid length, and only the k < 0 halves reach a kept k < 0 mode
     grid = GridSpec(length, n)
     rng = np.random.default_rng(seed)
     u = Field(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     blocks = lp_blocks(grid)
     assert len(band_table(grid)) == len(blocks)
     total = 0.0
-    for (m, block_support, low_support, size), block in zip(band_table(grid), blocks):
-        low = lowpass_symbol(grid, 2.0 ** (m - SEPARATION))
-        reach = 0
-        for (modes, values), sym in ((block_support, block.symbol(grid)), (low_support, low)):
-            dense = np.zeros(n)
-            dense[modes % n] = values
-            assert np.array_equal(dense, sym)
-            reach += int(np.max(np.abs(modes), initial=0))
-        assert size == n or 2 * reach < size
-        total += 2.0 ** (2 * m * s) * Field(grid, u.coef * block.symbol(grid)).linf() ** 2
+    for (m, halves), block in zip(band_table(grid), blocks):
+        neg, pos = halves
+        assert neg.block.start + len(neg.block.values) <= 0 < pos.block.start
+        assert np.array_equal(scatter(neg.block, n) + scatter(pos.block, n), block.symbol(grid.k))
+        for half in halves:
+            assert half.low is neg.low
+            assert len(half.block.values) + len(half.low.values) - 1 <= half.size
+        assert np.array_equal(scatter(neg.low, n), lowpass_symbol(grid.k, 2.0 ** (m - SEPARATION)))
+        assert (neg.neg, pos.neg) == (True, False)
+        total += 2.0 ** (2 * m * s) * Field(grid, u.coef * block.symbol(grid.k)).linf() ** 2
     assert besov_inf2(u, s) == math.sqrt(total)
+
+
+@PROPERTY
+@given(n=st.integers(8, 300).map(lambda h: 2 * h), length=st.floats(1.0, 1e4),
+       seed=st.integers(0, 2**32 - 1), dealias=st.sampled_from([2.0 / 3.0, 1.0]))
+def test_half_band_kernel_matches_full_grid_formula(n, length, seed, dealias):
+    # full-spectrum inputs, so that the top blocks alias on the full grid;
+    # without dealiasing the top k > 0 half's product wraps to kept k < 0 modes
+    grid = GridSpec(length, n, dealias)
+    a, b = full_spectrum_field(grid, seed), full_spectrum_field(grid, seed + 1)
+    scale = a.linf() * b.linf()
+    oracle = lohi_oracle(a, b)
+    assert np.max(np.abs(_lohi(a, b).coef - oracle.coef)) <= 1e-13 * scale
+    assert np.max(np.abs(para(a, b).coef - project_neg(oracle).coef)) <= 1e-13 * scale
 
 
 @PROPERTY
