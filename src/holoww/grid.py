@@ -96,16 +96,20 @@ class Field:
     """Complex scalar field on a `GridSpec`, stored spectrally.
 
     Values are immutable by convention: every operation returns a new Field.
-    Pointwise products go through `__mul__`, which applies the 2/3-rule mask
-    afterwards so that products of band-limited fields stay alias-free.
+    Two caches rest on that: the grid values (`values`), and the sub-grid
+    transforms of the field's LP pieces that `paradiff` keeps in `_pieces`,
+    both formed on first use and dropped with the field.  Pointwise products
+    go through `__mul__`, which applies the 2/3-rule mask afterwards so that
+    products of band-limited fields stay alias-free.
     """
 
-    __slots__ = ("grid", "coef", "_values")
+    __slots__ = ("grid", "coef", "_values", "_pieces")
 
     def __init__(self, grid, coef, values=None):
         self.grid = grid
         self.coef = coef
         self._values = values
+        self._pieces = None
 
     @classmethod
     def from_values(cls, grid, values, dealias=False):

@@ -26,6 +26,7 @@ two spellings can be cross-checked to machine precision.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InconsistentTimes, UnknownTerm
 from .grid import Field, project_neg
@@ -60,6 +61,12 @@ class NormalFormState:
 
     `para_nf` passes the spectral derivatives of Wt and Qt; a test profile
     may pass independently supplied ones, as the monochrome ansatz does.
+
+    The operands that several cubic atoms read and that cost paraproducts,
+    with `2Re Wt` and `Qt' Wt'`, are formed once, on first read, and kept
+    with their sub-grid pieces (`paradiff`); operands that cost one
+    transform pair are formed where they are read.  The fields are not
+    reassigned after construction.
     """
 
     t: float
@@ -71,6 +78,41 @@ class NormalFormState:
 
     def __post_init__(self):
         self.f2 = project_neg(self.qt_a.conj() * self.wt_a - self.qt_a * self.wt_a.conj())
+
+    @cached_property
+    def qa_wa(self):
+        """Qt' Wt'"""
+        return self.qt_a * self.wt_a
+
+    @cached_property
+    def re_wt(self):
+        """2Re Wt"""
+        return self.wt.two_re()
+
+    @cached_property
+    def t_qa_wt(self):
+        """T[Qt'] Wt"""
+        return para(self.qt_a, self.wt)
+
+    @cached_property
+    def t_wa_wt(self):
+        """T[Wt'] Wt"""
+        return para(self.wt_a, self.wt)
+
+    @cached_property
+    def d_qa_wt(self):
+        """(T[Qt']Wt + Pi(Qt', Wt))'"""
+        return (self.t_qa_wt + balanced(self.qt_a, self.wt)).deriv()
+
+    @cached_property
+    def d_qa_re_wt(self):
+        """(T[Qt']Wt + Pi(Qt', 2Re Wt))'"""
+        return (self.t_qa_wt + balanced(self.qt_a, self.re_wt)).deriv()
+
+    @cached_property
+    def re_d_pi_qa_cwt(self):
+        """2Re(Pi(Qt', conj Wt))'"""
+        return balanced(self.qt_a, self.wt.conj()).deriv().two_re()
 
 
 def para_nf(state):
@@ -106,22 +148,22 @@ T, Pi = para, balanced  # the table's shorthands
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
     Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
-         lambda v: T(v.wt_a, v.qt_a * v.wt_a)),
+         lambda v: T(v.wt_a, v.qa_wa)),
     Term("g1.2", "g1", "nonresonant", "T[(Qt' Wt')'] Wt",
-         lambda v: T(_d(v.qt_a * v.wt_a), v.wt)),
+         lambda v: T(_d(v.qa_wa), v.wt)),
     Term("g1.3", "g1", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.wt_a, _tr(v.qt_a * v.wt_a))),
+         lambda v: Pi(v.wt_a, _tr(v.qa_wa))),
     Term("g1.4", "g1", "nonresonant", "Pi((Qt' Wt')', Wt)",
-         lambda v: Pi(_d(v.qt_a * v.wt_a), v.wt)),
+         lambda v: Pi(_d(v.qa_wa), v.wt)),
     Term("g1.5", "g1", "resonant", "Pi((Qt' Wt')', conj Wt)",
-         lambda v: Pi(_d(v.qt_a * v.wt_a), v.wt.conj())),
+         lambda v: Pi(_d(v.qa_wa), v.wt.conj())),
     # --- cancellations against d_a Qt
     Term("g2.1", "g2", "null", "-Wt' F2",
          lambda v: -1.0 * (v.wt_a * v.f2)),
     Term("g2.2", "g2", "null", "T[F2'] Wt",
          lambda v: T(_d(v.f2), v.wt)),
     Term("g2.3", "g2", "null", "Pi(F2', 2Re Wt)",
-         lambda v: Pi(_d(v.f2), _tr(v.wt))),
+         lambda v: Pi(_d(v.f2), v.re_wt)),
     Term("g2.4", "g2", "null", "Pi(F2, Wt')",
          lambda v: Pi(v.f2, v.wt_a)),
     Term("g2.5", "g2", "null", "Pi(Wt', conj F2)",
@@ -138,22 +180,22 @@ TERMS = (
          lambda v: T(v.qt_a.conj(), v.wt_a * v.wt_a)),
     # --- rewriting the quadratic potentials in normal-form variables
     Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(T(v.wt_a, v.wt) + Pi(v.wt_a, v.wt))), v.qt_a)),
+         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt))), v.qt_a)),
     Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
          lambda v: T(_tr(_d(Pi(v.wt_a, v.wt.conj()))), v.qt_a)),
     Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
-         lambda v: -1.0 * T(_tr(v.wt_a), v.qt_a * v.wt_a)),
+         lambda v: -1.0 * T(_tr(v.wt_a), v.qa_wa)),
     Term("g3.4", "g3", "null", "T[2Re Wt'] F2",
          lambda v: T(_tr(v.wt_a), v.f2)),
     Term("g3.5", "g3", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: T(_tr(v.wt_a), _d(T(v.qt_a, v.wt) + Pi(v.qt_a, _tr(v.wt))))),
+         lambda v: T(_tr(v.wt_a), v.d_qa_re_wt)),
     Term("g3.6", "g3", "nonresonant",
          "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: T(_tr(v.qt_a * v.wt_a - _d(T(v.qt_a, v.wt) + Pi(v.qt_a, v.wt))), v.wt_a)),
+         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a)),
     Term("g3.7", "g3", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
-         lambda v: -1.0 * T(_tr(_d(Pi(v.qt_a, v.wt.conj()))), v.wt_a)),
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a)),
     Term("g3.8", "g3", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * T(_tr(v.qt_a), _d(T(v.wt_a, v.wt) + Pi(v.wt_a, _tr(v.wt))))),
+         lambda v: -1.0 * T(_tr(v.qt_a), _d(v.t_wa_wt + Pi(v.wt_a, v.re_wt)))),
     # --- sources of the second equation
     Term("k1.1", "k1", "nonresonant", "T[Qt' Qt''] Wt",
          lambda v: T(v.qt_a * _d(v.qt_a), v.wt)),
@@ -162,33 +204,33 @@ TERMS = (
     Term("k1.3", "k1", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
          lambda v: T(v.qt_a, T(v.wt_a, v.qt_a) + Pi(v.wt_a, v.qt_a))),
     Term("k1.4", "k1", "null", "Pi(Qt' Qt'', 2Re Wt)",
-         lambda v: Pi(v.qt_a * _d(v.qt_a), _tr(v.wt))),
+         lambda v: Pi(v.qt_a * _d(v.qt_a), v.re_wt)),
     Term("k1.5", "k1", "null", "Pi(P[|Qt'|^2]', 2Re Wt)",
-         lambda v: Pi(_d(project_neg(v.qt_a * v.qt_a.conj())), _tr(v.wt))),
+         lambda v: Pi(_d(project_neg(v.qt_a * v.qt_a.conj())), v.re_wt)),
     Term("k1.6", "k1", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.qt_a, _tr(v.qt_a * v.wt_a))),
+         lambda v: Pi(v.qt_a, _tr(v.qa_wa))),
     Term("k1.7", "k1", "nonresonant", "-Pi(Wt' Qt', Qt')",
          lambda v: -1.0 * Pi(v.wt_a * v.qt_a, v.qt_a)),
     Term("k1.8", "k1", "null", "Pi(Qt', conj F2)",
          lambda v: Pi(v.qt_a, v.f2.conj())),
     Term("k1.9", "k1", "nonresonant", "-T[Qt' Wt'] Qt'",
-         lambda v: -1.0 * T(v.qt_a * v.wt_a, v.qt_a)),
+         lambda v: -1.0 * T(v.qa_wa, v.qt_a)),
     Term("k2.1", "k2", "nonresonant", "i T[Wt'^2] Wt",
          lambda v: 1j * T(v.wt_a * v.wt_a, v.wt)),
     Term("k2.2", "k2", "null", "i Pi(Wt'^2, 2Re Wt)",
-         lambda v: 1j * Pi(v.wt_a * v.wt_a, _tr(v.wt))),
+         lambda v: 1j * Pi(v.wt_a * v.wt_a, v.re_wt)),
     Term("k2.3", "k2", "null", "-T[F2] Qt'",
          lambda v: -1.0 * T(v.f2, v.qt_a)),
     Term("k3.1", "k3", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(_d(T(v.qt_a, v.wt) + Pi(v.qt_a, v.wt))), v.qt_a)),
+         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a)),
     Term("k3.2", "k3", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(_d(Pi(v.qt_a, v.wt.conj()))), v.qt_a)),
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a)),
     Term("k3.3", "k3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * T(_tr(v.qt_a), _d(T(v.qt_a, v.wt) + Pi(v.qt_a, _tr(v.wt))))),
+         lambda v: -1.0 * T(_tr(v.qt_a), v.d_qa_re_wt)),
     Term("k3.4", "k3", "nonresonant", "T[2Re(Qt' Wt')] Qt'",
-         lambda v: T(_tr(v.qt_a * v.wt_a), v.qt_a)),
+         lambda v: T(_tr(v.qa_wa), v.qt_a)),
     Term("k3.5", "k3", "nonresonant", "T[conj Qt'](Qt' Wt')",
-         lambda v: T(v.qt_a.conj(), v.qt_a * v.wt_a)),
+         lambda v: T(v.qt_a.conj(), v.qa_wa)),
     Term("k3.6", "k3", "nonresonant", "T[Qt'] T[Qt'] Wt'",
          lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
 )
@@ -210,9 +252,12 @@ def term_table_dump():
     return "\n".join(lines) + "\n"
 
 
-def evaluate_terms(nf):
-    """Every term of the table on the fields of a `NormalFormState`, keyed by id."""
-    return {t.tid: t.build(nf) for t in TERMS}
+def evaluate_terms(nf, reduce=None):
+    """Every term of the table on the fields of a `NormalFormState`, keyed by
+    id; with `reduce`, `reduce(term, field)` is kept in place of each field
+    as it is built, so the fields need not all be held at once."""
+    keep = reduce or (lambda term, u: u)
+    return {t.tid: keep(t, t.build(nf)) for t in TERMS}
 
 
 def _sum_terms(values, grid, select):

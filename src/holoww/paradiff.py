@@ -19,8 +19,15 @@ length N' that holds the band, the half placed at the band's offset, and
 added back at its modes mod n: its transform is the exact convolution, so
 the sum is the full-grid one to rounding, aliasing of the top blocks
 included.  `_lohi` sums both halves of every block; `para` only the halves
-whose product reaches a kept k < 0 mode, the k < 0 ones.  A `para` call
-transforms about 3.5n points and `_lohi` about 7n.
+whose product reaches a kept k < 0 mode, the k < 0 ones.
+
+The sub-grid transform of each piece, the low piece of a and the half of
+P_m b, is kept on its field (`Field._pieces`) the first time a product
+needs it, keyed by the band's first mode and N', so both halves of a block
+that share N' share the low piece, and a field read again as an operand is
+not transformed again.  On the 2048-mode desk grid a `para` call transforms
+about 3.5n points with both operands new, 2.3n with one of them already
+transformed, and 1.2n (the products alone) with both; `_lohi` about 6n.
 """
 
 import numpy as np
@@ -31,6 +38,19 @@ from .lp import band_table, gather
 PROBES = 6  # probe fields of one `commutator_norm` measurement
 
 
+def _piece(u, kind, band, size):
+    """Values of `u` times the symbol of `band` on the sub-grid of length
+    `size`, kept on `u` under (kind, first mode, size) and read-only."""
+    if u._pieces is None:
+        u._pieces = {}
+    key = (kind, band.start, size)
+    piece = u._pieces.get(key)
+    if piece is None:
+        piece = u._pieces[key] = np.fft.ifft(gather(u.coef, band, size), norm="forward")
+        piece.flags.writeable = False
+    return piece
+
+
 def _half_sum(a, b, halves):
     """Sum over `halves` of one half of P_m b times the part of a below
     2^(m - SEPARATION), unprojected."""
@@ -38,8 +58,7 @@ def _half_sum(a, b, halves):
     grid = a.grid
     coef = np.zeros(grid.n, dtype=complex)
     for half in halves:
-        prod = np.fft.ifft(gather(a.coef, half.low, half.size), norm="forward")
-        prod *= np.fft.ifft(gather(b.coef, half.block, half.size), norm="forward")
+        prod = _piece(a, "low", half.low, half.size) * _piece(b, "block", half.block, half.size)
         prod = np.fft.fft(prod, norm="forward")  # the linear convolution of the pieces
         for at, run in half.out:
             coef[at] += prod[run]
@@ -83,11 +102,11 @@ def commutator_norm(a, chi, band_m, seed=0):
     """
     grid = a.grid
     rng = np.random.default_rng(seed)
+    scaled = grid.abs_k / 2.0**band_m
+    idx = np.flatnonzero((scaled > 0.5) & (scaled < 2.0))  # the probe band
     worst = 0.0
     for _ in range(PROBES):
         coef = np.zeros(grid.n, dtype=complex)
-        sel = (np.abs(grid.abs_k / 2.0**band_m) > 0.5) & (np.abs(grid.abs_k / 2.0**band_m) < 2.0)
-        idx = np.where(sel)[0]
         coef[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         u = Field(grid, coef).dealiased()
         du = u.deriv()

@@ -368,19 +368,18 @@ def suite_structure(n=None, seed=0):
     t, v = 18432.0, 1.0
     fr = build_packet(xl, t, v)
     wt, wt_a, qt, qt_a = monochrome_ansatz(xl, t, v, gamma0=1.0)
-    vals = evaluate_terms(NormalFormState(t, wt, qt, wt_a, qt_a))
 
     def pairing(term, field):
         if term.group.startswith("g"):
             return complex(field.inner(fr.w))
         return complex(1j * field.deriv().inner(fr.q))
 
+    # each atom is paired as it is built: 41 numbers are kept, not 41 fields
+    pairs = evaluate_terms(NormalFormState(t, wt, qt, wt_a, qt_a), pairing)
     totals = {}
     for klass in ("resonant", "nonresonant", "null"):
-        g = sum(pairing(x, vals[x.tid]) for x in TERMS
-                if x.klass == klass and x.group.startswith("g"))
-        k = sum(pairing(x, vals[x.tid]) for x in TERMS
-                if x.klass == klass and x.group.startswith("k"))
+        g = sum(pairs[x.tid] for x in TERMS if x.klass == klass and x.group.startswith("g"))
+        k = sum(pairs[x.tid] for x in TERMS if x.klass == klass and x.group.startswith("k"))
         totals[klass] = (g, k)
     res = abs(totals["resonant"][0] + totals["resonant"][1])
     nonres = abs(totals["nonresonant"][0]) + abs(totals["nonresonant"][1])

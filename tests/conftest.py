@@ -42,6 +42,18 @@ def full_spectrum_field(grid, seed):
     return Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
 
 
+def transform_points(monkeypatch):
+    """List that collects the length of every later `np.fft.fft` and
+    `np.fft.ifft` call, for transform budgets."""
+    points = []
+    for name in ("fft", "ifft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            points.append(len(x))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return points
+
+
 def lohi_oracle(a, b, separation=SEPARATION):
     """`paradiff._lohi` as the full-grid formula: one dealiased product per block."""
     grid = a.grid

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from holoww.errors import InconsistentTimes, UnknownTerm
-from holoww.grid import Field, frac_deriv, pair_sobolev, project_neg
+from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_norm
 from holoww.dynamics import (
     StepperConfig,
@@ -30,7 +31,7 @@ from holoww.normalform import (
     term_table_dump,
 )
 
-from conftest import holo_field
+from conftest import holo_field, transform_points
 
 
 def small_state(grid, eps, seed=None):
@@ -129,6 +130,28 @@ def test_terms_are_trilinear(grid):
     for t in TERMS:
         diff = (scaled[t.tid] - lam**3 * base[t.tid]).l2()
         assert diff < 1e-12 * scale, t.tid
+
+
+def test_table_transform_budget(monkeypatch):
+    # the operands several atoms read are formed once, and every field
+    # keeps the sub-grid transforms of its paraproduct pieces: one table on
+    # the desk grid transforms about 249n points (394n when every atom
+    # formed its own operands and pieces)
+    desk = GridSpec()
+    nf = para_nf(packet_data(desk, 3e-2, velocity=1.4, width=8.0))
+    points = transform_points(monkeypatch)
+    evaluate_terms(nf)
+    assert sum(points) <= 260 * desk.n
+
+
+def test_atoms_from_a_warm_state_match_a_fresh_one(grid):
+    nf = para_nf(small_state(grid, 3e-2))
+    evaluate_terms(nf)  # forms the shared operands and the pieces
+    warm = evaluate_terms(nf)
+    fresh = evaluate_terms(NormalFormState(nf.t, *(Field(grid, u.coef.copy())
+                                                   for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a))))
+    for t in TERMS:
+        assert np.array_equal(warm[t.tid].coef, fresh[t.tid].coef), t.tid
 
 
 def test_atom_table_matches_direct_transcription(grid):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from holoww import lp
 from holoww.grid import Field, GridSpec, project_neg
 from holoww.lp import LPBlock, SEPARATION, block_range
 from holoww.paradiff import (
@@ -11,7 +15,7 @@ from holoww.paradiff import (
     trichotomy_residual,
 )
 
-from conftest import full_spectrum_field, lohi_oracle, smooth_field
+from conftest import full_spectrum_field, lohi_oracle, smooth_field, transform_points
 
 
 def balanced_raw(a, b):
@@ -77,29 +81,86 @@ def test_para_matches_projected_full_grid_formula(grid, n):
 
 def test_para_cost_on_desk_grid(monkeypatch):
     # each half-block product is formed on the shortest fast length that
-    # holds its band: `para` reads the k < 0 halves only, `_lohi` both; the
-    # symbols are built by the first call on a grid only
+    # holds its band: `para` reads the k < 0 halves only, `_lohi` both, and
+    # both halves of a block share the low piece where they share N'; an
+    # operand transformed once is not transformed again; the symbols are
+    # built by the first call on a grid only
     desk = GridSpec()
-    a, b = full_spectrum_field(desk, 52), full_spectrum_field(desk, 53)
-    points, symbols = [], []
-    for name in ("fft", "ifft"):
-        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
-            points.append(len(x))
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    seeds = iter(range(52, 100))
+
+    def fresh():
+        return full_spectrum_field(desk, next(seeds))
+
+    symbols = []
 
     def symbol(self, k, _fn=LPBlock.symbol):
         symbols.append(self.m)
         return _fn(self, k)
     monkeypatch.setattr(LPBlock, "symbol", symbol)
-    para(a, b)
-    assert sum(points) <= 4 * desk.n
-    points.clear()
-    _lohi(a, b)
-    assert sum(points) <= 7.5 * desk.n
+    para(fresh(), fresh())  # builds the band table
+    points = transform_points(monkeypatch)
+
+    def cost(op, a, b):
+        points.clear()
+        op(a, b)
+        return sum(points) / desk.n
+    a, b = fresh(), fresh()
+    assert cost(para, a, b) <= 4.0  # both operands new
+    assert cost(para, a, fresh()) <= 2.5  # a's low pieces kept
+    assert cost(para, fresh(), b) <= 2.5  # b's block halves kept
+    assert cost(para, a, b) <= 1.25  # the products alone
+    assert cost(_lohi, fresh(), fresh()) <= 6.5
     symbols.clear()
-    para(a, b)
+    para(fresh(), fresh())
     assert symbols == []
+
+
+def _copy(u):
+    return Field(u.grid, u.coef.copy())
+
+
+def test_kept_pieces_do_not_change_results(grid):
+    # warm operands (transformed by earlier calls in either role) give the
+    # results of fresh copies bit for bit
+    a, b = full_spectrum_field(grid, 56), full_spectrum_field(grid, 57)
+    for op in (para, balanced, _lohi, para, _lohi):
+        got, want = op(a, b), op(_copy(a), _copy(b))
+        assert np.array_equal(got.coef, want.coef), op.__name__
+        got, want = op(b, a), op(_copy(b), _copy(a))
+        assert np.array_equal(got.coef, want.coef), op.__name__
+
+
+def test_kept_pieces_outlive_the_band_table_they_came_from():
+    # a field on one grid, warmed through an equal grid's table, is read
+    # after that table is collected and rebuilt: its pieces are keyed by
+    # band values, so each is found again and none is stale
+    spec = dict(length=80.0, n=384)  # a grid no other test keeps alive
+    g1, g2 = GridSpec(**spec), GridSpec(**spec)
+    a1, b = full_spectrum_field(g1, 58), full_spectrum_field(g2, 59)
+    a2 = Field(g2, a1.coef.copy())
+    _lohi(a1, b), _lohi(b, a1)  # g1's table: every piece of b kept
+    kept = dict(b._pieces)
+    gone = weakref.ref(g1)
+    del a1, g1
+    gc.collect()
+    assert gone() is None and g2 not in lp._BANDS
+    for op in (para, balanced, _lohi):
+        got, want = op(a2, b), op(_copy(a2), _copy(b))
+        assert np.array_equal(got.coef, want.coef), op.__name__
+        got, want = op(b, a2), op(_copy(b), _copy(a2))
+        assert np.array_equal(got.coef, want.coef), op.__name__
+    assert b._pieces.keys() == kept.keys()
+    assert all(b._pieces[key] is piece for key, piece in kept.items())
+
+
+def test_kept_pieces_die_with_their_field(grid):
+    a, b = full_spectrum_field(grid, 60), full_spectrum_field(grid, 61)
+    balanced(a, b)
+    refs = [weakref.ref(piece) for piece in a._pieces.values()]
+    assert refs and all(not r().flags.writeable for r in refs)
+    del a
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_separated_modes_pass_to_paraproduct(grid):
