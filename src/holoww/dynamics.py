@@ -80,8 +80,8 @@ def _tables(grid):
 
 
 def _floor(onewa):
-    """Raises where J = |1 + W_a|^2 drops below `JACOBIAN_FLOOR`."""
-    if float(np.min(np.abs(onewa) ** 2)) < JACOBIAN_FLOOR:
+    """Raises where J = |1 + W_a|^2 drops below `JACOBIAN_FLOOR` or is NaN."""
+    if not float(np.min(np.abs(onewa) ** 2)) >= JACOBIAN_FLOOR:
         raise DegenerateJacobian("min J dropped below 1/4")
 
 
@@ -239,14 +239,6 @@ def rhs_diff(state):
     return project_neg(dwa), project_neg(dr)
 
 
-def rhs_diff_unprojected_defect(state):
-    """Norm of the k >= 0 content the projection removes (diagnostic)."""
-    dwa, dr = _diff_rates(state)
-    dwa_pos = dwa - project_neg(dwa)
-    dr_pos = dr - project_neg(dr)
-    return math.sqrt(dwa_pos.l2() ** 2 + dr_pos.l2() ** 2)
-
-
 def hamiltonian(state):
     """Conserved energy; the imaginary part is a roundoff diagnostic."""
     return complex(hamiltonian_density(state).integral())
@@ -268,44 +260,6 @@ def hamiltonian_density(state):
         - 0.5 * (np.conj(wv) ** 2 * wav + wv**2 * np.conj(wav))
     )
     return Field.from_values(state.grid, dens)
-
-
-def linearize(state, dir_w, dir_q, rel_step=1e-5, order=2):
-    """Directional derivative of `rhs_full` at `state` along (dir_w, dir_q).
-
-    Central differences in the real parameter of the ray; exact on the linear
-    part of the flow.  Returns the linearized rates (dw/dt, dq/dt) and the
-    rate of the good variable r = q - R w, using the base-state dR/dt.
-    """
-    scale = max(dir_w.linf(), dir_q.linf(), 1e-300)
-    h = rel_step / scale
-
-    def shifted(s):
-        return WaveState(state.t, state.w + s * dir_w, state.q + s * dir_q)
-
-    def rates(s):
-        return rhs_full(shifted(s))
-
-    if order == 2:
-        wp, qp = rates(h)
-        wm, qm = rates(-h)
-        dw = (0.5 / h) * (wp - wm)
-        dq = (0.5 / h) * (qp - qm)
-    elif order == 4:
-        w1, q1 = rates(h)
-        w2, q2 = rates(2 * h)
-        w3, q3 = rates(-h)
-        w4, q4 = rates(-2 * h)
-        dw = (1.0 / (12 * h)) * (8.0 * (w1 - w3) - (w2 - w4))
-        dq = (1.0 / (12 * h)) * (8.0 * (q1 - q3) - (q2 - q4))
-    else:
-        raise ValueError("order must be 2 or 4")
-
-    base_dw, base_dq = rhs_full(state)
-    dr_base = r_rate(state, base_dw, base_dq)
-    dir_r = project_neg(dir_q - state.r * dir_w)
-    rate_r = dq - dr_base * dir_w - state.r * dw
-    return dw, project_neg(dq), project_neg(rate_r), dir_r
 
 
 # time stepping --------------------------------------------------------------
@@ -357,18 +311,16 @@ def _from_diag(tab, z, mask):
     return (z[0] + zm) * (0.5 * mask), (z[0] - zm) * (mask * tab.half_root)
 
 
-def _rk4(t, y, a, rates, dt, half=None, full=None):
+def _rk4(t, y, a, rates, dt, half, full):
     """One fourth-order Runge-Kutta step of  y' = L y + N(t, y)  on a stack
     of coefficient arrays; returns the new stack.
 
     `a` is N at (t, y), so stage 1 reuses the caller's state, and
     `rates(t, z)` is N at a stage value z.  `half` and `full` hold the
     phases exp(L dt/2) and exp(L dt) of every row, which make this the
-    integrating-factor (Lawson) scheme, exact on the linear part.  Without
-    them L = 0: classical RK4 is the unit-phase case.
+    integrating-factor (Lawson) scheme, exact on the linear part; unit
+    phases (L = 0) give classical RK4.
     """
-    if half is None:
-        half = full = 1.0
     h = dt / 2
     b = rates(t + h, half * (y + h * a))
     c = rates(t + h, half * y + h * b)
@@ -384,15 +336,6 @@ def _rk4(t, y, a, rates, dt, half=None, full=None):
     out *= dt / 6
     out += full * y
     return out
-
-
-def _fields(grid, coefs):
-    """Fields of the given coefficient arrays under the dealias mask."""
-    return [Field(grid, np.where(grid.dealias_mask, c, 0.0)) for c in coefs]
-
-
-def _coefs(fields):
-    return np.stack([u.coef for u in fields])
 
 
 def step(state, cfg):
@@ -417,44 +360,13 @@ def step(state, cfg):
         s = _state_arrays(grid, *coefs(z))
         return nonlinear(s, _rate_arrays(grid, s, grid.values_from_coef(s.ry))[1])
 
-    y, phases = _coefs((state.w, state.q)), ()
+    y, phases = np.stack([state.w.coef, state.q.coef]), (1.0, 1.0)
     if integrating:
         if dt not in tab.phases:
             tab.phases[dt] = np.exp(1j * tab.root * (dt / 2)), np.exp(1j * tab.root * dt)
         y, phases = _to_diag(tab, *y), tab.phases[dt]
     z = _rk4(state.t, y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
     return WaveState(state.t + dt, *(Field(grid, c) for c in coefs(z)))
-
-
-def step_diff(state, cfg):
-    """RK4 step of the self-contained differentiated system (plain scheme)."""
-    cfg.validate(state.grid)
-
-    def make(t, z):
-        return DiffState(t, *_fields(state.grid, z))
-
-    z = _rk4(state.t, _coefs((state.wa, state.r)), _coefs(rhs_diff(state)),
-             lambda t, z: _coefs(rhs_diff(make(t, z))), cfg.dt)
-    return make(state.t + cfg.dt, z)
-
-
-def step_with_linearized(state, lin_w, lin_q, cfg):
-    """Joint RK4 step of the base flow and a linearized perturbation."""
-    cfg.validate(state.grid)
-
-    def rates(s, lw, lq):
-        bw, bq = rhs_full(s)
-        dw, dq, _, _ = linearize(s, lw, lq, rel_step=1e-6)
-        return _coefs((bw, bq, dw, dq))
-
-    def stage_rates(t, z):
-        w, q, lw, lq = _fields(state.grid, z)
-        return rates(WaveState(t, w, q), lw, lq)
-
-    y = _coefs((state.w, state.q, lin_w, lin_q))
-    z = _rk4(state.t, y, rates(state, lin_w, lin_q), stage_rates, cfg.dt)
-    w, q, lw, lq = _fields(state.grid, z)
-    return WaveState(state.t + cfg.dt, w, q), project_neg(lw), project_neg(lq)
 
 
 def evolve(state, cfg, t_end, observer=None):

@@ -41,10 +41,6 @@ class WrapAround(HolowwError):
     """A localized object does not fit inside the torus with the required margin."""
 
 
-class UnknownTerm(HolowwError):
-    """Lookup of a cubic source term by id failed."""
-
-
 class InsufficientSamples(HolowwError):
     """Not enough samples (or not enough time span) for a fit."""
 

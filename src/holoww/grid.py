@@ -256,25 +256,15 @@ def pair_sobolev(pair, s):
 _ROWS = 4096  # rows per block of a text checkpoint
 
 
-def save_field(path, u):
-    """Columnar text dump: header with grid data, one `m re im` row per mode."""
-    with open(path, "w") as fh:
-        write_field(fh, u)
-
-
 def write_field(fh, u):
-    """Header, then the `m re im` rows, formatted a block at a time."""
+    """Columnar text dump: a header with the grid data, then one `m re im` row
+    per mode, formatted a block at a time."""
     g = u.grid
     fh.write(f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n")
     for lo in range(0, g.n, _ROWS):
         part = slice(lo, lo + _ROWS)
         rows = zip(g.modes[part].tolist(), u.coef.real[part].tolist(), u.coef.imag[part].tolist())
         fh.write("".join([f"{m} {re!r} {im!r}\n" for m, re, im in rows]))
-
-
-def load_field(path):
-    with open(path) as fh:
-        return read_field(fh)
 
 
 def read_field(fh, grid=None):

@@ -69,6 +69,7 @@ def lp_blocks(grid):
 
 
 def lp_project(u, m):
+    """The dyadic piece P_m u, formed from the two halves of block m."""
     lo, hi = block_range(u.grid)
     if m < lo or m > hi:
         raise OutOfBand(f"2^{m} outside the resolvable band [2^{lo}, 2^{hi}]")
@@ -188,8 +189,8 @@ def gather(coef, band, size):
 def besov_inf2(u, s):
     """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 )."""
     total = 0.0
-    for m, halves in band_table(u.grid):
-        total += 2.0 ** (2 * m * s) * Field(u.grid, spread(u.coef, halves)).linf() ** 2
+    for m, _ in band_table(u.grid):
+        total += 2.0 ** (2 * m * s) * lp_project(u, m).linf() ** 2
     return math.sqrt(total)
 
 
@@ -201,13 +202,6 @@ def lowpass_symbol(k, cut):
         return np.where(k == 0, 1.0, 0.0)
     y = _log2_abs(k) - math.log2(cut)
     return np.where(k == 0, 1.0, 1.0 - ramp(y))
-
-
-def highpass_symbol(k, cut):
-    if cut <= 0:
-        return np.where(k == 0, 0.0, 1.0)
-    y = _log2_abs(k) - math.log2(cut)
-    return np.where(k == 0, 0.0, ramp(y))
 
 
 def band_symbol(grid, center):

@@ -20,15 +20,15 @@ below in `TERMS`, one constructor per term, at the granularity where every
 term carries a definite interaction class: `resonant` (one conjugation and a
 nonvanishing principal symbol), `nonresonant` (zero or two conjugations), or
 `null` (one conjugation, vanishing symbol).  Both the derivation grouping
-(g1..g3, k1..k3) and the class grouping are unions of the same atoms, and
-independent whole-group transcriptions are kept in `_direct_groups` so the
-two spellings can be cross-checked to machine precision.
+(g1..g3, k1..k3) and the class grouping are unions of the same atoms; the
+tests cross-check the table against independent whole-group transcriptions
+to machine precision.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InconsistentTimes, UnknownTerm
+from .errors import InconsistentTimes
 from .grid import Field, project_neg
 from .paradiff import balanced, para
 from .dynamics import r_rate, rhs_full
@@ -235,22 +235,6 @@ TERMS = (
          lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
 )
 
-_BY_ID = {t.tid: t for t in TERMS}
-
-
-def classify_cubic(term_id):
-    """Interaction class of a cubic term: resonant, nonresonant, or null."""
-    if term_id not in _BY_ID:
-        raise UnknownTerm(f"no cubic term {term_id!r}")
-    return _BY_ID[term_id].klass
-
-
-def term_table_dump():
-    lines = ["id\tgroup\tclass\tformula"]
-    for t in TERMS:
-        lines.append(f"{t.tid}\t{t.group}\t{t.klass}\t{t.formula}")
-    return "\n".join(lines) + "\n"
-
 
 def evaluate_terms(nf, reduce=None):
     """Every term of the table on the fields of a `NormalFormState`, keyed by
@@ -286,55 +270,6 @@ def cubic_sources(nf):
     g3 = groups["g1"] + groups["g2"] + groups["g3"]
     k3 = groups["k1"] + groups["k2"] + groups["k3"]
     return g3, k3, groups, classes, values
-
-
-def _direct_groups(nf):
-    """Whole-group transcriptions kept independent of the atom table."""
-    wt, wa, qa, f2 = nf.wt, nf.wt_a, nf.qt_a, nf.f2
-    g1 = T(wa, qa * wa) + T(_d(qa * wa), wt) + Pi(wa, _tr(qa * wa)) + Pi(_d(qa * wa), _tr(wt))
-    g2 = (
-        -1.0 * (wa * f2)
-        + T(_d(f2), wt)
-        + Pi(_d(f2), _tr(wt))
-        + Pi(f2, wa)
-        + Pi(wa, f2.conj())
-        - Pi(wa.conj() * wa.conj(), qa)
-        + Pi(qa.conj(), wa * wa)
-        - T(wa.conj() * wa.conj(), qa)
-        - T(wa.conj(), f2)
-        + T(qa.conj(), wa * wa)
-    )
-    g3 = (
-        T(_tr(_d(T(wa, wt) + Pi(wa, _tr(wt)))), qa)
-        + T(_tr(wa), -1.0 * (qa * wa) + f2)
-        + T(_tr(wa), _d(T(qa, wt) + Pi(qa, _tr(wt))))
-        + T(_tr(qa * wa - _d(T(qa, wt) + Pi(qa, _tr(wt)))), wa)
-        - T(_tr(qa), _d(T(wa, wt) + Pi(wa, _tr(wt))))
-    )
-    half_sq = 0.5 * (qa * qa) + project_neg(qa * qa.conj())
-    k1 = (
-        T(_d(half_sq), wt)
-        + T(qa, T(wa, qa) + Pi(wa, qa))
-        + Pi(_d(half_sq), _tr(wt))
-        + Pi(qa, _tr(qa * wa))
-        - Pi(wa * qa, qa)
-        + Pi(qa, f2.conj())
-        - T(qa * wa, qa)
-    )
-    k2 = 1j * T(wa * wa, wt) + 1j * Pi(wa * wa, _tr(wt)) - T(f2, qa)
-    k3 = (
-        -1.0 * T(_tr(_d(T(qa, wt) + Pi(qa, _tr(wt)))), qa)
-        - T(_tr(qa), _d(T(qa, wt) + Pi(qa, _tr(wt))))
-        + T(_tr(qa * wa), qa)
-        + T(qa.conj(), qa * wa)
-        + T(qa, T(qa, wa))
-    )
-    return g1, g2, g3, k1, k2, k3
-
-
-def cubic_sources_direct(nf):
-    g1, g2, g3, k1, k2, k3 = _direct_groups(nf)
-    return g1 + g2 + g3, k1 + k2 + k3
 
 
 # measured flow residuals ----------------------------------------------------

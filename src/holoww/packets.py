@@ -11,7 +11,9 @@ with chi a smooth compactly supported bump of unit integral.  The pair
     g = d_t w + d_a q = v (d_a - i d_t^2) u,
 
 whose closed form splits into a leading piece of relative size 1/t and a
-subleading piece smaller by another t^(1/2).
+subleading piece smaller by another t^(1/2).  That split, the expansion of w
+and the symmetrized form of gamma below are closed-form oracles, kept in
+`tests/test_packets.py` next to the checks that compare them with this module.
 
 Testing a normal-form pair against the packet in the energy pairing yields
 
@@ -136,20 +138,6 @@ def build_packet(grid, t, v):
     return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, q)
 
 
-def w_closed_form(frame):
-    """Cross-check expansion of the W-side packet: u/2 plus a correction
-    smaller by v^(1/2) t^(-1/2)."""
-    grid, t, v = frame.grid, frame.t, frame.v
-    _, y, alpha, carrier = _geometry(grid, t, v)
-    lead = 0.5 * frame.u.values
-    corr = (
-        ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
-        + 1j * (v * t + grid.alpha) / (2.0 * t**1.5 * v**0.5) * bump_d1(y)
-    ) * v**-1.5 * carrier
-    corr = np.where(np.abs(y) < 1.0, corr, 0.0)
-    return Field.from_values(grid, lead + corr)
-
-
 def _carrier_derivatives(frame):
     """Pointwise closed-form d_a u and d_t^2 u on the grid."""
     grid, t, v = frame.grid, frame.t, frame.v
@@ -173,45 +161,10 @@ def _carrier_derivatives(frame):
     return np.where(inside, du_a, 0.0), np.where(inside, du_tt, 0.0)
 
 
-def packet_dalpha_q(frame):
-    """Closed-form d_a q (pointwise samples, not the spectral derivative)."""
-    du_a, _ = _carrier_derivatives(frame)
-    return Field.from_values(frame.grid, frame.v * du_a)
-
-
 def packet_defect(frame):
     """The linear-system defect g = v (d_a - i d_t^2) u, exactly."""
     du_a, du_tt = _carrier_derivatives(frame)
     return Field.from_values(frame.grid, frame.v * (du_a - 1j * du_tt))
-
-
-def packet_defect_split(frame):
-    """Closed-form defect in its leading / subleading form.
-
-    leading:    (e^{i phi}/v^{3/2}) d_a[ ((a-vt)/2a) chi - i ((a+vt)^2/(4 v^{3/2} t^{5/2})) chi' ]
-    subleading: (e^{i phi}/v^{3/2})    [ ((a-vt)/2a^2) chi - i ((a-vt)/(4 v^{3/2} t^{5/2})) chi' ]
-
-    both multiplied by v.  The leading piece has relative size 1/t, the
-    subleading one gains another t^(1/2).
-    """
-    grid, t, v = frame.grid, frame.t, frame.v
-    width, y, alpha, carrier = _geometry(grid, t, v)
-    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
-    y_a = 1.0 / width
-    a_minus = grid.alpha - v * t
-    a_plus = grid.alpha + v * t
-    c2 = 1.0 / (4.0 * v**1.5 * t**2.5)
-    # d_a of the leading bracket, chain rule on chi(y(alpha))
-    bracket_d = (
-        (v * t / (2.0 * alpha**2)) * chi
-        + (a_minus / (2.0 * alpha)) * chi1 * y_a
-        - 1j * c2 * (2.0 * a_plus * chi1 + a_plus**2 * chi2 * y_a)
-    )
-    lead = v * v**-1.5 * carrier * bracket_d
-    sub = v * v**-1.5 * carrier * ((a_minus / (2.0 * alpha**2)) * chi - 1j * c2 * a_minus * chi1)
-    lead = np.where(np.abs(y) < 1.0, lead, 0.0)
-    sub = np.where(np.abs(y) < 1.0, sub, 0.0)
-    return Field.from_values(grid, lead), Field.from_values(grid, sub)
 
 
 def packet_rate(frame):
@@ -237,12 +190,6 @@ def pair_energy_product(pair, frame_pair):
 
 def gamma_value(wt, qt, frame):
     return pair_energy_product((wt, qt), (frame.w, frame.q))
-
-
-def gamma_reduced(wt, qt, frame):
-    """Symmetrized form (1/2) int (w + r) conj(u), r = |D|^(1/2) q; cross-check."""
-    r = frac_deriv(qt, 0.5)
-    return 0.5 * (wt + r).inner(frame.u)
 
 
 def gamma_rate(wt, qt, dwt, dqt, frame):
@@ -273,15 +220,6 @@ def asymptotic_residual(profile):
     ts = np.asarray(profile.ts, dtype=float)[:, None]
     vs = np.asarray(profile.vs, dtype=float)[None, :]
     return profile.rate_analytic - cubic_coefficient(profile.gamma, ts, vs)
-
-
-def theta_functional(f, grid, t, vs):
-    """theta(v) = int f u dalpha over a velocity grid."""
-    out = np.zeros(len(vs), dtype=complex)
-    for i, v in enumerate(vs):
-        frame = build_packet(grid, t, v)
-        out[i] = complex(np.mean(f.values * frame.u.values) * grid.length)
-    return out
 
 
 # ray reconstruction -------------------------------------------------------------

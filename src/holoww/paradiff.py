@@ -8,8 +8,8 @@ as the exact pointwise complement
 
 so the trichotomy holds to machine precision by construction.  Both
 operators return the negative-frequency projection P of that sum; the
-unprojected low-high sum `_lohi` is what the trichotomy and commutator
-measurements use, since P does not commute with multiplication.
+unprojected low-high sum `_lohi` is what the trichotomy residual uses, since
+P does not commute with multiplication.
 
 Each LP block's support is split at k = 0 (`lp.band_table`).  One half of
 P_m b spans 2^(m-1) < |k| < 2^(m+1) on one side of 0, and the low piece of a
@@ -32,10 +32,8 @@ transformed, and 1.2n (the products alone) with both; `_lohi` about 6n.
 
 import numpy as np
 
-from .grid import Field, frac_deriv, project_neg
+from .grid import Field, project_neg
 from .lp import band_table, gather
-
-PROBES = 6  # probe fields of one `commutator_norm` measurement
 
 
 def _piece(u, kind, band, size):
@@ -92,26 +90,3 @@ def trichotomy_residual(a, b):
     pi = a * b - t_ab - t_ba  # Pi(a, b) before the projection
     return (prod - t_ab - t_ba - pi).l2()
 
-
-def commutator_norm(a, chi, band_m, seed=0):
-    """Empirical norm of u -> [chi, T_a] d(alpha) u on probe fields at one band.
-
-    Measured as the worst ratio of homogeneous H^(1/4) norms over a seeded
-    probe set; a reported figure for scaling studies, not an assertion.  The
-    unprojected sum is used because P does not commute with chi.
-    """
-    grid = a.grid
-    rng = np.random.default_rng(seed)
-    scaled = grid.abs_k / 2.0**band_m
-    idx = np.flatnonzero((scaled > 0.5) & (scaled < 2.0))  # the probe band
-    worst = 0.0
-    for _ in range(PROBES):
-        coef = np.zeros(grid.n, dtype=complex)
-        coef[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-        u = Field(grid, coef).dealiased()
-        du = u.deriv()
-        comm = chi * _lohi(a, du) - _lohi(a, chi * du)
-        denom = frac_deriv(u.demean(), 0.25).l2()
-        if denom > 0:
-            worst = max(worst, frac_deriv(comm.demean(), 0.25).l2() / denom)
-    return worst

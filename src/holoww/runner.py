@@ -114,8 +114,18 @@ class RunConfig:
         return hashlib.sha256(self.text().encode()).hexdigest()
 
     def validate(self):
-        self.grid()  # GridSpec validates itself
-        self.stepper().validate(self.grid())
+        for key, value in self.values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{key} must be finite")
+        try:  # GridSpec and StepperConfig validate themselves
+            grid, stepper = self.grid(), self.stepper()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        stepper.validate(grid)
+        if self["data.velocity"] == 0:
+            raise UsageError("data.velocity must be nonzero")
+        if self["gamma.velocities"] < 1:
+            raise UsageError("gamma.velocities must be at least 1")
         if self["data.eps"] < 0:
             raise UsageError("data.eps must be nonnegative")
         if self["sigma"] <= 2.75:

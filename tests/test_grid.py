@@ -8,10 +8,10 @@ from holoww.grid import (
     Field,
     GridSpec,
     frac_deriv,
-    load_field,
     pair_sobolev,
     project_neg,
-    save_field,
+    read_field,
+    write_field,
 )
 
 from conftest import smooth_field
@@ -127,8 +127,10 @@ def test_pair_sobolev(grid):
 def test_field_serialization_roundtrip(tmp_path, grid):
     u = smooth_field(grid, seed=10)
     path = tmp_path / "field.txt"
-    save_field(path, u)
-    v = load_field(path)
+    with open(path, "w") as fh:
+        write_field(fh, u)
+    with open(path) as fh:
+        v = read_field(fh)
     assert v.grid == grid
     assert np.max(np.abs(v.coef - u.coef)) == 0.0
 

@@ -1,8 +1,9 @@
 """Source hygiene checked with `ast`, in place of a linter: every import in
 `src/holoww` and `tests` is used, no function imports from a module that its
-file already imports from at the top, and every top-level definition of
-`src/holoww` is named somewhere in the sources, the tests or the benchmark,
-and every defaulted parameter of `src/holoww` is passed by some call."""
+file already imports from at the top, every top-level definition of
+`src/holoww` is named somewhere in the program itself (not only in the tests
+or the benchmark), and every defaulted parameter of `src/holoww` is passed by
+some call."""
 
 import ast
 import pathlib
@@ -14,6 +15,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "holoww"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# definitions that only the tests read, each waiting for the program reader
+# that ROADMAP.md plans for it
+PENDING = {
+    "xsharp_norm", "hyp_x_norm", "velocity_masked_hyp_x_norm",  # item 6: X-sharp in every run
+    "pos_leakage",  # item 8: the per-run health series
+}
 
 
 def _imports(nodes):
@@ -140,6 +147,13 @@ def test_every_top_level_definition_is_named():
         names |= named(path.read_text())
     dead = {path.name: unnamed_definitions(path.read_text(), names) for path in MODULES}
     assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
+def test_no_definition_is_reached_only_from_tests():
+    # a pending name that gains a program reader must leave PENDING
+    names = set().union(*(named(path.read_text()) for path in MODULES))
+    test_only = {d for path in MODULES for d in unnamed_definitions(path.read_text(), names)}
+    assert test_only == PENDING
 
 
 def test_every_default_parameter_is_set():

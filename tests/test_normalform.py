@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holoww.errors import InconsistentTimes, UnknownTerm
+from holoww.errors import InconsistentTimes
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_norm
 from holoww.dynamics import (
@@ -15,20 +15,21 @@ from holoww.dynamics import (
     step,
 )
 from holoww.normalform import (
-    TERMS,
     NormalFormState,
+    Pi,
+    T,
+    TERMS,
+    _d,
+    _tr,
     classical_nf,
     classical_nf_rate,
-    classify_cubic,
     cubic_sources,
-    cubic_sources_direct,
     evaluate_terms,
     flow_residual_analytic,
     flow_residual_centered,
     para_nf,
     residual_from_rate,
     scaling_fields,
-    term_table_dump,
 )
 
 from conftest import holo_field, transform_points
@@ -154,6 +155,55 @@ def test_atoms_from_a_warm_state_match_a_fresh_one(grid):
         assert np.array_equal(warm[t.tid].coef, fresh[t.tid].coef), t.tid
 
 
+def direct_groups(nf):
+    """The groups g1..g3, k1..k3 transcribed whole, independent of the atom table."""
+    wt, wa, qa, f2 = nf.wt, nf.wt_a, nf.qt_a, nf.f2
+    g1 = T(wa, qa * wa) + T(_d(qa * wa), wt) + Pi(wa, _tr(qa * wa)) + Pi(_d(qa * wa), _tr(wt))
+    g2 = (
+        -1.0 * (wa * f2)
+        + T(_d(f2), wt)
+        + Pi(_d(f2), _tr(wt))
+        + Pi(f2, wa)
+        + Pi(wa, f2.conj())
+        - Pi(wa.conj() * wa.conj(), qa)
+        + Pi(qa.conj(), wa * wa)
+        - T(wa.conj() * wa.conj(), qa)
+        - T(wa.conj(), f2)
+        + T(qa.conj(), wa * wa)
+    )
+    g3 = (
+        T(_tr(_d(T(wa, wt) + Pi(wa, _tr(wt)))), qa)
+        + T(_tr(wa), -1.0 * (qa * wa) + f2)
+        + T(_tr(wa), _d(T(qa, wt) + Pi(qa, _tr(wt))))
+        + T(_tr(qa * wa - _d(T(qa, wt) + Pi(qa, _tr(wt)))), wa)
+        - T(_tr(qa), _d(T(wa, wt) + Pi(wa, _tr(wt))))
+    )
+    half_sq = 0.5 * (qa * qa) + project_neg(qa * qa.conj())
+    k1 = (
+        T(_d(half_sq), wt)
+        + T(qa, T(wa, qa) + Pi(wa, qa))
+        + Pi(_d(half_sq), _tr(wt))
+        + Pi(qa, _tr(qa * wa))
+        - Pi(wa * qa, qa)
+        + Pi(qa, f2.conj())
+        - T(qa * wa, qa)
+    )
+    k2 = 1j * T(wa * wa, wt) + 1j * Pi(wa * wa, _tr(wt)) - T(f2, qa)
+    k3 = (
+        -1.0 * T(_tr(_d(T(qa, wt) + Pi(qa, _tr(wt)))), qa)
+        - T(_tr(qa), _d(T(qa, wt) + Pi(qa, _tr(wt))))
+        + T(_tr(qa * wa), qa)
+        + T(qa.conj(), qa * wa)
+        + T(qa, T(qa, wa))
+    )
+    return g1, g2, g3, k1, k2, k3
+
+
+def cubic_sources_direct(nf):
+    g1, g2, g3, k1, k2, k3 = direct_groups(nf)
+    return g1 + g2 + g3, k1 + k2 + k3
+
+
 def test_atom_table_matches_direct_transcription(grid):
     st = small_state(grid, 3e-2)
     nf = para_nf(st)
@@ -183,19 +233,13 @@ def test_class_groups_partition_the_sources(grid):
 
 
 def test_classification_examples():
-    assert classify_cubic("g2.7") == "resonant"      # Pi(conj Qt', Wt'^2)
-    assert classify_cubic("g1.5") == "resonant"      # Pi((Qt' Wt')', conj Wt)
-    assert classify_cubic("k2.1") == "nonresonant"   # i T[Wt'^2] Wt
-    assert classify_cubic("g2.1") == "null"          # -Wt' F2
-    assert classify_cubic("k2.3") == "null"          # -T[F2] Qt'
-    with pytest.raises(UnknownTerm):
-        classify_cubic("g9.99")
-
-
-def test_term_table_dump():
-    text = term_table_dump()
-    assert text.splitlines()[0] == "id\tgroup\tclass\tformula"
-    assert len(text.splitlines()) == len(TERMS) + 1
+    terms = {t.tid: (t.klass, t.formula) for t in TERMS}
+    assert len(terms) == len(TERMS) == 41
+    assert terms["g2.7"] == ("resonant", "Pi(conj Qt', Wt'^2)")
+    assert terms["g1.5"] == ("resonant", "Pi((Qt' Wt')', conj Wt)")
+    assert terms["k2.1"] == ("nonresonant", "i T[Wt'^2] Wt")
+    assert terms["g2.1"] == ("null", "-Wt' F2")
+    assert terms["k2.3"] == ("null", "-T[F2] Qt'")
 
 
 def test_quartic_remainder_scaling(grid):

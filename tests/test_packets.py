@@ -9,6 +9,8 @@ from holoww.dynamics import WaveState, linear_propagate, plateau_data
 from holoww.diagnostics import decay_fit, ell_hyp_split
 from holoww.packets import (
     GammaProfile,
+    _carrier_derivatives,
+    _geometry,
     asymptotic_residual,
     build_packet,
     bump,
@@ -16,25 +18,71 @@ from holoww.packets import (
     bump_d2,
     cubic_coefficient,
     gamma_rate,
-    gamma_reduced,
     gamma_value,
     monochrome_ansatz,
     omega0_band,
     omega0_grid,
-    packet_dalpha_q,
     packet_defect,
-    packet_defect_split,
     packet_rate,
     packet_reconstruction_error,
     phase_alpha,
     phase_t,
     spectral_profile,
-    theta_functional,
-    w_closed_form,
     weighted_l2_v,
 )
 
 DESK = GridSpec()  # packets need the long torus
+
+
+# closed-form oracles ---------------------------------------------------------------
+
+def w_closed_form(frame):
+    """Expansion of the W-side packet: u/2 plus a correction smaller by
+    v^(1/2) t^(-1/2)."""
+    grid, t, v = frame.grid, frame.t, frame.v
+    _, y, alpha, carrier = _geometry(grid, t, v)
+    lead = 0.5 * frame.u.values
+    corr = (
+        ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
+        + 1j * (v * t + grid.alpha) / (2.0 * t**1.5 * v**0.5) * bump_d1(y)
+    ) * v**-1.5 * carrier
+    corr = np.where(np.abs(y) < 1.0, corr, 0.0)
+    return Field.from_values(grid, lead + corr)
+
+
+def packet_defect_split(frame):
+    """Closed-form defect in its leading / subleading form.
+
+    leading:    (e^{i phi}/v^{3/2}) d_a[ ((a-vt)/2a) chi - i ((a+vt)^2/(4 v^{3/2} t^{5/2})) chi' ]
+    subleading: (e^{i phi}/v^{3/2})    [ ((a-vt)/2a^2) chi - i ((a-vt)/(4 v^{3/2} t^{5/2})) chi' ]
+
+    both multiplied by v.  The leading piece has relative size 1/t, the
+    subleading one gains another t^(1/2).
+    """
+    grid, t, v = frame.grid, frame.t, frame.v
+    width, y, alpha, carrier = _geometry(grid, t, v)
+    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
+    y_a = 1.0 / width
+    a_minus = grid.alpha - v * t
+    a_plus = grid.alpha + v * t
+    c2 = 1.0 / (4.0 * v**1.5 * t**2.5)
+    # d_a of the leading bracket, chain rule on chi(y(alpha))
+    bracket_d = (
+        (v * t / (2.0 * alpha**2)) * chi
+        + (a_minus / (2.0 * alpha)) * chi1 * y_a
+        - 1j * c2 * (2.0 * a_plus * chi1 + a_plus**2 * chi2 * y_a)
+    )
+    lead = v * v**-1.5 * carrier * bracket_d
+    sub = v * v**-1.5 * carrier * ((a_minus / (2.0 * alpha**2)) * chi - 1j * c2 * a_minus * chi1)
+    lead = np.where(np.abs(y) < 1.0, lead, 0.0)
+    sub = np.where(np.abs(y) < 1.0, sub, 0.0)
+    return Field.from_values(grid, lead), Field.from_values(grid, sub)
+
+
+def gamma_reduced(wt, qt, frame):
+    """Symmetrized form (1/2) int (w + r) conj(u), r = |D|^(1/2) q."""
+    r = frac_deriv(qt, 0.5)
+    return 0.5 * (wt + r).inner(frame.u)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +195,8 @@ def test_packet_rate_identities(frame64):
     dw, dq = packet_rate(frame64)
     assert (dq - 1j * frame64.w).l2() == 0.0
     g = packet_defect(frame64)
-    assert (dw + packet_dalpha_q(frame64) - g).l2() < 1e-14 * frame64.w.l2()
+    dalpha_q = Field.from_values(DESK, frame64.v * _carrier_derivatives(frame64)[0])
+    assert (dw + dalpha_q - g).l2() < 1e-14 * frame64.w.l2()
 
 
 # gamma ----------------------------------------------------------------------------
@@ -258,40 +307,6 @@ def test_residual_frozen_coefficient_audit():
     e = asymptotic_residual(prof)
     expect = -cubic_coefficient(c, ts[:, None], vs[None, :])
     assert np.max(np.abs(e - expect)) == 0.0
-
-
-# theta ---------------------------------------------------------------------------
-
-def test_theta_zero(frame64):
-    vs = omega0_grid(64.0, count=5)
-    out = theta_functional(Field.zero(DESK), DESK, 64.0, vs)
-    assert np.all(out == 0.0)
-
-
-def test_theta_self_pairing(frame64):
-    f = frame64.u.conj()
-    out = theta_functional(f, DESK, 64.0, np.array([1.0]))
-    expect = frame64.u.l2() ** 2
-    assert abs(out[0] - expect) < 1e-10 * expect
-
-
-def test_theta_l2_bound_is_stable():
-    rng = np.random.default_rng(0)
-    t = 64.0
-    vs = omega0_grid(t, count=17)
-    ratios = []
-    for trial in range(5):
-        coef = np.zeros(DESK.n, dtype=complex)
-        sel = (DESK.k < -0.15) & (DESK.k > -0.45)
-        idx = np.where(sel)[0]
-        coef[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-        f = Field(DESK, coef)
-        # localize near the ray band so the dyadic-support hypothesis holds
-        mask = np.exp(-(((DESK.alpha - t) / (0.5 * t)) ** 2))
-        f = Field.from_values(DESK, mask * f.values)
-        theta = theta_functional(f, DESK, t, vs)
-        ratios.append(weighted_l2_v(vs, theta, 0.0) / f.l2())
-    assert max(ratios) / min(ratios) < 2.0
 
 
 # ray reconstruction ----------------------------------------------------------------

@@ -10,7 +10,6 @@ from holoww.lp import LPBlock, SEPARATION, block_range
 from holoww.paradiff import (
     _lohi,
     balanced,
-    commutator_norm,
     para,
     trichotomy_residual,
 )
@@ -231,27 +230,3 @@ def test_implicit_p_output_is_holomorphic(grid):
     assert np.all(t.coef[grid.k >= 0] == 0.0)
     pi = balanced(a, b)
     assert np.all(pi.coef[grid.k >= 0] == 0.0)
-
-
-def test_commutator_constant_symbol(grid):
-    lo, hi = block_range(grid)
-    const = Field.from_values(grid, np.full(grid.n, 1.7 + 0.0j))
-    chi = Field.from_values(grid, np.exp(-((grid.alpha / 8.0) ** 2)))
-    assert commutator_norm(const, chi, (lo + hi) // 2) < 1e-12
-
-
-def test_commutator_unit_localizer(grid):
-    lo, hi = block_range(grid)
-    a = smooth_field(grid, seed=44, center=2.0 ** (lo + 2))
-    one = Field.from_values(grid, np.ones(grid.n, dtype=complex))
-    assert commutator_norm(a, one, (lo + hi) // 2) < 1e-12
-
-
-def test_commutator_decays_with_band(grid):
-    # single low-frequency symbol: the low-pass thresholds are fixed, and the
-    # commutator is pure block-boundary leakage, decaying as the band rises
-    lo, hi = block_range(grid)
-    a, _ = mode_field(grid, grid.dk)
-    chi = Field.from_values(grid, np.exp(-((grid.alpha / 8.0) ** 2)))
-    norms = [commutator_norm(a, chi, m, seed=20 + i) for i, m in enumerate(range(hi - 3, hi))]
-    assert norms[0] > norms[1] > norms[2]

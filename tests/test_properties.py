@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holoww.grid import Field, GridSpec, load_field, project_neg, read_field, save_field
+from holoww.grid import Field, GridSpec, project_neg, read_field, write_field
 from holoww.lp import (
     SEPARATION,
     band_table,
@@ -124,8 +124,10 @@ def test_save_load_field_round_trip_is_exact(grid, tmp_path_factory, data):
     parts = data.draw(arrays(np.float64, (2, grid.n), elements=finite))
     u = Field(grid, parts[0] + 1j * parts[1])
     path = tmp_path_factory.getbasetemp() / "field.txt"
-    save_field(path, u)
-    back = load_field(path)
+    with open(path, "w") as fh:
+        write_field(fh, u)
+    with open(path) as fh:
+        back = read_field(fh)
     assert back.grid == grid
     assert np.array_equal(back.coef.view(np.float64), u.coef.view(np.float64))
     assert np.array_equal(np.signbit(back.coef.view(np.float64)),
@@ -153,9 +155,11 @@ def test_field_text_matches_per_row_writer_and_round_trips(tmp_path_factory, dat
     parts = data.draw(arrays(np.float64, (2, n), elements=st.one_of(edge, finite), fill=edge))
     u = Field(grid, parts[0] + 1j * parts[1])
     path = tmp_path_factory.getbasetemp() / "edge.txt"
-    save_field(path, u)
+    with open(path, "w") as fh:
+        write_field(fh, u)
     assert path.read_text() == per_row_text(u)
-    back = load_field(path)
+    with open(path) as fh:
+        back = read_field(fh)
     assert back.coef.tobytes() == u.coef.tobytes()
     # two fields in one stream: each read stops after its own n rows
     text = per_row_text(u)

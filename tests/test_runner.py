@@ -123,3 +123,21 @@ def test_norm_sample_builds_no_normal_form(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 0
     _, rows = table_rows(out / "norms.csv")
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.2, 0.4]
+
+
+@pytest.mark.parametrize("line", [
+    "grid.n = 10",
+    "step.scheme = rk5",
+    "data.velocity = 0",
+    "grid.length = nan",
+    "step.dt = nan",
+    "run.t_end = inf",
+    "sigma = nan",
+    "gamma.velocities = -1",
+])
+def test_bad_config_value_is_a_usage_error(line, tmp_path, capsys):
+    (tmp_path / "config.txt").write_text(f"grid.n = 256\n{line}\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,0 +1,50 @@
+"""Acceptance suites: the report rows, suite lookup, and one cheap suite
+end to end through `verify` and the command line."""
+
+import pytest
+
+from holoww.cli import main
+from holoww.errors import UsageError
+from holoww.suites import Check, verify
+
+IDENTITIES = ["trichotomy-residual", "f-identity", "m-identity", "taylor-term-real",
+              "projector-idempotent", "projector-orthogonal", "partition-of-unity"]
+
+
+def test_identities_suite_passes():
+    checks = verify("identities")
+    assert [c.cid for c in checks] == IDENTITIES
+    assert all(c.passed and not c.informational for c in checks)
+
+
+def test_unknown_suite_names_the_choices(capsys):
+    with pytest.raises(UsageError, match="choose from identities, .*, structure, all"):
+        verify("nope")
+    assert main(["verify", "--suite", "nope"]) == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, passed, flag, bound", [
+    (Check("le", 1.0, 1.0), True, "PASS", "<= 1"),
+    (Check("le", 2.0, 1.0), False, "FAIL", "<= 1"),
+    (Check("ge", 0.95, 0.9, op=">="), True, "PASS", ">= 0.9"),
+    (Check("ge", 0.5, 0.9, op=">="), False, "FAIL", ">= 0.9"),
+    (Check("in", -0.5, -0.4, op="in", lo=-0.6), True, "PASS", "[-0.6, -0.4]"),
+    (Check("in", -0.7, -0.4, op="in", lo=-0.6), False, "FAIL", "[-0.6, -0.4]"),
+    (Check("in", -0.398, -0.4, op="in", lo=-0.6, informational=True), False, "info",
+     "[-0.6, -0.4]"),
+    (Check("le", 0.5, 1.0, informational=True), True, "PASS", "<= 1"),
+])
+def test_check_verdict_and_line(check, passed, flag, bound):
+    assert check.passed is passed
+    line = check.line()
+    assert line.split()[:2] == [flag, check.cid]
+    assert f"measured={check.measured:12.5g}" in line
+    assert line.endswith(f"bound {bound}")
+
+
+def test_verify_command_runs_a_suite(capsys):
+    assert main(["verify", "--suite", "identities"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == IDENTITIES
+    assert lines[-1] == "7/7 checks passed"
