@@ -26,10 +26,13 @@ so the rational M is reported with its mean removed.
 One kernel on coefficient arrays forms a state and its rate, in the
 conformal-variable layout of Dyachenko, Kuznetsov, Spector and Zakharov
 (1996): products are pointwise in value space, and one call transforms a
-(2, n) stack where two fields need it.  A state (`WaveState`, an RK stage)
-takes inverse (W_a, Q_a), forward (Q_a, W_a) / (1 + W_a) = (R, Y); its rate
-(`rhs_full`, `flux`, a stage) inverse (R, Y), forward conj(R) Y - R conj(Y)
-for F, inverse F, forward (F W_a, F Q_a + |R|^2): 10 transforms in 6 calls.
+(2, n) stack where two fields need it (a row per call from n = 8192 on).
+A state (`WaveState`, an RK stage) takes inverse (W_a, Q_a), forward
+(Q_a, W_a) / (1 + W_a) = (R, Y); its rate (`rhs_full`, `flux`, a stage)
+inverse (R, Y), forward conj(R) Y - R conj(Y) for F, inverse F, forward
+(F W_a, F Q_a + |R|^2): 10 transforms in 6 calls, one multiply each.  The
+rates and `step`'s stacks live on the kept band (k < 0 inside the dealias
+cut, the last ~n/3 modes in fft order).
 
 The differentiated system evolves (bW, R):
 
@@ -55,6 +58,7 @@ import numpy as np
 from .errors import DegenerateJacobian, StabilityViolation
 from .grid import (
     Field,
+    _fft,
     frac_deriv,
     project_neg,
     read_field,
@@ -64,55 +68,64 @@ from .grid import (
 JACOBIAN_FLOOR = 0.25
 _TABLES = weakref.WeakKeyDictionary()  # grid -> `_tables`, dropped with the grid
 
-_Arrays = namedtuple("_Arrays", "w q da va ry")  # see `_state_arrays`
+_Arrays = namedtuple("_Arrays", "w da va ry")  # see `_state_arrays`
 
 
 def _tables(grid):
-    """Per-grid arrays of the kernel and the stepper, built once: the masks
-    k < 0 and k < 0 inside the dealias band (`keep`), sqrt|k| and 0.5 / sqrt|k|
-    on k < 0, and the integrating-factor phases of each step size."""
+    """Per-grid arrays of the kernel and the stepper, built once: the kept band,
+    the centring phase cp, 1j k cp, cp times the dealias mask, sqrt|k| and
+    0.5 / sqrt|k| on k < 0, and the integrating-factor phases on the band."""
     if grid not in _TABLES:
-        neg, root = grid.k < 0, np.sqrt(grid.abs_k)
+        neg, root, cp = grid.k < 0, np.sqrt(grid.abs_k), grid.center_phase
         _TABLES[grid] = SimpleNamespace(
-            neg=neg, keep=neg & grid.dealias_mask, root=root, phases={},
-            half_root=np.divide(0.5, root, where=neg, out=np.zeros(grid.n)))
+            n=grid.n, band=slice(grid.n - np.count_nonzero(neg & grid.dealias_mask), grid.n),
+            cp=cp, ik=1j * grid.k * cp, ry_phase=cp * grid.dealias_mask, root=root,
+            half_root=np.divide(0.5, root, where=neg, out=np.zeros(grid.n)), phases={})
     return _TABLES[grid]
 
 
 def _floor(onewa):
     """Raises where J = |1 + W_a|^2 drops below `JACOBIAN_FLOOR` or is NaN."""
-    if not float(np.min(np.abs(onewa) ** 2)) >= JACOBIAN_FLOOR:
+    if not float(np.min(np.abs(onewa))) ** 2 >= JACOBIAN_FLOOR:
         raise DegenerateJacobian("min J dropped below 1/4")
 
 
-def _state_arrays(grid, wc, qc):
-    """The kernel's state half: projected (W, Q) coefficients, (2, n) stacks of
-    the coefficients and values of (W_a, Q_a), dealiased coefficients of (R, Y)."""
-    da = np.empty((2, grid.n), dtype=complex)
-    np.multiply(wc, grid.k, out=da[0])
-    np.multiply(qc, grid.k, out=da[1])
-    da *= 1j
-    va = grid.values_from_coef(da)
+def _state_arrays(tab, wq):
+    """The kernel's state half of projected (W, Q) coefficients `wq` on the grid
+    or on the kept band: W on the band, (2, n) stacks of the coefficients and
+    values of (W_a, Q_a), dealiased coefficients of (R, Y)."""
+    part = tab.band if len(wq[0]) < tab.n else slice(None)
+    da = np.zeros((2, tab.n), dtype=complex)
+    np.multiply(wq, tab.ik[part], out=da[:, part])  # times the centring phase
+    va = _fft("ifft", da)
+    da[:, part] *= tab.cp[part]
     onewa = 1.0 + va[0]
     _floor(onewa)
-    ry = grid.coef_from_values(va[::-1] / onewa)
-    ry *= grid.dealias_mask
-    return _Arrays(wc, qc, da, va, ry)
+    ry = _fft("fft", va[::-1] / onewa)
+    ry *= tab.ry_phase
+    return _Arrays(wq[0] if part is tab.band else wq[0][tab.band], da, va, ry)
 
 
-def _rate_arrays(grid, s, ryv):
-    """The kernel's rate half: the coefficients of F and the (2, n) stack of
-    (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry."""
-    tab, (rv, yv) = _tables(grid), ryv
-    # conj(R) Y - R conj(Y) = 2i Im(conj(R) Y)
-    fc = grid.coef_from_values(2j * (np.conj(rv) * yv).imag) * tab.keep + s.ry[0]
-    prod = s.va * grid.values_from_coef(fc)
+def _rate_arrays(tab, s, ryv):
+    """The kernel's rate half: the coefficients of F and the (2, band) stack
+    of (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry."""
+    (rv, yv), band, cp = ryv, tab.band, tab.cp[tab.band]
+    fc = s.ry[0].copy()  # F = R + P[conj(R) Y - R conj(Y)], 2i Im(conj(R) Y) inside P
+    fc[band] += _fft("fft", 2j * (np.conj(rv) * yv).imag)[band] * cp
+    prod = s.va * _fft("ifft", fc * tab.cp)
     prod[1] += np.square(rv.real) + np.square(rv.imag)
-    rates = grid.coef_from_values(prod)
-    rates *= tab.keep
-    rates[0] = -(fc + rates[0]) * tab.neg
+    rates = _fft("fft", prod)[:, band]
+    rates *= cp
+    rates[0] = -(fc[band] + rates[0])
     rates[1] = 1j * s.w - rates[1]
     return fc, rates
+
+
+def _embed(grid, z):
+    """(W, Q) Fields of a (2, band) stack, +0.0 off the kept band."""
+    out = np.zeros((2, grid.n), dtype=complex)
+    out[:, _tables(grid).band] = z
+    return Field(grid, out[0]), Field(grid, out[1])
 
 
 def _one_minus(u):
@@ -128,11 +141,9 @@ class WaveState:
     __slots__ = ("t", "w", "q", "wa", "qa", "r", "y", "_arrays")
 
     def __init__(self, t, w, q):
-        self.t = t
-        self.w = project_neg(w)
-        self.q = project_neg(q)
+        self.t, self.w, self.q = t, project_neg(w), project_neg(q)
         grid = self.grid
-        self._arrays = s = _state_arrays(grid, self.w.coef, self.q.coef)
+        self._arrays = s = _state_arrays(_tables(grid), (self.w.coef, self.q.coef))
         self.wa, self.qa = (Field(grid, c, v) for c, v in zip(s.da, s.va))
         self.r, self.y = (Field(grid, c) for c in s.ry)
 
@@ -146,7 +157,7 @@ def _rates(state):
     r, y = state.r, state.y
     if r._values is None or y._values is None:
         r._values, y._values = state.grid.values_from_coef(state._arrays.ry)
-    return _rate_arrays(state.grid, state._arrays, (r._values, y._values))
+    return _rate_arrays(_tables(state.grid), state._arrays, (r._values, y._values))
 
 
 class DiffState:
@@ -197,8 +208,8 @@ def rational_forms(state):
 
 
 def rhs_full(state):
-    """Projected time derivatives (dW/dt, dQ/dt)."""
-    return tuple(Field(state.grid, c) for c in _rates(state)[1])
+    """Projected time derivatives (dW/dt, dQ/dt), zero off the kept band."""
+    return _embed(state.grid, _rates(state)[1])
 
 
 def scaling_pair(state):
@@ -294,21 +305,19 @@ class StepperConfig:
             )
 
 
-def _to_diag(tab, wc, qc):
-    """(2, n) stack of the diagonal pair (W + |D|^(1/2) Q, conj(W - |D|^(1/2) Q));
-    the conjugate makes both rows turn with the same phase exp(i omega t)."""
-    out = np.empty((2, len(wc)), dtype=complex)
-    rq = tab.root * qc
-    np.add(wc, rq, out=out[0])
-    np.subtract(wc, rq, out=out[1])
-    np.conjugate(out[1], out=out[1])
-    return out
+def _to_diag(root, wc, qc):
+    """Stack of the diagonal pair (W + |D|^(1/2) Q, conj(W - |D|^(1/2) Q)),
+    `root` = |D|^(1/2) on the modes of wc and qc; the conjugate makes both
+    rows turn with the same phase exp(i omega t)."""
+    rq = root * qc
+    return np.array([wc + rq, np.conj(wc - rq)])
 
 
-def _from_diag(tab, z, mask):
-    """(W, Q) coefficients of the diagonal pair z, zero off `mask` (in k < 0)."""
+def _from_diag(half_root, z):
+    """(W, Q) stack of the diagonal pair z, `half_root` = 0.5 / sqrt|k| on
+    its modes."""
     zm = np.conj(z[1])
-    return (z[0] + zm) * (0.5 * mask), (z[0] - zm) * (mask * tab.half_root)
+    return np.array([(z[0] + zm) * 0.5, (z[0] - zm) * half_root])
 
 
 def _rk4(t, y, a, rates, dt, half, full):
@@ -341,32 +350,34 @@ def _rk4(t, y, a, rates, dt, half, full):
 def step(state, cfg):
     """One Runge-Kutta step; the integrating-factor variant advances the
     dispersive linear part (omega = sqrt|k| after diagonalization) exactly.
-    The stages run the kernel on coefficient stacks."""
+    The stages run the kernel on coefficient stacks of the kept band, the
+    only modes a step keeps; stage 1 reads the state itself."""
     cfg.validate(state.grid)
     grid, dt, tab = state.grid, cfg.dt, _tables(state.grid)
-    integrating = cfg.scheme == "rk4_integrating_factor"
+    band, integrating = tab.band, cfg.scheme == "rk4_integrating_factor"
+    root, half_root = tab.root[band], tab.half_root[band]
 
     def coefs(z):
-        return _from_diag(tab, z, tab.keep) if integrating else z * tab.keep
+        return _from_diag(half_root, z) if integrating else z
 
     def nonlinear(s, d):  # the phases carry the linear part (-Q_a, iW)
         if integrating:
-            d[0] += s.da[1]
+            d[0] += s.da[1, band]
             d[1] -= 1j * s.w
-            d = _to_diag(tab, *d)
+            d = _to_diag(root, *d)
         return d
 
     def stage(t, z):
-        s = _state_arrays(grid, *coefs(z))
-        return nonlinear(s, _rate_arrays(grid, s, grid.values_from_coef(s.ry))[1])
+        s = _state_arrays(tab, coefs(z))
+        return nonlinear(s, _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1])
 
-    y, phases = np.stack([state.w.coef, state.q.coef]), (1.0, 1.0)
+    y, phases = np.array([state.w.coef[band], state.q.coef[band]]), (1.0, 1.0)
     if integrating:
         if dt not in tab.phases:
-            tab.phases[dt] = np.exp(1j * tab.root * (dt / 2)), np.exp(1j * tab.root * dt)
-        y, phases = _to_diag(tab, *y), tab.phases[dt]
+            tab.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
+        y, phases = _to_diag(root, *y), tab.phases[dt]
     z = _rk4(state.t, y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
-    return WaveState(state.t + dt, *(Field(grid, c) for c in coefs(z)))
+    return WaveState(state.t + dt, *_embed(grid, coefs(z)))
 
 
 def evolve(state, cfg, t_end, observer=None):
@@ -381,9 +392,9 @@ def evolve(state, cfg, t_end, observer=None):
 
 def linear_propagate(state, t_target):
     """Exact solution of the linearized system W_t = -Q_a, Q_t = iW."""
-    grid, tab = state.grid, _tables(state.grid)
-    z = np.exp(1j * tab.root * (t_target - state.t)) * _to_diag(tab, state.w.coef, state.q.coef)
-    return WaveState(t_target, *(Field(grid, c) for c in _from_diag(tab, z, tab.neg)))
+    grid, tab, t = state.grid, _tables(state.grid), t_target - state.t
+    z = np.exp(1j * tab.root * t) * _to_diag(tab.root, state.w.coef, state.q.coef)
+    return WaveState(t_target, *(Field(grid, c) for c in _from_diag(tab.half_root, z)))
 
 
 # initial data ---------------------------------------------------------------

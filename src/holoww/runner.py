@@ -67,6 +67,8 @@ _DEFAULTS = {
 }
 
 _TYPES = {k: type(v) for k, v in _DEFAULTS.items()}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 _INTERVALS = ("run.norm_every", "run.checkpoint_every", "gamma.every")
 GAMMA_T_MIN = 4.0  # packets need t >= 4
 
@@ -92,11 +94,8 @@ class RunConfig:
                 raise UsageError(f"line {lineno}: unknown key {key!r}")
             kind = _TYPES[key]
             try:
-                if kind is bool:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
-                else:
-                    values[key] = kind(val)
-            except ValueError as exc:
+                values[key] = _BOOLS[val.lower()] if kind is bool else kind(val)
+            except (KeyError, ValueError) as exc:
                 raise UsageError(f"line {lineno}: bad value for {key}: {exc}")
         cfg = cls(values)
         cfg.validate()

@@ -149,7 +149,7 @@ def rhs_full_oracle(w, q):
     return dw, project_neg(dq)
 
 
-def step_oracle(w, q, cfg):
+def field_step_oracle(w, q, cfg):
     """`step` on Fields with `rhs_full_oracle`: RK4 on slot lists, in the
     diagonal variables with exact phases for the integrating-factor scheme."""
     grid, dt, h = w.grid, cfg.dt, cfg.dt / 2
@@ -182,6 +182,125 @@ def step_oracle(w, q, cfg):
                    for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)])
 
 
+def step_oracle(grid, t, w, q, cfg):
+    """`step` on (W, Q) coefficient arrays as the array kernel took it with
+    every array n long: the masks k < 0 (`neg`) and k < 0 inside the dealias
+    cut (`keep`) applied by multiplies, and the transforms scaling by 1/n and
+    n apart from the centring phase.  Returns the new (W, Q) coefficients."""
+    n, dt, cp = grid.n, cfg.dt, grid.center_phase
+    neg = grid.k < 0
+    keep, root = neg & grid.dealias_mask, np.sqrt(grid.abs_k)
+    half_root = np.divide(0.5, root, where=neg, out=np.zeros(n))
+    integrating = cfg.scheme == "rk4_integrating_factor"
+
+    def coef(values):
+        c = np.fft.fft(values)
+        c /= n
+        c *= cp
+        return c
+
+    def vals(c):
+        scaled = c * cp
+        scaled *= n
+        return np.fft.ifft(scaled)
+
+    def state_arrays(wc, qc):
+        da = np.empty((2, n), dtype=complex)
+        np.multiply(wc, grid.k, out=da[0])
+        np.multiply(qc, grid.k, out=da[1])
+        da *= 1j
+        va = vals(da)
+        ry = coef(va[::-1] / (1.0 + va[0]))
+        ry *= grid.dealias_mask
+        return wc, da, va, ry
+
+    def rate_arrays(s):
+        wc, _, va, ry = s
+        rv, yv = vals(ry)
+        fc = coef(2j * (np.conj(rv) * yv).imag) * keep + ry[0]
+        prod = va * vals(fc)
+        prod[1] += np.square(rv.real) + np.square(rv.imag)
+        rates = coef(prod)
+        rates *= keep
+        rates[0] = -(fc + rates[0]) * neg
+        rates[1] = 1j * wc - rates[1]
+        return rates
+
+    def to_diag(wc, qc):
+        rq = root * qc
+        return np.stack([wc + rq, np.conj(wc - rq)])
+
+    def coefs(z):
+        if not integrating:
+            return z * keep
+        zm = np.conj(z[1])
+        return (z[0] + zm) * (0.5 * keep), (z[0] - zm) * (keep * half_root)
+
+    def nonlinear(s, d):
+        if integrating:
+            d[0] += s[1][1]
+            d[1] -= 1j * s[0]
+            d = to_diag(*d)
+        return d
+
+    def stage(t, z):
+        s = state_arrays(*coefs(z))
+        return nonlinear(s, rate_arrays(s))
+
+    y, phases = np.stack([w, q]), (1.0, 1.0)
+    if integrating:
+        y, phases = to_diag(w, q), (np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt))
+    s = state_arrays(w, q)
+    return coefs(_rk4(t, y, nonlinear(s, rate_arrays(s)), stage, dt, *phases))
+
+
+def march_both(st, cfg, steps):
+    """`step` and `step_oracle` from st: the two (W, Q) coefficient pairs."""
+    got, (w, q) = st, (st.w.coef, st.q.coef)
+    for _ in range(steps):
+        new = step_oracle(st.grid, got.t, w, q, cfg)
+        w, q = (project_neg(Field(st.grid, c)).coef for c in new)
+        got = step(got, cfg)
+    return (got.w.coef, got.q.coef), (w, q)
+
+
+SCHEMES = ("rk4_integrating_factor", "rk4")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [64, 2048])
+def test_step_on_the_kept_band_matches_the_full_length_oracle(n, scheme):
+    # bit for bit: the band holds every mode a step keeps, and with n a power
+    # of two folding 1/n into the transform is exact
+    grid = GridSpec(length=64.0 * n / 64, n=n)
+    got, want = march_both(random_state(grid, 0.05, seed=17), StepperConfig(0.1, scheme), 20)
+    assert all(np.array_equal(g, o) for g, o in zip(got, want))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_reads_content_outside_the_dealias_cut_as_before(scheme):
+    # stage 1 reads the whole state: every k < 0 mode, inside the cut or not
+    grid = GridSpec(length=64.0, n=64)
+    rng = np.random.default_rng(18)
+    w, q = (Field(grid, 1e-3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)))
+            for _ in range(2))
+    st = WaveState(0.0, project_neg(w), project_neg(q))
+    assert np.any(st.w.coef[(grid.k < 0) & ~grid.dealias_mask] != 0)
+    got, want = march_both(st, StepperConfig(0.1, scheme), 20)
+    assert all(np.array_equal(g, o) for g, o in zip(got, want))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n, dealias, tol", [(64, 1.0, 0.0), (1000, 2.0 / 3.0, 1e-13)])
+def test_step_matches_the_oracle_without_a_cut_and_off_powers_of_two(n, dealias, tol, scheme):
+    # dealias = 1.0 keeps every k < 0 mode but the unpaired Nyquist one; at
+    # n = 1000 the folded 1/n scale is exact only to roundoff
+    grid = GridSpec(length=64.0, n=n, dealias=dealias)
+    got, want = march_both(random_state(grid, 0.05, seed=19), StepperConfig(0.1, scheme), 20)
+    gap = max(np.max(np.abs(g - o)) for g, o in zip(got, want))
+    assert gap <= tol * max(np.max(np.abs(o)) for o in want)
+
+
 def relative_gap(got, want):
     """Largest coefficient gap over the largest coefficient of `want`."""
     gap = max(np.max(np.abs(g.coef - o.coef)) for g, o in zip(got, want))
@@ -198,7 +317,7 @@ def test_rhs_full_matches_field_oracle(n):
         got, w, q = st, st.w, st.q
         for _ in range(20):
             got = step(got, cfg)
-            w, q = step_oracle(w, q, cfg)
+            w, q = field_step_oracle(w, q, cfg)
         assert relative_gap((got.w, got.q), (w, q)) <= 1e-13
 
 
@@ -375,7 +494,8 @@ def test_transform_budget(grid, monkeypatch):
     # six rows: inverse (R, Y), the flux product, inverse F and the
     # (F W_a, F Q_a + |R|^2) stack.  A step makes four rates, three of which
     # first form their stage state, and builds the state it returns; a second
-    # step from the same state finds its (R, Y) values kept.  r_rate forms
+    # step from the same state finds its (R, Y) values kept.  From n = 8192 on
+    # each row of a stack is one call, so a step makes its 40 in 40.  r_rate forms
     # two products of three transforms and reads the kept values of R.
     # rhs_diff and rational_forms transform no 1 + W_a or J
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
@@ -400,6 +520,8 @@ def test_transform_budget(grid, monkeypatch):
     ds = DiffState(st.t, st.wa, st.r)
     assert budget(rhs_diff, ds) == (32, 32)
     assert budget(rational_forms, st) == (29, 29)
+    long = packet_data(GridSpec(length=4096.0, n=16384), 1e-3, velocity=1.4, width=8.0)
+    assert budget(step, long, StepperConfig(dt=0.05)) == (40, 40)
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):

@@ -9,6 +9,7 @@ import pytest
 from holoww import normalform
 from holoww.cli import main
 from holoww.dynamics import load_state
+from holoww.runner import RunConfig
 
 # norm rows at 0, 1.2, ..., 13.2: after the t = 1 checkpoint they still span
 # the decade that `fit` needs; gamma rows at 4, 6, ..., 12
@@ -141,3 +142,21 @@ def test_bad_config_value_is_a_usage_error(line, tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, enabled", [
+    ("1", True), ("true", True), ("yes", True), ("on", True), ("TRUE", True), ("On", True),
+    ("0", False), ("false", False), ("no", False), ("off", False), ("False", False), ("OFF", False),
+    ("ture", None), ("2", None), ("", None),
+])
+def test_boolean_takes_only_its_eight_spellings(value, enabled, tmp_path, capsys):
+    # any other value is a usage error naming the key, never a silent False
+    text = f"grid.n = 256\ngamma.enabled = {value}\n"
+    if enabled is not None:
+        assert RunConfig.parse(text)["gamma.enabled"] is enabled
+        return
+    (tmp_path / "config.txt").write_text(text)
+    assert main(["simulate", "--config", str(tmp_path / "config.txt"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma.enabled" in err
