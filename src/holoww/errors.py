@@ -13,10 +13,6 @@ class NegativePowerOnMean(HolowwError):
     """A negative fractional derivative was applied to a field with nonzero mean."""
 
 
-class OutOfBand(HolowwError):
-    """A dyadic frequency falls outside the resolvable band of the grid."""
-
-
 class DegenerateJacobian(HolowwError):
     """The conformal map degenerated: min J dropped below the safety floor."""
 

@@ -26,20 +26,28 @@ import numpy as np
 from .errors import GridMismatch, NegativePowerOnMean
 
 
-ROW_CALLS_FROM = 8192  # from this length on, a (2, n) stack is faster one row per call
+ROW_CALLS_FROM = 8192  # a transform call takes ROW_CALLS_FROM // n rows of length n, one from here on
 
 
-def _fft(name, x):
+def _rows_per_call(n):
+    """Rows of length n that one transform call takes: ROW_CALLS_FROM // n, at
+    least one.  A (2, n) stack is one call below n = 8192 and one row per call
+    from there on, where that is faster."""
+    return max(1, ROW_CALLS_FROM // n)
+
+
+def _fft(name, x, out=None):
     """`numpy.fft.<name>(x, norm="forward")` on the last axis, looked up at call
     time: the forward transform scales by 1/n (exact when n is a power of two)
-    and the inverse not at all.  A stack of rows from length `ROW_CALLS_FROM`
-    on goes one row per call."""
+    and the inverse not at all.  A stack goes `_rows_per_call` rows per call,
+    into `out` when given (`out` may be `x`)."""
     fn = getattr(np.fft, name)
-    if x.ndim == 1 or x.shape[-1] < ROW_CALLS_FROM:
-        return fn(x, norm="forward")
-    out = np.empty(x.shape, dtype=complex)
-    for row, dst in zip(x, out):
-        fn(row, norm="forward", out=dst)
+    step = _rows_per_call(x.shape[-1])
+    if x.ndim == 1 or len(x) <= step:
+        return fn(x, norm="forward", out=out)
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    for lo in range(0, len(x), step):
+        fn(x[lo:lo + step], norm="forward", out=out[lo:lo + step])
     return out
 
 

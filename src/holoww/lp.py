@@ -7,7 +7,7 @@ absorb everything below / above the dyadic range), which keeps
 
     sum_m block_m(k) = 1   for every k != 0
 
-to machine precision and makes `sum_m lp_project(u, m) = u - mean(u)` exact.
+to machine precision and makes the blocks of a field sum to u - mean(u).
 """
 
 import math
@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfBand
-from .grid import Field, frac_deriv
+from .grid import _fft, _rows_per_call, frac_deriv
 
 SEPARATION = 4  # octaves between a paraproduct's symbol and its argument
 _BANDS = weakref.WeakKeyDictionary()  # grid -> `band_table`, dropped with the grid
@@ -66,14 +65,6 @@ class LPBlock:
 def lp_blocks(grid):
     lo, hi = block_range(grid)
     return [LPBlock(m, lo_clamped=(m == lo), hi_clamped=(m == hi)) for m in range(lo, hi + 1)]
-
-
-def lp_project(u, m):
-    """The dyadic piece P_m u, formed from the two halves of block m."""
-    lo, hi = block_range(u.grid)
-    if m < lo or m > hi:
-        raise OutOfBand(f"2^{m} outside the resolvable band [2^{lo}, 2^{hi}]")
-    return Field(u.grid, spread(u.coef, band_table(u.grid)[m - lo][1]))
 
 
 def partition_defect(grid):
@@ -169,13 +160,13 @@ def band_table(grid):
     return _BANDS[grid]
 
 
-def spread(coef, halves):
-    """`coef` times the block symbol made of `halves`, as fft-order coefficients."""
-    out = np.zeros(len(coef), dtype=complex)
+def spread(coef, halves, out):
+    """Write `coef` times the block symbol made of `halves` into the
+    fft-order row `out`, zero off the block."""
+    out.fill(0.0)
     for half in halves:
         for at, run in half.block.parts:
             out[at] = coef[at] * half.block.values[run]
-    return out
 
 
 def gather(coef, band, size):
@@ -187,10 +178,25 @@ def gather(coef, band, size):
 
 
 def besov_inf2(u, s):
-    """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 )."""
+    """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 ).
+
+    The blocks P_m u go, times the centring phase, into the rows of one
+    reused buffer of `grid._rows_per_call` rows (no more than there are
+    blocks); each fill is transformed in place in one call, and the sup of
+    every row is read from it.  The terms are summed in the order of m."""
+    grid = u.grid
+    table = band_table(grid)
+    rows = np.empty((min(_rows_per_call(grid.n), len(table)), grid.n), dtype=complex)
     total = 0.0
-    for m, _ in band_table(u.grid):
-        total += 2.0 ** (2 * m * s) * lp_project(u, m).linf() ** 2
+    for lo in range(0, len(table), len(rows)):
+        part = table[lo:lo + len(rows)]
+        buf = rows[:len(part)]
+        for row, (_, halves) in zip(buf, part):
+            spread(u.coef, halves, row)
+        buf *= grid.center_phase
+        sups = np.max(np.abs(_fft("ifft", buf, out=buf)), axis=1)
+        for (m, _), sup in zip(part, sups):
+            total += 2.0 ** (2 * m * s) * sup ** 2
     return math.sqrt(total)
 
 

@@ -102,7 +102,7 @@ class NormalFormState:
     @cached_property
     def d_qa_wt(self):
         """(T[Qt']Wt + Pi(Qt', Wt))'"""
-        return (self.t_qa_wt + balanced(self.qt_a, self.wt)).deriv()
+        return (self.t_qa_wt + balanced(self.qt_a, self.wt, self.t_qa_wt)).deriv()
 
     @cached_property
     def d_qa_re_wt(self):
@@ -145,6 +145,12 @@ def _tr(u):
 T, Pi = para, balanced  # the table's shorthands
 
 
+def _t_pi(a, b):
+    """T[a]b + Pi(a, b), with T[a]b formed once."""
+    t_ab = T(a, b)
+    return t_ab + Pi(a, b, t_ab)
+
+
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
     Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
@@ -180,7 +186,7 @@ TERMS = (
          lambda v: T(v.qt_a.conj(), v.wt_a * v.wt_a)),
     # --- rewriting the quadratic potentials in normal-form variables
     Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt))), v.qt_a)),
+         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt, v.t_wa_wt))), v.qt_a)),
     Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
          lambda v: T(_tr(_d(Pi(v.wt_a, v.wt.conj()))), v.qt_a)),
     Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
@@ -202,7 +208,7 @@ TERMS = (
     Term("k1.2", "k1", "null", "T[P[|Qt'|^2]'] Wt",
          lambda v: T(_d(project_neg(v.qt_a * v.qt_a.conj())), v.wt)),
     Term("k1.3", "k1", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
-         lambda v: T(v.qt_a, T(v.wt_a, v.qt_a) + Pi(v.wt_a, v.qt_a))),
+         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a))),
     Term("k1.4", "k1", "null", "Pi(Qt' Qt'', 2Re Wt)",
          lambda v: Pi(v.qt_a * _d(v.qt_a), v.re_wt)),
     Term("k1.5", "k1", "null", "Pi(P[|Qt'|^2]', 2Re Wt)",
@@ -306,7 +312,7 @@ def gamma_samples(state, vs):
     dwt, dqt = nf_rate(state)
     rows = []
     for v in vs:
-        frame = build_packet(state.grid, state.t, v)
+        frame = build_packet(state.grid, state.t, v, rate=True)
         gam = gamma_value(nf.wt, nf.qt, frame)
         rate = gamma_rate(nf.wt, nf.qt, dwt, dqt, frame)
         cubic = cubic_coefficient(gam, state.t, v)

@@ -74,9 +74,10 @@ def para(a, b):
     return project_neg(_half_sum(a, b, halves))
 
 
-def balanced(a, b):
-    """Balanced product Pi(a, b) = P[a b] - T_a b - T_b a."""
-    return project_neg(a * b) - para(a, b) - para(b, a)
+def balanced(a, b, t_ab=None):
+    """Balanced product Pi(a, b) = P[a b] - T_a b - T_b a; `t_ab` is T_a b
+    when the caller has formed it already."""
+    return project_neg(a * b) - (para(a, b) if t_ab is None else t_ab) - para(b, a)
 
 
 def trichotomy_residual(a, b):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holoww.grid import Field, GridSpec, project_neg
-from holoww.lp import SEPARATION, lowpass_symbol, lp_blocks
+from holoww.lp import SEPARATION, band_table, block_range, lowpass_symbol, lp_blocks, spread
 
 
 @pytest.fixture(scope="session")
@@ -43,15 +43,27 @@ def full_spectrum_field(grid, seed):
 
 
 def transform_points(monkeypatch):
-    """List that collects the length of every later `np.fft.fft` and
-    `np.fft.ifft` call, for transform budgets."""
+    """List that collects the points (rows times length) of every later
+    `np.fft.fft` and `np.fft.ifft` call, for transform budgets."""
     points = []
     for name in ("fft", "ifft"):
         def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
-            points.append(len(x))
+            points.append(np.size(x))
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return points
+
+
+def transform_calls(monkeypatch):
+    """List that collects the rows of every later `np.fft.fft` and `np.fft.ifft`
+    call, for call budgets: its length counts calls, its sum 1-D transforms."""
+    rows = []
+    for name in ("fft", "ifft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            rows.append(np.size(x) // np.shape(x)[-1])
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return rows
 
 
 def lohi_oracle(a, b, separation=SEPARATION):
@@ -63,6 +75,14 @@ def lohi_oracle(a, b, separation=SEPARATION):
         lo = Field(grid, a.coef * lowpass_symbol(grid.k, 2.0 ** (block.m - separation)))
         out = out + lo * hi
     return out
+
+
+def lp_project(u, m):
+    """The dyadic piece P_m u as `lp.besov_inf2` forms it: block m of the band
+    table spread onto the grid."""
+    coef = np.empty(u.grid.n, dtype=complex)
+    spread(u.coef, band_table(u.grid)[m - block_range(u.grid)[0]][1], coef)
+    return Field(u.grid, coef)
 
 
 def scatter(band, n):

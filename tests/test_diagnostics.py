@@ -6,7 +6,15 @@ import pytest
 from holoww import diagnostics, lp
 from holoww.errors import InsufficientSamples, TimeTooSmall
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
-from holoww.dynamics import WaveState, linear_propagate, packet_data, scaling_pair
+from holoww.dynamics import (
+    StepperConfig,
+    WaveState,
+    linear_propagate,
+    packet_data,
+    plateau_data,
+    scaling_pair,
+    step,
+)
 from holoww.diagnostics import (
     alpha_partition,
     control_norms,
@@ -21,7 +29,7 @@ from holoww.diagnostics import (
 )
 from holoww.packets import build_packet, bump
 
-from conftest import holo_field
+from conftest import holo_field, transform_calls
 
 DESK = GridSpec()
 BIG = GridSpec(length=1600.0 * math.pi, n=8192)
@@ -59,6 +67,20 @@ def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
     assert sorted(calls) == [0.0, 0.25, 0.75]
     assert rec.x == pytest.approx(lp.x_norm(st.wa, st.r), rel=1e-15)
     assert rec.a_quarter == lp.x_zero_norm(st.wa, st.r)
+
+
+@pytest.mark.parametrize("grid, budget", [(GridSpec(), (17, 38)),
+                                          (GridSpec(3200.0 * math.pi, 16384), (47, 47))])
+def test_control_norms_transform_budget(monkeypatch, grid, budget):
+    # counted as (calls, 1-D transforms) on a stepped state, as a run samples
+    # it: two forward rows, and 36 inverse rows in 15 calls on the desk grid,
+    # where the 30 LP blocks of the three Besov norms go four rows per call
+    # (38 calls in all when each block was a call); from n = 8192 on every
+    # call is one row, 39 of them LP blocks
+    st = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2))
+    rows = transform_calls(monkeypatch)
+    control_norms(st)
+    assert (len(rows), sum(rows)) == budget
 
 
 def test_control_norms_single_mode(grid):

@@ -7,6 +7,8 @@ from holoww.errors import GridMismatch, NegativePowerOnMean
 from holoww.grid import (
     Field,
     GridSpec,
+    _fft,
+    _rows_per_call,
     frac_deriv,
     pair_sobolev,
     project_neg,
@@ -14,7 +16,7 @@ from holoww.grid import (
     write_field,
 )
 
-from conftest import smooth_field
+from conftest import smooth_field, transform_calls
 
 
 def test_grid_validation():
@@ -145,3 +147,21 @@ def test_evaluate_at_matches_grid(grid):
     j = 37
     val = u.evaluate_at(grid.alpha[j])
     assert abs(val - u.values[j]) < 1e-10 * u.linf()
+
+
+@pytest.mark.parametrize("n, calls", [(2048, 2), (4096, 3), (16384, 5)])
+def test_stacks_go_rows_per_call_and_match_single_rows(monkeypatch, n, calls):
+    # 8192 // n rows per call, at least one: five rows take two calls at
+    # n = 2048 and one per row from n = 8192 on; in place or not, each row
+    # is the transform of that row alone, bit for bit
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    single = [np.fft.ifft(row, norm="forward") for row in x]
+    rows = transform_calls(monkeypatch)
+    out = _fft("ifft", x)
+    assert (len(rows), sum(rows)) == (calls, 5)
+    assert _rows_per_call(n) == max(1, 8192 // n)
+    in_place = x.copy()
+    _fft("ifft", in_place, out=in_place)
+    for i in range(5):
+        assert np.array_equal(out[i], single[i]) and np.array_equal(in_place[i], single[i])

@@ -1,7 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-from holoww.errors import OutOfBand
 from holoww.grid import Field, GridSpec
 from holoww.lp import (
     SEPARATION,
@@ -13,11 +14,10 @@ from holoww.lp import (
     block_range,
     lowpass_symbol,
     lp_blocks,
-    lp_project,
     partition_defect,
 )
 
-from conftest import scatter, smooth_field
+from conftest import full_spectrum_field, lp_project, scatter, smooth_field
 
 
 def test_partition_of_unity(grid):
@@ -42,14 +42,6 @@ def test_zero_field_projects_to_zero(grid):
     z = Field.zero(grid)
     lo, _ = block_range(grid)
     assert lp_project(z, lo).l2() == 0.0
-
-
-def test_out_of_band(grid):
-    lo, hi = block_range(grid)
-    with pytest.raises(OutOfBand):
-        lp_project(Field.zero(grid), lo - 1)
-    with pytest.raises(OutOfBand):
-        lp_project(Field.zero(grid), hi + 1)
 
 
 def test_reconstruction(grid):
@@ -97,6 +89,18 @@ def test_besov_two_separated_modes(grid):
     combined = besov_inf2(u1 + u2, 0.25) ** 2
     separate = besov_inf2(u1, 0.25) ** 2 + besov_inf2(u2, 0.25) ** 2
     assert abs(combined - separate) < 0.05 * separate
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.75])
+def test_besov_one_row_per_call_equals_the_block_sum(s):
+    # from n = 8192 on each block is transformed in its own call; the norm is
+    # the sum over blocks formed one at a time, bit for bit (the property test
+    # covers grids up to n = 2048, where several blocks share a call)
+    grid = GridSpec(3200.0 * math.pi, 16384)
+    u = full_spectrum_field(grid, 3)
+    lo, hi = block_range(grid)
+    total = sum(2.0 ** (2 * m * s) * lp_project(u, m).linf() ** 2 for m in range(lo, hi + 1))
+    assert besov_inf2(u, s) == math.sqrt(total)
 
 
 def test_window_trichotomy(grid):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holoww import normalform, paradiff
 from holoww.errors import InconsistentTimes
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_norm
@@ -143,6 +144,36 @@ def test_table_transform_budget(monkeypatch):
     points = transform_points(monkeypatch)
     evaluate_terms(nf)
     assert sum(points) <= 260 * desk.n
+
+
+def test_table_forms_each_t_plus_pi_once(monkeypatch):
+    # g3.1, g3.6 and k3.1 (through d_qa_wt) and k1.3 hand their T[a]b to
+    # Pi(a, b): the table makes 69 paraproducts (72 when Pi formed it again),
+    # and the atoms keep the bits of the spelling that forms it twice
+    desk = GridSpec()
+    nf = para_nf(packet_data(desk, 3e-2, velocity=1.4, width=8.0))
+    fresh = NormalFormState(nf.t, *(Field(desk, u.coef.copy())
+                                    for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a)))
+    calls = []
+
+    def counted(a, b, _fn=paradiff.para):
+        calls.append((a, b))
+        return _fn(a, b)
+    for module in (paradiff, normalform):
+        monkeypatch.setattr(module, "para", counted)
+    monkeypatch.setattr(normalform, "T", counted)
+    values = evaluate_terms(nf)
+    assert len(calls) == 69
+    monkeypatch.undo()
+    wt, wa, qa = fresh.wt, fresh.wt_a, fresh.qt_a
+    twice = {
+        "g3.1": T(_tr(_d(T(wa, wt) + Pi(wa, wt))), qa),
+        "g3.6": T(_tr(fresh.qa_wa - _d(T(qa, wt) + Pi(qa, wt))), wa),
+        "k3.1": -1.0 * T(_tr(_d(T(qa, wt) + Pi(qa, wt))), qa),
+        "k1.3": T(qa, T(wa, qa) + Pi(wa, qa)),
+    }
+    for tid, u in twice.items():
+        assert np.array_equal(values[tid].coef, u.coef), tid
 
 
 def test_atoms_from_a_warm_state_match_a_fresh_one(grid):

@@ -5,12 +5,12 @@ import pytest
 
 from holoww.errors import OutOfDomain, WrapAround
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg
-from holoww.dynamics import WaveState, linear_propagate, plateau_data
+from holoww.dynamics import StepperConfig, WaveState, evolve, linear_propagate, plateau_data
 from holoww.diagnostics import decay_fit, ell_hyp_split
+from holoww.normalform import gamma_samples, nf_rate, para_nf
 from holoww.packets import (
     GammaProfile,
-    _carrier_derivatives,
-    _geometry,
+    PacketFrame,
     asymptotic_residual,
     build_packet,
     bump,
@@ -25,13 +25,84 @@ from holoww.packets import (
     packet_defect,
     packet_rate,
     packet_reconstruction_error,
+    pair_energy_product,
     phase_alpha,
     phase_t,
     spectral_profile,
     weighted_l2_v,
 )
 
+from conftest import transform_calls
+
 DESK = GridSpec()  # packets need the long torus
+
+
+# the packet on the whole grid --------------------------------------------------------
+
+def geometry_oracle(grid, t, v):
+    """Width, y, alpha with 0 set to 1 and exp(i phi), at every grid point."""
+    width = math.sqrt(t) * v**1.5
+    y = (grid.alpha - v * t) / width
+    alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
+    phi = np.where(np.abs(y) < 1.0, t**2 / (4.0 * alpha), 0.0)
+    return width, y, alpha, np.exp(1j * phi)
+
+
+def build_packet_oracle(grid, t, v):
+    """u and w from the closed form at every grid point, one transform each."""
+    width, y, alpha, carrier = geometry_oracle(grid, t, v)
+    u_vals = v**-1.5 * bump(y) * carrier
+    y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
+    phi_t = np.where(np.abs(y) < 1.0, phase_t(t, alpha), 0.0)
+    du_t = v**-1.5 * carrier * (bump_d1(y) * y_t + 1j * phi_t * bump(y))
+    u = Field.from_values(grid, u_vals)
+    w = Field.from_values(grid, -1j * v * du_t)
+    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, None, None, None)
+
+
+def carrier_derivatives_oracle(frame):
+    """Pointwise closed-form d_a u and d_t^2 u at every grid point."""
+    grid, t, v = frame.grid, frame.t, frame.v
+    width, y, alpha, carrier = geometry_oracle(grid, t, v)
+    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
+    y_a = 1.0 / width
+    y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
+    y_tt = 0.5 * v**-0.5 * t**-1.5 - y_t / (2.0 * t) + y / (2.0 * t**2)
+    phi_t = phase_t(t, alpha)
+    phi_tt = 1.0 / (2.0 * alpha)
+    phi_a = phase_alpha(t, alpha)
+    du_a = v**-1.5 * carrier * (chi1 * y_a + 1j * phi_a * chi)
+    du_tt = v**-1.5 * carrier * (
+        -(phi_t**2) * chi
+        + 2j * phi_t * y_t * chi1
+        + 1j * phi_tt * chi
+        + y_tt * chi1
+        + y_t**2 * chi2
+    )
+    inside = np.abs(y) < 1.0
+    return np.where(inside, du_a, 0.0), np.where(inside, du_tt, 0.0)
+
+
+def gamma_rate_oracle(wt, qt, dwt, dqt, frame):
+    """`gamma_rate` with d_t w transformed from the whole-grid closed form."""
+    _, du_tt = carrier_derivatives_oracle(frame)
+    pw_t = Field.from_values(frame.grid, -1j * frame.v * du_tt)
+    return pair_energy_product((dwt, dqt), (frame.w, frame.q)) + pair_energy_product(
+        (wt, qt), (pw_t, 1j * frame.w)
+    )
+
+
+def gamma_samples_oracle(state, vs):
+    """`gamma_samples` one velocity at a time on the whole-grid oracles."""
+    nf = para_nf(state)
+    dwt, dqt = nf_rate(state)
+    rows = []
+    for v in vs:
+        frame = build_packet_oracle(state.grid, state.t, v)
+        gam = gamma_value(nf.wt, nf.qt, frame)
+        cubic = cubic_coefficient(gam, state.t, v)
+        rows.append((v, gam, gamma_rate_oracle(nf.wt, nf.qt, dwt, dqt, frame) - cubic, cubic))
+    return rows
 
 
 # closed-form oracles ---------------------------------------------------------------
@@ -40,7 +111,7 @@ def w_closed_form(frame):
     """Expansion of the W-side packet: u/2 plus a correction smaller by
     v^(1/2) t^(-1/2)."""
     grid, t, v = frame.grid, frame.t, frame.v
-    _, y, alpha, carrier = _geometry(grid, t, v)
+    _, y, alpha, carrier = geometry_oracle(grid, t, v)
     lead = 0.5 * frame.u.values
     corr = (
         ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
@@ -60,7 +131,7 @@ def packet_defect_split(frame):
     subleading one gains another t^(1/2).
     """
     grid, t, v = frame.grid, frame.t, frame.v
-    width, y, alpha, carrier = _geometry(grid, t, v)
+    width, y, alpha, carrier = geometry_oracle(grid, t, v)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
     a_minus = grid.alpha - v * t
@@ -195,8 +266,61 @@ def test_packet_rate_identities(frame64):
     dw, dq = packet_rate(frame64)
     assert (dq - 1j * frame64.w).l2() == 0.0
     g = packet_defect(frame64)
-    dalpha_q = Field.from_values(DESK, frame64.v * _carrier_derivatives(frame64)[0])
+    dalpha_q = Field.from_values(DESK, frame64.v * carrier_derivatives_oracle(frame64)[0])
     assert (dw + dalpha_q - g).l2() < 1e-14 * frame64.w.l2()
+
+
+# one builder, on the support ---------------------------------------------------------
+
+LONG = GridSpec(length=3200.0 * math.pi, n=16384)
+
+
+@pytest.mark.parametrize("grid, t, v", [(DESK, 10.0, 0.99), (DESK, 64.0, 1.0),
+                                        (DESK, 256.0, 1.03), (LONG, 1024.0, 1.0)])
+def test_frames_equal_the_whole_grid_oracle(grid, t, v):
+    # the closed form on the support, zero elsewhere, gives the same u, w and
+    # q, coefficients and grid values, and the same rate and defect rows
+    oracle = build_packet_oracle(grid, t, v)
+    du_a, du_tt = carrier_derivatives_oracle(oracle)
+    dt_w = Field.from_values(grid, -1j * v * du_tt)
+    defect = Field.from_values(grid, v * (du_a - 1j * du_tt))
+    for rate in (False, True):
+        frame = build_packet(grid, t, v, rate=rate)
+        for mine, theirs in ((frame.u, oracle.u), (frame.w, oracle.w), (frame.q, oracle.q)):
+            assert np.array_equal(mine.coef, theirs.coef)
+            assert np.array_equal(mine.values, theirs.values)
+        assert np.array_equal(packet_rate(frame)[0].coef, dt_w.coef)
+        assert np.array_equal(packet_defect(frame).coef, defect.coef)
+        assert (frame.width, frame.xi_v) == (oracle.width, oracle.xi_v)
+
+
+@pytest.fixture(scope="module")
+def sampled_state():
+    """A run's state at a gamma sample: plateau data stepped to t = 10."""
+    return evolve(plateau_data(DESK, 1e-3), StepperConfig(dt=0.2), 10.0)
+
+
+def test_gamma_samples_equal_the_per_velocity_oracle(sampled_state):
+    vs = omega0_grid(sampled_state.t, count=9)
+    assert gamma_samples(sampled_state, vs) == gamma_samples_oracle(sampled_state, vs)
+    long = linear_propagate(plateau_data(LONG, 1e-3), 400.0)
+    vs = omega0_grid(400.0, count=3)
+    assert gamma_samples(long, vs) == gamma_samples_oracle(long, vs)
+
+
+@pytest.mark.parametrize("grid, t, calls", [(DESK, 10.0, 9), (LONG, 400.0, 27)])
+def test_gamma_sample_packet_budget(monkeypatch, grid, t, calls):
+    # counted as (calls, 1-D transforms): each velocity's rows u, w and d_t w
+    # go through one forward call (three before), one row per call from
+    # n = 8192 on; pairing them transforms nothing
+    st = linear_propagate(plateau_data(grid, 1e-3), t)
+    z = Field.zero(grid)
+    rows = transform_calls(monkeypatch)
+    for v in omega0_grid(t, count=9):
+        frame = build_packet(grid, t, v, rate=True)
+        gamma_value(st.w, st.q, frame)
+        gamma_rate(st.w, st.q, z, z, frame)
+    assert (len(rows), sum(rows)) == (calls, 27)
 
 
 # gamma ----------------------------------------------------------------------------
