@@ -26,7 +26,8 @@ so the rational M is reported with its mean removed.
 One kernel on coefficient arrays forms a state and its rate, in the
 conformal-variable layout of Dyachenko, Kuznetsov, Spector and Zakharov
 (1996): products are pointwise in value space, and one call transforms a
-(2, n) stack where two fields need it (a row per call from n = 8192 on).
+(2, n) stack where two fields need it (`grid._rows_per_call`: for n a power
+of two, a row per call from n = 8192 on).
 A state (`WaveState`, an RK stage) takes inverse (W_a, Q_a), forward
 (Q_a, W_a) / (1 + W_a) = (R, Y); its rate (`rhs_full`, `flux`, a stage)
 inverse (R, Y), forward conj(R) Y - R conj(Y) for F, inverse F, forward

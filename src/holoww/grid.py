@@ -31,8 +31,9 @@ ROW_CALLS_FROM = 8192  # a transform call takes ROW_CALLS_FROM // n rows of leng
 
 def _rows_per_call(n):
     """Rows of length n that one transform call takes: ROW_CALLS_FROM // n, at
-    least one.  A (2, n) stack is one call below n = 8192 and one row per call
-    from there on, where that is faster."""
+    least one.  For n a power of two, a (2, n) stack is one call below
+    n = 8192 and one row per call from there on, where that is faster; other
+    lengths between 4096 and 8192 also go one row per call."""
     return max(1, ROW_CALLS_FROM // n)
 
 

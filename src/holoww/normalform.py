@@ -312,7 +312,7 @@ def gamma_samples(state, vs):
     dwt, dqt = nf_rate(state)
     rows = []
     for v in vs:
-        frame = build_packet(state.grid, state.t, v, rate=True)
+        frame = build_packet(state.grid, state.t, v)
         gam = gamma_value(nf.wt, nf.qt, frame)
         rate = gamma_rate(nf.wt, nf.qt, dwt, dqt, frame)
         cubic = cubic_coefficient(gam, state.t, v)

@@ -25,9 +25,9 @@ the packet side satisfies d_t w = -d_a q + g and d_t q = i w exactly.
 
 `build_packet` evaluates the closed form once per velocity, and only on the
 support |y| < 1 of the bump (a dozen of the 2048 points of the desk grid at
-t = 10), zero elsewhere.  Its grid rows (u, w, and d_t w when a rate is
-wanted) go through one forward call; `packet_rate` and `packet_defect` read
-the frame, and a gamma sample builds and pairs one velocity at a time.
+t = 10), zero elsewhere.  Its three grid rows u, w and d_t w go through one
+forward call; `packet_rate` and `packet_defect` read the frame, and a gamma
+sample builds and pairs one velocity at a time.
 """
 
 import math
@@ -92,10 +92,9 @@ def omega0_grid(t, count=33):
 class PacketFrame:
     """One wave packet: the carrier u, the pair (w, q), and its geometry.
 
-    u and w keep the grid values they were transformed from.  `closed` holds
-    the closed-form rows d_t w and g on `support`, the grid points where the
-    bump is nonzero; `dt_w` is d_t w on the grid when the frame was built with
-    `rate`, else None."""
+    u, w and dt_w = d_t w keep the grid values they were transformed from.
+    `defect` holds the closed-form g on `support`, the grid points where the
+    bump is nonzero."""
 
     grid: object
     t: float
@@ -105,9 +104,9 @@ class PacketFrame:
     u: object
     w: object
     q: object
-    support: slice
-    closed: np.ndarray  # (d_t w, g) on the support
     dt_w: object
+    support: slice
+    defect: np.ndarray  # g on the support
 
     def phase_at(self, alpha):
         return self.t**2 / (4.0 * np.asarray(alpha, dtype=float))
@@ -141,13 +140,13 @@ def _geometry(grid, t, v):
     return width, span, y[span], alpha, np.exp(1j * phi)
 
 
-def build_packet(grid, t, v, rate=False):
+def build_packet(grid, t, v):
     """The packet of velocity v at time t.
 
     The closed form is evaluated once, on the support of the bump: u, w =
     -i v d_t u, and the rows `packet_rate` and `packet_defect` read, d_t w =
-    -i v d_t^2 u and g = v (d_a - i d_t^2) u.  The grid rows u and w, and
-    d_t w with `rate`, are transformed in one forward call."""
+    -i v d_t^2 u and g = v (d_a - i d_t^2) u.  The grid rows u, w and d_t w
+    are transformed in one forward call."""
     width, span, y, alpha, carrier = _geometry(grid, t, v)
     chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
     y_a = 1.0 / width
@@ -165,38 +164,29 @@ def build_packet(grid, t, v, rate=False):
         + y_tt * chi1
         + y_t**2 * chi2
     )
-    closed = np.array([-1j * v * du_tt, v * (du_a - 1j * du_tt)])
-    rows = np.zeros((3 if rate else 2, grid.n), dtype=complex)
+    rows = np.zeros((3, grid.n), dtype=complex)
     rows[0, span] = v**-1.5 * chi * carrier
     rows[1, span] = -1j * v * du_t  # w = -i v d_t u
-    if rate:
-        rows[2, span] = closed[0]
-    u, w, *dt_w = (Field(grid, c, r) for c, r in zip(grid.coef_from_values(rows), rows))
-    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, span, closed,
-                       dt_w[0] if rate else None)
-
-
-def _closed_field(frame, row):
-    """Row `row` of `frame.closed` on the grid, zero off the support."""
-    values = np.zeros(frame.grid.n, dtype=complex)
-    values[frame.support] = frame.closed[row]
-    return Field.from_values(frame.grid, values)
+    rows[2, span] = -1j * v * du_tt  # d_t w
+    u, w, dt_w = (Field(grid, c, r) for c, r in zip(grid.coef_from_values(rows), rows))
+    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, dt_w, span,
+                       v * (du_a - 1j * du_tt))
 
 
 def packet_defect(frame):
     """The linear-system defect g = v (d_a - i d_t^2) u, exactly."""
-    return _closed_field(frame, 1)
+    values = np.zeros(frame.grid.n, dtype=complex)
+    values[frame.support] = frame.defect
+    return Field.from_values(frame.grid, values)
 
 
 def packet_rate(frame):
     """(d_t w, d_t q) = (-i v d_t^2 u, i w), sampled from the closed form.
 
     Equivalently (-d_a q + g, i w) with the pointwise d_a q, so that the
-    pairing rate is the exact time derivative of the gridded profile.  d_t w
-    is transformed here unless the frame was built with it.
+    pairing rate is the exact time derivative of the gridded profile.
     """
-    dt_w = frame.dt_w if frame.dt_w is not None else _closed_field(frame, 0)
-    return dt_w, 1j * frame.w
+    return frame.dt_w, 1j * frame.w
 
 
 # the asymptotic profile -------------------------------------------------------

@@ -8,7 +8,6 @@ from holoww.grid import (
     Field,
     GridSpec,
     _fft,
-    _rows_per_call,
     frac_deriv,
     pair_sobolev,
     project_neg,
@@ -160,7 +159,6 @@ def test_stacks_go_rows_per_call_and_match_single_rows(monkeypatch, n, calls):
     rows = transform_calls(monkeypatch)
     out = _fft("ifft", x)
     assert (len(rows), sum(rows)) == (calls, 5)
-    assert _rows_per_call(n) == max(1, 8192 // n)
     in_place = x.copy()
     _fft("ifft", in_place, out=in_place)
     for i in range(5):

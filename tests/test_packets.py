@@ -284,14 +284,13 @@ def test_frames_equal_the_whole_grid_oracle(grid, t, v):
     du_a, du_tt = carrier_derivatives_oracle(oracle)
     dt_w = Field.from_values(grid, -1j * v * du_tt)
     defect = Field.from_values(grid, v * (du_a - 1j * du_tt))
-    for rate in (False, True):
-        frame = build_packet(grid, t, v, rate=rate)
-        for mine, theirs in ((frame.u, oracle.u), (frame.w, oracle.w), (frame.q, oracle.q)):
-            assert np.array_equal(mine.coef, theirs.coef)
-            assert np.array_equal(mine.values, theirs.values)
-        assert np.array_equal(packet_rate(frame)[0].coef, dt_w.coef)
-        assert np.array_equal(packet_defect(frame).coef, defect.coef)
-        assert (frame.width, frame.xi_v) == (oracle.width, oracle.xi_v)
+    frame = build_packet(grid, t, v)
+    for mine, theirs in ((frame.u, oracle.u), (frame.w, oracle.w), (frame.q, oracle.q)):
+        assert np.array_equal(mine.coef, theirs.coef)
+        assert np.array_equal(mine.values, theirs.values)
+    assert np.array_equal(packet_rate(frame)[0].coef, dt_w.coef)
+    assert np.array_equal(packet_defect(frame).coef, defect.coef)
+    assert (frame.width, frame.xi_v) == (oracle.width, oracle.xi_v)
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +316,7 @@ def test_gamma_sample_packet_budget(monkeypatch, grid, t, calls):
     z = Field.zero(grid)
     rows = transform_calls(monkeypatch)
     for v in omega0_grid(t, count=9):
-        frame = build_packet(grid, t, v, rate=True)
+        frame = build_packet(grid, t, v)
         gamma_value(st.w, st.q, frame)
         gamma_rate(st.w, st.q, z, z, frame)
     assert (len(rows), sum(rows)) == (calls, 27)
