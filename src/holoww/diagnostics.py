@@ -10,12 +10,15 @@ norms are grid maxima; BMO entries are evaluated as L-inf (a documented
 approximation: BMO <= L-inf and the two are interchangeable here up to
 constants).
 
-The space-frequency split localizes a pair (w, q) with bumps chi_m on
-dyadic regions |alpha| ~ 2^m between alpha_lo = t^(3/4) and alpha_hi = t^2
-(the localizer acts on w and on q_alpha), then selects per block the
+The space-frequency split localizes a pair (w, q) with the dyadic bumps of
+`lp.LPBlock` taken in alpha, chi_m = `LPBlock(m).symbol(alpha)` on
+|alpha| ~ 2^m between alpha_lo = t^(3/4) and alpha_hi = t^2, closed by a low
+bump (1 at alpha = 0) and a high bump into a partition of unity (the
+localizer acts on w and on q_alpha).  It then selects per block the
 hyperbolic frequency band around xi_0 = t^2 / (4 alpha_0^2); everything
-else is elliptic.  The X-sharp norm weights these pieces with the exponents
-a = 5/4 below unit frequency and b = (sigma - 11/4)/4 above it.
+else, w - hyp_w, is elliptic.  The X-sharp norm weights these pieces with
+the exponents a = 5/4 below unit frequency and b = (sigma - 11/4)/4 above
+it.
 """
 
 import math
@@ -27,6 +30,8 @@ from .dynamics import scaling_pair
 from .errors import InsufficientSamples, TimeTooSmall
 from .grid import Field, frac_deriv, pair_sobolev
 from .lp import (
+    LPBlock,
+    _log2_abs,
     band_high_symbol,
     band_low_symbol,
     band_symbol,
@@ -42,6 +47,11 @@ SIGMA_DEFAULT = 3.0  # Sobolev exponent; any value above 11/4 is admissible
 
 def xsharp_exponents(sigma=SIGMA_DEFAULT):
     return 1.25, 0.25 * (sigma - 2.75)
+
+
+def hs_exponents(sigma):
+    """Exponents s of the pair norms |(bW, R)|_{H^s} of a `NormRecord`, in column order."""
+    return 0.25, sigma - 1.0
 
 
 # control norms ---------------------------------------------------------------
@@ -62,9 +72,12 @@ class NormRecord:
     CSV_FIELDS = ("t", "a0", "a_quarter", "a_half", "a_sharp", "x", "wh_sharp",
                   "xsharp", "xsharp_ell")
 
-    def csv_row(self, hs_keys=()):
-        vals = [getattr(self, name) for name in self.CSV_FIELDS]
-        vals += [self.hs.get(k, 0.0) for k in hs_keys]
+    @classmethod
+    def csv_header(cls, sigma):
+        return ",".join([*cls.CSV_FIELDS, *(f"hs_{s:g}" for s in hs_exponents(sigma))])
+
+    def csv_row(self):
+        vals = [getattr(self, name) for name in self.CSV_FIELDS] + list(self.hs.values())
         return ",".join(f"{v:.12e}" for v in vals)
 
 
@@ -84,7 +97,7 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
         a_sharp=a_sharp,
         x=x_sup_norm(wa, r) + a_quarter,  # `x_norm`, its Besov pair computed once
     )
-    rec.hs = {s: pair_sobolev((wa, r), s) for s in (0.25, sigma - 1.0)}
+    rec.hs = {s: pair_sobolev((wa, r), s) for s in hs_exponents(sigma)}
     return rec
 
 
@@ -100,29 +113,6 @@ def weighted_energy(state, sigma=SIGMA_DEFAULT):
 
 # spatial localization ----------------------------------------------------------
 
-def _log2_abs_alpha(grid):
-    a = np.abs(grid.alpha)
-    out = np.full(grid.n, -np.inf)
-    nz = a > 0
-    out[nz] = np.log2(a[nz])
-    return out
-
-
-@dataclass(frozen=True)
-class Localizer:
-    """Smooth bump selecting one dyadic spatial block |alpha| ~ 2^m.
-
-    Acting on a pair means multiplying w and q_alpha by the bump; summing a
-    telescoping family over m reproduces the pair exactly.
-    """
-
-    m: int
-
-    def symbol(self, grid):
-        y = _log2_abs_alpha(grid) - self.m
-        return ramp(y + 1.0) - ramp(y)
-
-
 def alpha_partition(grid, t):
     """Telescoping cover: low bump, dyadic blocks on [t^(3/4), t^2], high bump;
     the blocks stop at a quarter of the period."""
@@ -130,10 +120,10 @@ def alpha_partition(grid, t):
         raise TimeTooSmall("the space-frequency split needs t >= 1")
     m_lo = round(math.log2(t**0.75))
     m_hi = max(m_lo, round(math.log2(min(t**2, grid.length / 4.0))))
-    y = _log2_abs_alpha(grid)
-    lo = 1.0 - ramp(y - m_lo + 1.0)
+    y = _log2_abs(grid.alpha)
+    lo = 1.0 - ramp(y - m_lo + 1.0)  # 1 at alpha = 0, where `LPBlock.symbol` is 0
     hi = ramp(y - m_hi)
-    blocks = [(m, Localizer(m).symbol(grid)) for m in range(m_lo, m_hi + 1)]
+    blocks = [(m, LPBlock(m).symbol(grid.alpha)) for m in range(m_lo, m_hi + 1)]
     return lo, blocks, hi
 
 
@@ -156,13 +146,6 @@ class EllHypSplit:
     blocks: list
     hyp_w: object
     hyp_qa: object
-    ell_w: object
-    ell_qa: object
-
-    def reconstruction_defect(self, w, qa):
-        dw = (self.ell_w + self.hyp_w - w).l2()
-        dq = (self.ell_qa + self.hyp_qa - qa).l2()
-        return math.sqrt(dw**2 + dq**2)
 
 
 def ell_hyp_split(pair, t):
@@ -202,10 +185,7 @@ def ell_hyp_split(pair, t):
         )
         hyp_w = hyp_w + wm_hyp
         hyp_qa = hyp_qa + qam_hyp
-    ell_w = w - hyp_w
-    ell_qa = qa - hyp_qa
-    return EllHypSplit(t, grid, w_lo, qa_lo, w_hi, qa_hi, blocks,
-                       hyp_w, hyp_qa, ell_w, ell_qa)
+    return EllHypSplit(t, grid, w_lo, qa_lo, w_hi, qa_hi, blocks, hyp_w, hyp_qa)
 
 
 def hyp_band_mass_fraction(block):

@@ -56,6 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import lp
 from .errors import DegenerateJacobian, StabilityViolation
 from .grid import (
     Field,
@@ -252,12 +253,9 @@ def rhs_diff(state):
 
 
 def hamiltonian(state):
-    """Conserved energy; the imaginary part is a roundoff diagnostic."""
-    return complex(hamiltonian_density(state).integral())
-
-
-def hamiltonian_density(state):
-    """Energy density  |W|^2 + Im(Q conj(Q_a)) - Re(conj(W)^2 W_a).
+    """Conserved energy, the integral of the density
+    |W|^2 + Im(Q conj(Q_a)) - Re(conj(W)^2 W_a); the imaginary part is a
+    roundoff diagnostic.
 
     Equal weights on the |W|^2 and Q terms are forced by invariance of the
     linear flow (a mixed-branch term |k| Im(w conj q) survives otherwise),
@@ -271,7 +269,7 @@ def hamiltonian_density(state):
         + (qv * np.conj(qav) - np.conj(qv) * qav) / 2j
         - 0.5 * (np.conj(wv) ** 2 * wav + wv**2 * np.conj(wav))
     )
-    return Field.from_values(state.grid, dens)
+    return complex(Field.from_values(state.grid, dens).integral())
 
 
 # time stepping --------------------------------------------------------------
@@ -424,11 +422,7 @@ def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05):
     The flat-top profile makes ray functionals sample a locally constant
     spectral density, which is what long-time packet diagnostics assume.
     """
-    k = grid.k
-    d = np.abs(k - center)
-    x = np.clip((d - plateau) / ramp, 0.0, 1.0)
-    prof = np.where(d <= plateau, 1.0, 0.5 * (1.0 + np.cos(np.pi * x)))
-    prof[(k >= 0) | (x >= 1.0)] = 0.0
+    prof = np.where(grid.k < 0, lp.plateau(grid.k, center, plateau, ramp), 0.0)
     w = project_neg(Field(grid, prof.astype(complex)).dealiased())
     w = project_neg((eps / max(w.linf(), 1e-300)) * w)
     q = project_neg(frac_deriv(w, -0.5))

@@ -29,6 +29,13 @@ def ramp(x):
     return 0.5 * (1.0 - np.cos(np.pi * x))
 
 
+def plateau(x, center, halfwidth, width):
+    """Smooth plateau: 1 for |x - center| <= halfwidth, raised cosine down to
+    0 over `width` more, 0 beyond."""
+    y = (np.abs(x - center) - halfwidth) / width
+    return np.where(y <= 0.0, 1.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(y, 0.0, 1.0))))
+
+
 def _log2_abs(k):
     out = np.full(np.shape(k), -np.inf)
     nz = np.asarray(k) != 0

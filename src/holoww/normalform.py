@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InconsistentTimes
-from .grid import Field, project_neg
+from .grid import project_neg
 from .paradiff import balanced, para
 from .dynamics import r_rate, rhs_full
 from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value
@@ -250,32 +250,15 @@ def evaluate_terms(nf, reduce=None):
     return {t.tid: keep(t, t.build(nf)) for t in TERMS}
 
 
-def _sum_terms(values, grid, select):
-    total = None
-    for t in TERMS:
-        if select(t):
-            total = values[t.tid] if total is None else total + values[t.tid]
-    return total if total is not None else Field.zero(grid)
-
-
 def cubic_sources(nf):
-    """Explicit cubic sources (G3, K3) with all groupings retained."""
-    values = evaluate_terms(nf)
-    grid = nf.wt.grid
-    groups = {
-        g: _sum_terms(values, grid, lambda t, g=g: t.group == g)
-        for g in ("g1", "g2", "g3", "k1", "k2", "k3")
-    }
-    classes = {
-        (side, c): _sum_terms(
-            values, grid, lambda t, side=side, c=c: t.group.startswith(side) and t.klass == c
-        )
-        for side in ("g", "k")
-        for c in ("resonant", "nonresonant", "null")
-    }
-    g3 = groups["g1"] + groups["g2"] + groups["g3"]
-    k3 = groups["k1"] + groups["k2"] + groups["k3"]
-    return g3, k3, groups, classes, values
+    """Explicit cubic sources (G3, K3): the terms of each group of `TERMS`
+    summed in table order, then G3 = g1 + g2 + g3 and K3 = k1 + k2 + k3."""
+    groups = {}
+    for t in TERMS:
+        u = t.build(nf)
+        groups[t.group] = groups[t.group] + u if t.group in groups else u
+    return (groups["g1"] + groups["g2"] + groups["g3"],
+            groups["k1"] + groups["k2"] + groups["k3"])
 
 
 # measured flow residuals ----------------------------------------------------

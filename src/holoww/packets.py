@@ -5,8 +5,9 @@ phi = t^2/(4 alpha) and frequency xi_v = -1/(4 v^2):
 
     u(t, alpha) = v^(-3/2) chi(y) exp(i phi),   y = (alpha - v t) / (t^(1/2) v^(3/2)),
 
-with chi a smooth compactly supported bump of unit integral.  The pair
-(w, q) = (-i v d_t u, v u) solves the linear system up to the defect
+with chi a smooth compactly supported bump of unit integral (`bump_jet`
+gives chi, chi' and chi'' from one exponential), for t >= PACKET_T_MIN.
+The pair (w, q) = (-i v d_t u, v u) solves the linear system up to the defect
 
     g = d_t w + d_a q = v (d_a - i d_t^2) u,
 
@@ -27,9 +28,11 @@ the packet side satisfies d_t w = -d_a q + g and d_t q = i w exactly.
 support |y| < 1 of the bump (a dozen of the 2048 points of the desk grid at
 t = 10), zero elsewhere.  Its three grid rows u, w and d_t w go through one
 forward call; `packet_rate` and `packet_defect` read the frame, and a gamma
-sample builds and pairs one velocity at a time.
+sample builds and pairs one velocity at a time.  `monochrome_ansatz` rides
+the same ray with the flat profile of `lp.plateau` in alpha.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,44 +41,28 @@ import numpy as np
 from .errors import OutOfDomain, WrapAround
 from .diagnostics import ell_hyp_split
 from .grid import Field, frac_deriv
+from .lp import plateau
 
-_BUMP_NORM = None
+PACKET_T_MIN = 4.0  # earliest time of a packet, and so of a gamma sample
 
 
+@functools.cache
 def _bump_norm():
-    global _BUMP_NORM
-    if _BUMP_NORM is None:
-        y = np.linspace(-1.0, 1.0, 20001)
-        _BUMP_NORM = float(np.trapezoid(np.exp(1.0 - 1.0 / (1.0 - y**2 + 1e-300)) * (np.abs(y) < 1), y))
-    return _BUMP_NORM
+    y = np.linspace(-1.0, 1.0, 20001)
+    return float(np.trapezoid(np.exp(1.0 - 1.0 / (1.0 - y**2 + 1e-300)) * (np.abs(y) < 1), y))
 
 
-def bump(y):
-    """C-infinity bump exp(1 - 1/(1 - y^2)) on |y| < 1, scaled to unit integral."""
-    y = np.asarray(y, dtype=float)
-    inside = np.abs(y) < 1.0
-    out = np.zeros_like(y)
-    yy = np.where(inside, y, 0.0)
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - yy**2))[inside]
-    return out / _bump_norm()
-
-
-def bump_d1(y):
+def bump_jet(y):
+    """The C-infinity bump chi = exp(1 - 1/(1 - y^2)) on |y| < 1, scaled to
+    unit integral, and its derivatives: (chi, chi', chi'')."""
     y = np.asarray(y, dtype=float)
     inside = np.abs(y) < 1.0
     yy = np.where(inside, y, 0.0)
-    val = bump(y)
-    return np.where(inside, val * (-2.0 * yy / (1.0 - yy**2) ** 2), 0.0)
-
-
-def bump_d2(y):
-    y = np.asarray(y, dtype=float)
-    inside = np.abs(y) < 1.0
-    yy = np.where(inside, y, 0.0)
-    val = bump(y)
-    g = -2.0 * yy / (1.0 - yy**2) ** 2
-    gp = -2.0 / (1.0 - yy**2) ** 2 - 8.0 * yy**2 / (1.0 - yy**2) ** 3
-    return np.where(inside, val * (g**2 + gp), 0.0)
+    s = 1.0 - yy**2
+    chi = np.where(inside, np.exp(1.0 - 1.0 / s), 0.0) / _bump_norm()
+    g = -2.0 * yy / s**2  # chi' / chi
+    gp = -2.0 / s**2 - 8.0 * yy**2 / s**3
+    return chi, np.where(inside, chi * g, 0.0), np.where(inside, chi * (g**2 + gp), 0.0)
 
 
 def omega0_band(t):
@@ -123,8 +110,8 @@ def phase_alpha(t, alpha):
 def _geometry(grid, t, v):
     """Width, the support |y| < 1 as a slice of grid points, and on it y,
     alpha (0 set to 1: phases divide by it) and exp(i phi)."""
-    if t < 4.0:
-        raise OutOfDomain("packets need t >= 4")
+    if t < PACKET_T_MIN:
+        raise OutOfDomain(f"packets need t >= {PACKET_T_MIN:g}")
     lo, hi = omega0_band(t)
     if not lo <= v <= hi:
         raise OutOfDomain(f"velocity {v} outside [{lo:.4f}, {hi:.4f}]")
@@ -148,7 +135,7 @@ def build_packet(grid, t, v):
     -i v d_t^2 u and g = v (d_a - i d_t^2) u.  The grid rows u, w and d_t w
     are transformed in one forward call."""
     width, span, y, alpha, carrier = _geometry(grid, t, v)
-    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
+    chi, chi1, chi2 = bump_jet(y)
     y_a = 1.0 / width
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
     y_tt = 0.5 * v**-0.5 * t**-1.5 - y_t / (2.0 * t) + y / (2.0 * t**2)
@@ -296,13 +283,6 @@ def spectral_profile(frame, s_grid):
 
 # monochromatic test profiles ------------------------------------------------------
 
-def plateau_mask(grid, center, halfwidth, ramp_width):
-    """Smooth plateau: 1 on |alpha-center| <= halfwidth, cosine ramp outside."""
-    d = np.abs(grid.alpha - center)
-    x = (d - halfwidth) / ramp_width
-    return np.where(x <= 0.0, 1.0, np.where(x >= 1.0, 0.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(x, 0.0, 1.0)))))
-
-
 # plateau half-width and ramp width of `monochrome_ansatz`, in packet widths
 MONOCHROME_HALFWIDTH = 3.0
 MONOCHROME_RAMP = 2.0
@@ -319,7 +299,7 @@ def monochrome_ansatz(grid, t, v, gamma0=1.0):
     """
     width = math.sqrt(t) * v**1.5
     center = v * t
-    mask = plateau_mask(grid, center, MONOCHROME_HALFWIDTH * width, MONOCHROME_RAMP * width)
+    mask = plateau(grid.alpha, center, MONOCHROME_HALFWIDTH * width, MONOCHROME_RAMP * width)
     alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
     phi = np.where(mask > 0, t**2 / (4.0 * alpha), 0.0)
     xi = -1.0 / (4.0 * v**2)

@@ -41,7 +41,7 @@ from .dynamics import (
     save_state,
 )
 from .normalform import gamma_samples
-from .packets import omega0_grid
+from .packets import PACKET_T_MIN, omega0_grid
 
 _DEFAULTS = {
     "grid.n": 2048,
@@ -70,7 +70,6 @@ _TYPES = {k: type(v) for k, v in _DEFAULTS.items()}
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
 _INTERVALS = ("run.norm_every", "run.checkpoint_every", "gamma.every")
-GAMMA_T_MIN = 4.0  # packets need t >= 4
 
 
 @dataclass
@@ -125,11 +124,12 @@ class RunConfig:
             raise UsageError("data.velocity must be nonzero")
         if self["gamma.velocities"] < 1:
             raise UsageError("gamma.velocities must be at least 1")
-        if self["data.eps"] < 0:
-            raise UsageError("data.eps must be nonnegative")
+        for key in ("data.eps", "data.plateau"):
+            if self[key] < 0:
+                raise UsageError(f"{key} must be nonnegative")
         if self["sigma"] <= 2.75:
             raise UsageError("sigma must exceed 11/4")
-        for key in ("run.t_end", *_INTERVALS):
+        for key in ("run.t_end", "data.ramp", *_INTERVALS):
             if self[key] <= 0:
                 raise UsageError(f"{key} must be positive")
         if self["data.kind"] not in ("packet", "plateau"):
@@ -158,10 +158,6 @@ class RunConfig:
             plateau=self["data.plateau"],
             ramp=self["data.ramp"],
         )
-
-
-def _norm_header(sigma):
-    return ",".join(NormRecord.CSV_FIELDS) + f",hs_0.25,hs_{sigma - 1.0:g},energy"
 
 
 class _Schedule:
@@ -220,7 +216,8 @@ def simulate(cfg, out_dir, resume_state=None):
         json.dump(manifest, fh, indent=1)
 
     mode = "a" if resume_state is not None else "w"
-    norm_fh = _open_csv(os.path.join(out_dir, "norms.csv"), mode, _norm_header(sigma))
+    norm_fh = _open_csv(os.path.join(out_dir, "norms.csv"), mode,
+                        NormRecord.csv_header(sigma) + ",energy")
     gamma_fh = _open_csv(os.path.join(out_dir, "gamma.csv"), mode,
                          "t,v,re_gamma,im_gamma,abs_residual,abs_cubic")
 
@@ -229,8 +226,7 @@ def simulate(cfg, out_dir, resume_state=None):
         if st.t > 0:
             rec.wh_sharp = weighted_energy(st, sigma=sigma)
         energy = hamiltonian(st).real
-        row = rec.csv_row(hs_keys=(0.25, sigma - 1.0))
-        norm_fh.write(row + f",{energy:.12e}\n")
+        norm_fh.write(rec.csv_row() + f",{energy:.12e}\n")
 
     def sample_gamma(st):
         if st.t < cfg["gamma.start"]:
@@ -244,7 +240,7 @@ def simulate(cfg, out_dir, resume_state=None):
 
     norms = _Schedule(0.0, cfg["run.norm_every"])
     gammas = _Schedule(max(cfg["gamma.start"], 0.0), cfg["gamma.every"])
-    gammas.skip_before(GAMMA_T_MIN)
+    gammas.skip_before(PACKET_T_MIN)
     ckpts = _Schedule(0.0, cfg["run.checkpoint_every"])
     ckpts.skip_through(state.t)
     if resume_state is not None:
@@ -258,7 +254,7 @@ def simulate(cfg, out_dir, resume_state=None):
     def observe(st):
         if norms.due(st.t):
             sample_norms(st)
-        if cfg["gamma.enabled"] and st.t >= GAMMA_T_MIN and gammas.due(st.t):
+        if cfg["gamma.enabled"] and st.t >= PACKET_T_MIN and gammas.due(st.t):
             sample_gamma(st)
         if ckpts.due(st.t):
             save(st, f"{st.t:012.4f}")

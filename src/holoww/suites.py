@@ -191,7 +191,7 @@ def _ladder_norms(grid, eps):
     classical = math.sqrt((dwt + qt.deriv()).l2() ** 2 + (dqt - 1j * wt).l2() ** 2)
     nf, g, k = flow_residual_analytic(st)
     para_resid = math.sqrt(g.l2() ** 2 + k.l2() ** 2)
-    g3, k3, _, _, _ = cubic_sources(nf)
+    g3, k3 = cubic_sources(nf)
     quartic = math.sqrt((g - g3).l2() ** 2 + (k - k3).l2() ** 2)
     return raw, classical, para_resid, quartic
 
@@ -382,14 +382,13 @@ def suite_structure(n=None, seed=0):
     null_k = abs(totals["null"][1])
     mask_halfwidth = MONOCHROME_HALFWIDTH * fr.width
     truncation = 1.0 / (abs(fr.xi_v) * mask_halfwidth)
+    resonant = abs(cubic_coefficient(1.0, t, v))  # 1 / (2 t (2v)^5)
 
     checks = [
         Check("nonresonant-pairing-suppression", nonres / res, 1e-3),
         Check("null-pairing-first-equation", null_g / res, 1e-10),
         Check("null-pairing-second-equation", null_k / res, 3.0 * truncation),
-        Check("resonant-coefficient-match",
-              abs(res - 1.0 / (2.0 * t * (2.0 * v) ** 5)) * (2.0 * t * (2.0 * v) ** 5),
-              0.05),
+        Check("resonant-coefficient-match", abs(res - resonant) / resonant, 0.05),
     ]
 
     big = GridSpec(1600.0 * math.pi, 8192)

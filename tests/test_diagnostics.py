@@ -27,7 +27,7 @@ from holoww.diagnostics import (
     xsharp_exponents,
     xsharp_norm,
 )
-from holoww.packets import build_packet, bump
+from holoww.packets import build_packet, bump_jet
 
 from conftest import holo_field, transform_calls
 
@@ -134,10 +134,20 @@ def test_weighted_energy_time_zero_moment_equivalence(grid):
 
 # localization ---------------------------------------------------------------------
 
-def test_alpha_partition_telescopes():
-    lo, blocks, hi = alpha_partition(DESK, 64.0)
+SUITE_GRIDS = [DESK, BIG, GridSpec(3200.0 * math.pi, 16384), GridSpec(12800.0 * math.pi, 65536)]
+
+
+@pytest.mark.parametrize("t", [64.0, 724.0, 1448.0])
+@pytest.mark.parametrize("grid", SUITE_GRIDS, ids=lambda g: f"n{g.n}")
+def test_alpha_partition_telescopes(grid, t):
+    lo, blocks, hi = alpha_partition(grid, t)
     total = lo + hi + sum(sym for _, sym in blocks)
     assert np.max(np.abs(total - 1.0)) < 1e-12
+    with np.errstate(divide="ignore"):
+        log2_alpha = np.log2(np.abs(grid.alpha))  # -inf at alpha = 0
+    for m, sym in blocks:
+        y = log2_alpha - m
+        assert np.array_equal(sym, lp.ramp(y + 1.0) - lp.ramp(y))
 
 
 def test_alpha_partition_needs_time():
@@ -150,7 +160,10 @@ def test_split_reconstruction():
     fr = build_packet(DESK, t, 1.0)
     wt, qt = project_neg(fr.w), project_neg(fr.q)
     split = ell_hyp_split((wt, qt), t)
-    assert split.reconstruction_defect(wt, qt.deriv()) < 1e-10 * max(wt.l2(), 1e-30)
+    w_sum = split.w_lo + split.w_hi + sum((blk["w"] for blk in split.blocks), Field.zero(DESK))
+    qa_sum = split.qa_lo + split.qa_hi + sum((blk["qa"] for blk in split.blocks), Field.zero(DESK))
+    assert (w_sum - wt).l2() < 1e-10 * wt.l2()
+    assert (qa_sum - qt.deriv()).l2() < 1e-10 * qt.deriv().l2()
 
 
 def test_packet_mass_lands_in_matching_hyp_block():
@@ -171,7 +184,7 @@ def test_high_frequency_content_is_elliptic():
     alpha0 = 64.0
     xi0 = t**2 / (4.0 * alpha0**2)
     carrier = np.exp(1j * (-100.0 * xi0) * DESK.alpha)
-    envelope = bump((DESK.alpha - alpha0) / 16.0)
+    envelope = bump_jet((DESK.alpha - alpha0) / 16.0)[0]
     w = project_neg(Field.from_values(DESK, envelope * carrier))
     q = project_neg(frac_deriv(w.demean(), -0.5))
     split = ell_hyp_split((w, q), t)
@@ -221,7 +234,7 @@ def test_x_below_xsharp_constant_is_stable():
 def _velocity_blob(grid, t, v, rel_width=0.4):
     alpha0 = v * t
     xi = -(t**2) / (4.0 * alpha0**2)
-    envelope = bump((grid.alpha - alpha0) / (rel_width * alpha0))
+    envelope = bump_jet((grid.alpha - alpha0) / (rel_width * alpha0))[0]
     w = project_neg(Field.from_values(grid, envelope * np.exp(1j * xi * grid.alpha)))
     return w
 

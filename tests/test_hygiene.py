@@ -1,9 +1,9 @@
 """Source hygiene checked with `ast`, in place of a linter: every import in
 `src/holoww` and `tests` is used, no function imports from a module that its
 file already imports from at the top, every top-level definition of
-`src/holoww` is named somewhere in the program itself (not only in the tests
-or the benchmark), and every defaulted parameter of `src/holoww` is passed by
-some call."""
+`src/holoww`, and every method or property of its classes, is named
+somewhere in the program itself (not only in the tests or the benchmark),
+and every defaulted parameter of `src/holoww` is passed by some call."""
 
 import ast
 import pathlib
@@ -83,9 +83,17 @@ def named(source):
 
 
 def unnamed_definitions(source, names):
-    """Top-level functions and classes of `source` absent from `names`."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
+    """Top-level functions and classes of `source` absent from `names`, then
+    the methods and properties of its classes, as `Class.name` (dunder
+    methods are called by the language)."""
+    body = ast.parse(source).body
+    out = [node.name for node in body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
+    for cls in (node for node in body if isinstance(node, ast.ClassDef)):
+        out += [f"{cls.name}.{f.name}" for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name not in names
+                and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return out
 
 
 def defaulted_parameters(source):
@@ -170,6 +178,10 @@ def test_checkers_flag_what_they_should():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
     source = "def f():\n    return g()\n\n\ndef g():\n    pass\n\n\nclass C:\n    pass\n"
     assert unnamed_definitions(source, named(source)) == ["f", "C"]
+    source = ("class C:\n    def __init__(self):\n        self.used()\n\n"
+              "    def used(self):\n        pass\n\n    def unread(self):\n        pass\n\n"
+              "    @property\n    def unread_property(self):\n        return 0\n\n\nC()\n")
+    assert unnamed_definitions(source, named(source)) == ["C.unread", "C.unread_property"]
     assert named("x = 'mod.g'\ny = 'not a name'\n") == {"x", "y", "mod", "g"}
     source = ("def f(a, b=1, c=2, d=3):\n    pass\n\n\nclass C:\n"
               "    def __init__(self, x=0, y=1):\n        pass\n\n"

@@ -116,7 +116,7 @@ def test_sobolev_norm_equivalence_at_small_amplitude(grid):
 def test_cubic_sources_zero(grid):
     z = Field.zero(grid)
     nf = para_nf(WaveState(0.0, z, z))
-    g3, k3, _, _, _ = cubic_sources(nf)
+    g3, k3 = cubic_sources(nf)
     assert g3.l2() == 0.0 and k3.l2() == 0.0
 
 
@@ -238,26 +238,23 @@ def cubic_sources_direct(nf):
 def test_atom_table_matches_direct_transcription(grid):
     st = small_state(grid, 3e-2)
     nf = para_nf(st)
-    g3, k3, _, _, _ = cubic_sources(nf)
+    g3, k3 = cubic_sources(nf)
     g3d, k3d = cubic_sources_direct(nf)
     assert (g3 - g3d).l2() < 1e-13 * max(g3.l2(), 1e-30)
     assert (k3 - k3d).l2() < 1e-13 * max(k3.l2(), 1e-30)
 
 
 def test_class_groups_partition_the_sources(grid):
+    # the class labels of `TERMS` split each side into the same atoms as G3, K3
     st = small_state(grid, 3e-2)
     nf = para_nf(st)
-    g3, k3, groups, classes, _ = cubic_sources(nf)
-    gsum = (
-        classes[("g", "resonant")]
-        + classes[("g", "nonresonant")]
-        + classes[("g", "null")]
-    )
-    ksum = (
-        classes[("k", "resonant")]
-        + classes[("k", "nonresonant")]
-        + classes[("k", "null")]
-    )
+    g3, k3 = cubic_sources(nf)
+    values = evaluate_terms(nf)
+    classes = {(side, c): sum((values[t.tid] for t in TERMS
+                               if t.group.startswith(side) and t.klass == c), Field.zero(grid))
+               for side in ("g", "k") for c in ("resonant", "nonresonant", "null")}
+    gsum = classes[("g", "resonant")] + classes[("g", "nonresonant")] + classes[("g", "null")]
+    ksum = classes[("k", "resonant")] + classes[("k", "nonresonant")] + classes[("k", "null")]
     assert (gsum - g3).l2() < 1e-14 * max(g3.l2(), 1e-30)
     assert (ksum - k3).l2() < 1e-14 * max(k3.l2(), 1e-30)
     assert classes[("k", "resonant")].l2() == 0.0  # no resonant K-side terms
@@ -278,7 +275,7 @@ def test_quartic_remainder_scaling(grid):
     for eps in (1e-3, 5e-4):
         st = small_state(grid, eps)
         nf, g, k = flow_residual_analytic(st)
-        g3, k3, _, _, _ = cubic_sources(nf)
+        g3, k3 = cubic_sources(nf)
         sizes.append(math.sqrt((g - g3).l2() ** 2 + (k - k3).l2() ** 2))
     assert 13.0 <= sizes[0] / sizes[1] <= 19.0
 

@@ -13,9 +13,7 @@ from holoww.packets import (
     PacketFrame,
     asymptotic_residual,
     build_packet,
-    bump,
-    bump_d1,
-    bump_d2,
+    bump_jet,
     cubic_coefficient,
     gamma_rate,
     gamma_value,
@@ -51,10 +49,11 @@ def geometry_oracle(grid, t, v):
 def build_packet_oracle(grid, t, v):
     """u and w from the closed form at every grid point, one transform each."""
     width, y, alpha, carrier = geometry_oracle(grid, t, v)
-    u_vals = v**-1.5 * bump(y) * carrier
+    chi, chi1, _ = bump_jet(y)
+    u_vals = v**-1.5 * chi * carrier
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
     phi_t = np.where(np.abs(y) < 1.0, phase_t(t, alpha), 0.0)
-    du_t = v**-1.5 * carrier * (bump_d1(y) * y_t + 1j * phi_t * bump(y))
+    du_t = v**-1.5 * carrier * (chi1 * y_t + 1j * phi_t * chi)
     u = Field.from_values(grid, u_vals)
     w = Field.from_values(grid, -1j * v * du_t)
     return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, None, None, None)
@@ -64,7 +63,7 @@ def carrier_derivatives_oracle(frame):
     """Pointwise closed-form d_a u and d_t^2 u at every grid point."""
     grid, t, v = frame.grid, frame.t, frame.v
     width, y, alpha, carrier = geometry_oracle(grid, t, v)
-    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
+    chi, chi1, chi2 = bump_jet(y)
     y_a = 1.0 / width
     y_t = -(v**-0.5) * t**-0.5 - y / (2.0 * t)
     y_tt = 0.5 * v**-0.5 * t**-1.5 - y_t / (2.0 * t) + y / (2.0 * t**2)
@@ -112,10 +111,11 @@ def w_closed_form(frame):
     v^(1/2) t^(-1/2)."""
     grid, t, v = frame.grid, frame.t, frame.v
     _, y, alpha, carrier = geometry_oracle(grid, t, v)
+    chi, chi1, _ = bump_jet(y)
     lead = 0.5 * frame.u.values
     corr = (
-        ((v * t - grid.alpha) / (2.0 * alpha)) * bump(y)
-        + 1j * (v * t + grid.alpha) / (2.0 * t**1.5 * v**0.5) * bump_d1(y)
+        ((v * t - grid.alpha) / (2.0 * alpha)) * chi
+        + 1j * (v * t + grid.alpha) / (2.0 * t**1.5 * v**0.5) * chi1
     ) * v**-1.5 * carrier
     corr = np.where(np.abs(y) < 1.0, corr, 0.0)
     return Field.from_values(grid, lead + corr)
@@ -132,7 +132,7 @@ def packet_defect_split(frame):
     """
     grid, t, v = frame.grid, frame.t, frame.v
     width, y, alpha, carrier = geometry_oracle(grid, t, v)
-    chi, chi1, chi2 = bump(y), bump_d1(y), bump_d2(y)
+    chi, chi1, chi2 = bump_jet(y)
     y_a = 1.0 / width
     a_minus = grid.alpha - v * t
     a_plus = grid.alpha + v * t
@@ -165,13 +165,13 @@ def frame64():
 
 def test_bump_normalization_and_derivatives():
     y = np.linspace(-1.1, 1.1, 40001)
-    assert abs(np.trapezoid(bump(y), y) - 1.0) < 1e-10
+    assert abs(np.trapezoid(bump_jet(y)[0], y) - 1.0) < 1e-10
     h = 1e-5
     yy = np.linspace(-0.9, 0.9, 37)
-    d1 = (bump(yy + h) - bump(yy - h)) / (2 * h)
-    assert np.max(np.abs(d1 - bump_d1(yy))) < 1e-6
-    d2 = (bump_d1(yy + h) - bump_d1(yy - h)) / (2 * h)
-    assert np.max(np.abs(d2 - bump_d2(yy))) < 1e-6
+    (up, up1, _), (down, down1, _) = bump_jet(yy + h), bump_jet(yy - h)
+    _, chi1, chi2 = bump_jet(yy)
+    assert np.max(np.abs((up - down) / (2 * h) - chi1)) < 1e-6
+    assert np.max(np.abs((up1 - down1) / (2 * h) - chi2)) < 1e-6
 
 
 def test_phase_on_ray():
@@ -343,7 +343,7 @@ def test_gamma_self_pairing(frame64):
     )
     assert abs(gam - (o1 + o2)) < 1e-10 * abs(gam)
     y = np.linspace(-1, 1, 4001)
-    predicted = math.sqrt(64.0) * float(np.trapezoid(bump(y) ** 2, y)) / 2.0
+    predicted = math.sqrt(64.0) * float(np.trapezoid(bump_jet(y)[0] ** 2, y)) / 2.0
     assert abs(gam) == pytest.approx(predicted, rel=0.2)  # 1 + O(v^(1/2) t^(-1/2))
 
 

@@ -135,6 +135,8 @@ def test_norm_sample_builds_no_normal_form(tmp_path, monkeypatch):
     "run.t_end = inf",
     "sigma = nan",
     "gamma.velocities = -1",
+    "data.ramp = 0",
+    "data.plateau = -1",
 ])
 def test_bad_config_value_is_a_usage_error(line, tmp_path, capsys):
     (tmp_path / "config.txt").write_text(f"grid.n = 256\n{line}\n")
