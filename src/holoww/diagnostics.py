@@ -22,7 +22,7 @@ it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,21 +64,7 @@ class NormRecord:
     a_half: float
     a_sharp: float
     x: float
-    wh_sharp: float = 0.0
-    hs: dict = field(default_factory=dict)
-    xsharp: float = 0.0
-    xsharp_ell: float = 0.0
-
-    CSV_FIELDS = ("t", "a0", "a_quarter", "a_half", "a_sharp", "x", "wh_sharp",
-                  "xsharp", "xsharp_ell")
-
-    @classmethod
-    def csv_header(cls, sigma):
-        return ",".join([*cls.CSV_FIELDS, *(f"hs_{s:g}" for s in hs_exponents(sigma))])
-
-    def csv_row(self):
-        vals = [getattr(self, name) for name in self.CSV_FIELDS] + list(self.hs.values())
-        return ",".join(f"{v:.12e}" for v in vals)
+    hs: dict  # H^s pair norm per exponent of `hs_exponents`, in that order
 
 
 def control_norms(state, sigma=SIGMA_DEFAULT):
@@ -89,16 +75,15 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
     a_quarter = x_zero_norm(wa, r)
     a_half = frac_deriv(wa, 0.5).linf() + r.deriv().linf()
     a_sharp = frac_deriv(wa, 0.25).lp(4) + frac_deriv(r, 0.75).lp(4)
-    rec = NormRecord(
+    return NormRecord(
         t=state.t,
         a0=a0,
         a_quarter=a_quarter,
         a_half=a_half,
         a_sharp=a_sharp,
         x=x_sup_norm(wa, r) + a_quarter,  # `x_norm`, its Besov pair computed once
+        hs={s: pair_sobolev((wa, r), s) for s in hs_exponents(sigma)},
     )
-    rec.hs = {s: pair_sobolev((wa, r), s) for s in hs_exponents(sigma)}
-    return rec
 
 
 def weighted_energy(state, sigma=SIGMA_DEFAULT):
@@ -202,18 +187,10 @@ def hyp_band_mass_fraction(block):
 
 # the X-sharp norms --------------------------------------------------------------
 
-@dataclass
-class XSharpRecord:
-    lo: float
-    hi: float
-    per_block: list
-    total: float
-    ell_per_block: list
-    ell_total: float
-
-
 def xsharp_norm(split, sigma=SIGMA_DEFAULT):
-    """Evaluate the strengthened pointwise-control norm on a split pair."""
+    """The strengthened pointwise-control norm of a split pair and its
+    elliptic counterpart: (total, ell_total), each the low and high bump
+    parts plus the largest block (0 without blocks)."""
     t = split.t
     grid = split.grid
     a_exp, b_exp = xsharp_exponents(sigma)
@@ -224,8 +201,7 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
     )
     hi = t**1.5 * pair_sobolev((split.w_hi.deriv(), split.qa_hi), 0.25)
 
-    per_block = []
-    ell_per_block = []
+    sup_blocks = sup_ell = 0.0
     for blk in split.blocks:
         xi0 = blk["xi0"]
         w_a = blk["w"].deriv()
@@ -240,24 +216,10 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
         )
         weight = xi0**-a_exp if xi0 < 1.0 else xi0**b_exp
         band = weight * x_zero_norm(blk["w_hyp"].deriv(), blk["qa_hyp"])
-        per_block.append({"m": blk["m"], "xi0": xi0,
-                          "value": hi_part + lo_part + band})
-        ell_per_block.append({
-            "m": blk["m"], "xi0": xi0,
-            "value": t**0.5 * xi0**-0.5 * pair_sobolev((w_a, qa_a), 0.25)
-            + t**0.5 * pair_sobolev((w_a, qa_a), -0.25),
-        })
-
-    sup_blocks = max((p["value"] for p in per_block), default=0.0)
-    sup_ell = max((p["value"] for p in ell_per_block), default=0.0)
-    return XSharpRecord(
-        lo=lo,
-        hi=hi,
-        per_block=per_block,
-        total=lo + hi + sup_blocks,
-        ell_per_block=ell_per_block,
-        ell_total=lo + hi + sup_ell,
-    )
+        sup_blocks = max(sup_blocks, hi_part + lo_part + band)
+        sup_ell = max(sup_ell, t**0.5 * xi0**-0.5 * pair_sobolev((w_a, qa_a), 0.25)
+                      + t**0.5 * pair_sobolev((w_a, qa_a), -0.25))
+    return lo + hi + sup_blocks, lo + hi + sup_ell
 
 
 def hyp_x_norm(split):
@@ -276,7 +238,7 @@ def velocity_masked_hyp_x_norm(split, delta):
     width = max(4, grid.n // 256)
     kern = np.hanning(2 * width + 1)
     kern /= kern.sum()
-    mask = np.convolve(np.concatenate([mask, mask[: 2 * width]]), kern, mode="same")[: grid.n]
+    mask = np.convolve(np.pad(mask, width, mode="wrap"), kern, mode="valid")  # periodic
     wm = Field.from_values(grid, mask * split.hyp_w.values)
     qam = Field.from_values(grid, mask * split.hyp_qa.values)
     return x_norm(wm.deriv(), qam)

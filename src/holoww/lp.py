@@ -211,8 +211,6 @@ def besov_inf2(u, s):
 
 def lowpass_symbol(k, cut):
     """1 for |k| <= cut, raised-cosine decay to 0 at 2*cut; passes k = 0."""
-    if cut <= 0:
-        return np.where(k == 0, 1.0, 0.0)
     y = _log2_abs(k) - math.log2(cut)
     return np.where(k == 0, 1.0, 1.0 - ramp(y))
 
@@ -220,7 +218,7 @@ def lowpass_symbol(k, cut):
 def band_symbol(grid, center):
     """Window on |k| in (center/2, 2*center): flat within half an octave of
     the center, cosine ramps to zero at the octave edges."""
-    if center <= 0 or 2.0 * center < grid.dk:
+    if 2.0 * center < grid.dk:
         return np.zeros(grid.n)
     y = np.abs(_log2_abs(grid.k) - math.log2(center))
     sym = 1.0 - ramp(2.0 * (y - 0.5))
@@ -230,16 +228,12 @@ def band_symbol(grid, center):
 def band_low_symbol(grid, center):
     """Complement of `band_symbol` on the low-frequency side; together with
     the band and the high complement the three tile every k != 0."""
-    if center <= 0:
-        return np.zeros(grid.n)
     y = _log2_abs(grid.k) - math.log2(center)
     sym = ramp(-2.0 * y - 1.0)
     return np.where(grid.k == 0, 0.0, sym)
 
 
 def band_high_symbol(grid, center):
-    if center <= 0:
-        return np.where(grid.k == 0, 0.0, 1.0)
     y = _log2_abs(grid.k) - math.log2(center)
     sym = ramp(2.0 * y - 1.0)
     return np.where(grid.k == 0, 0.0, sym)

@@ -1,7 +1,7 @@
 """Wave packets, the asymptotic profile gamma(t, v), and its residuals.
 
 A packet riding the ray alpha = v t carries the stationary phase
-phi = t^2/(4 alpha) and frequency xi_v = -1/(4 v^2):
+phi = t^2/(4 alpha) (`phase`) and frequency xi_v = -1/(4 v^2):
 
     u(t, alpha) = v^(-3/2) chi(y) exp(i phi),   y = (alpha - v t) / (t^(1/2) v^(3/2)),
 
@@ -27,7 +27,7 @@ the packet side satisfies d_t w = -d_a q + g and d_t q = i w exactly.
 `build_packet` evaluates the closed form once per velocity, and only on the
 support |y| < 1 of the bump (a dozen of the 2048 points of the desk grid at
 t = 10), zero elsewhere.  Its three grid rows u, w and d_t w go through one
-forward call; `packet_rate` and `packet_defect` read the frame, and a gamma
+forward call; `gamma_rate` and `packet_defect` read the frame, and a gamma
 sample builds and pairs one velocity at a time.  `monochrome_ansatz` rides
 the same ray with the flat profile of `lp.plateau` in alpha.
 """
@@ -95,8 +95,9 @@ class PacketFrame:
     support: slice
     defect: np.ndarray  # g on the support
 
-    def phase_at(self, alpha):
-        return self.t**2 / (4.0 * np.asarray(alpha, dtype=float))
+
+def phase(t, alpha):
+    return t**2 / (4.0 * alpha)
 
 
 def phase_t(t, alpha):
@@ -123,15 +124,14 @@ def _geometry(grid, t, v):
     inside = np.flatnonzero(np.abs(y) < 1.0)  # one run: y grows with alpha
     span = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
     alpha = np.where(grid.alpha[span] != 0, grid.alpha[span], 1.0)
-    phi = t**2 / (4.0 * alpha)
-    return width, span, y[span], alpha, np.exp(1j * phi)
+    return width, span, y[span], alpha, np.exp(1j * phase(t, alpha))
 
 
 def build_packet(grid, t, v):
     """The packet of velocity v at time t.
 
     The closed form is evaluated once, on the support of the bump: u, w =
-    -i v d_t u, and the rows `packet_rate` and `packet_defect` read, d_t w =
+    -i v d_t u, and the rows `gamma_rate` and `packet_defect` read, d_t w =
     -i v d_t^2 u and g = v (d_a - i d_t^2) u.  The grid rows u, w and d_t w
     are transformed in one forward call."""
     width, span, y, alpha, carrier = _geometry(grid, t, v)
@@ -167,15 +167,6 @@ def packet_defect(frame):
     return Field.from_values(frame.grid, values)
 
 
-def packet_rate(frame):
-    """(d_t w, d_t q) = (-i v d_t^2 u, i w), sampled from the closed form.
-
-    Equivalently (-d_a q + g, i w) with the pointwise d_a q, so that the
-    pairing rate is the exact time derivative of the gridded profile.
-    """
-    return frame.dt_w, 1j * frame.w
-
-
 # the asymptotic profile -------------------------------------------------------
 
 def pair_energy_product(pair, frame_pair):
@@ -192,10 +183,11 @@ def gamma_value(wt, qt, frame):
 
 
 def gamma_rate(wt, qt, dwt, dqt, frame):
-    """Analytic time derivative of gamma along the flow."""
-    pw_t, pq_t = packet_rate(frame)
+    """Analytic time derivative of gamma along the flow.  The packet side is
+    (d_t w, d_t q) = (-i v d_t^2 u, i w) from the closed form, so the pairing
+    rate is the exact time derivative of the gridded profile."""
     return pair_energy_product((dwt, dqt), (frame.w, frame.q)) + pair_energy_product(
-        (wt, qt), (pw_t, pq_t)
+        (wt, qt), (frame.dt_w, 1j * frame.w)
     )
 
 
@@ -223,7 +215,7 @@ def asymptotic_residual(profile):
 
 # ray reconstruction -------------------------------------------------------------
 
-def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None):
+def packet_reconstruction_error(wt, qt, t, vs, s=0.0):
     """Compare the hyperbolic part on rays with its gamma representation.
 
     Returns per-velocity errors for both slots together with gamma; the main
@@ -238,8 +230,7 @@ def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None):
     outside the windows of both neighbouring blocks, and the profile there
     is counted as elliptic.
     """
-    if split is None:
-        split = ell_hyp_split((wt, qt), t)
+    split = ell_hyp_split((wt, qt), t)
     grid = wt.grid
     hyp_w = split.hyp_w
     hyp_q = split.hyp_qa.antideriv()
@@ -252,7 +243,7 @@ def packet_reconstruction_error(wt, qt, t, vs, s=0.0, split=None):
         gammas[i] = gam
         ray = v * t
         xi = abs(frame.xi_v)
-        main = xi**s * t**-0.5 * np.exp(1j * frame.phase_at(ray)) * gam
+        main = xi**s * t**-0.5 * np.exp(1j * phase(t, ray)) * gam
         lhs_w = frac_deriv(hyp_w, s).evaluate_at(ray)
         lhs_q = frac_deriv(hyp_q, s + 0.5).evaluate_at(ray)
         err_w[i] = lhs_w - main
@@ -301,7 +292,7 @@ def monochrome_ansatz(grid, t, v, gamma0=1.0):
     center = v * t
     mask = plateau(grid.alpha, center, MONOCHROME_HALFWIDTH * width, MONOCHROME_RAMP * width)
     alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
-    phi = np.where(mask > 0, t**2 / (4.0 * alpha), 0.0)
+    phi = np.where(mask > 0, phase(t, alpha), 0.0)
     xi = -1.0 / (4.0 * v**2)
     base = gamma0 * t**-0.5 * mask * np.exp(1j * phi)
     wt = Field.from_values(grid, base)

@@ -205,8 +205,7 @@ def test_hyp_blocks_are_frequency_concentrated():
 
 def test_xsharp_zero():
     split = ell_hyp_split((Field.zero(DESK), Field.zero(DESK)), 64.0)
-    rec = xsharp_norm(split)
-    assert rec.total == 0.0 and rec.ell_total == 0.0
+    assert xsharp_norm(split) == (0.0, 0.0)
 
 
 def test_xsharp_exponents_move_with_sigma():
@@ -226,8 +225,8 @@ def test_x_below_xsharp_constant_is_stable():
         w = project_neg(Field.from_values(DESK, blob * w.values))
         q = project_neg(frac_deriv(w.demean(), -0.5))
         split = ell_hyp_split((w, q), t)
-        xs = xsharp_norm(split)
-        cs.append(hyp_x_norm(split) / xs.total)
+        total, _ = xsharp_norm(split)
+        cs.append(hyp_x_norm(split) / total)
     assert max(cs) / min(cs) < 2.0
 
 
@@ -250,9 +249,20 @@ def test_velocity_mask_gain_trend():
         w = project_neg(w)
         q = project_neg(frac_deriv(w.demean(), -0.5))
         split = ell_hyp_split((w, q), t)
-        xs = xsharp_norm(split, sigma=6.0)
-        ratios.append(velocity_masked_hyp_x_norm(split, delta) / xs.total)
+        total, _ = xsharp_norm(split, sigma=6.0)
+        ratios.append(velocity_masked_hyp_x_norm(split, delta) / total)
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+def test_velocity_mask_is_periodic():
+    # with delta = 0 the mask is all ones, so it must leave the norm as it is;
+    # this holds only if the smoothing of the mask wraps at both ends
+    fine = GridSpec(length=400.0 * math.pi, n=8192)
+    t = 200.0
+    w = _velocity_blob(fine, t, -1.5)  # alpha_0 = -300
+    q = project_neg(frac_deriv(w.demean(), -0.5))
+    split = ell_hyp_split((w, q), t)
+    assert velocity_masked_hyp_x_norm(split, 0.0) == pytest.approx(hyp_x_norm(split), rel=1e-12)
 
 
 # decay fitting ----------------------------------------------------------------------

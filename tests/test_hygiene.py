@@ -3,9 +3,11 @@
 file already imports from at the top, every top-level definition of
 `src/holoww`, and every method or property of its classes, is named
 somewhere in the program itself (not only in the tests or the benchmark),
-and every defaulted parameter of `src/holoww` is passed by some call."""
+and every defaulted parameter of `src/holoww` is passed by some call, and,
+but for `PROGRAM_UNSET`, by some call in the program itself."""
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -20,6 +22,11 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 PENDING = {
     "xsharp_norm", "hyp_x_norm", "velocity_masked_hyp_x_norm",  # item 6: X-sharp in every run
     "pos_leakage",  # item 8: the per-run health series
+}
+# defaulted parameters that no call in the program itself sets, each with why
+PROGRAM_UNSET = {
+    "main(argv)": "the argparse entry point: the console script passes no argv",
+    "xsharp_norm(sigma)": "pending, like xsharp_norm itself",
 }
 
 
@@ -122,6 +129,16 @@ def unset_defaults(source, sources):
     other expression) passes its keywords to every function, and calls of
     `cls` or of a class name are calls of `__init__`.
     """
+    keywords, positions = _call_table(tuple(sources))
+    return [f"{name}({param})" for name, param, position in defaulted_parameters(source)
+            if not {param, "*"} & (keywords.get(name, set()) | keywords.get(None, set()))
+            and (position is None or positions.get(name, 0) <= position)]
+
+
+@functools.cache
+def _call_table(sources):
+    """Keywords passed to, and most positionals of, each called name, over
+    every call in `sources` (a tuple), built once per set of sources."""
     trees = [ast.parse(s) for s in sources]
     classes = {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
     keywords, positions = {}, {}  # called name (None: any) -> keywords, max positionals
@@ -134,9 +151,7 @@ def unset_defaults(source, sources):
             passed.add("*")
         keywords.setdefault(name, set()).update(passed)
         positions[name] = max(positions.get(name, 0), len(call.args))
-    return [f"{name}({param})" for name, param, position in defaulted_parameters(source)
-            if not {param, "*"} & (keywords.get(name, set()) | keywords.get(None, set()))
-            and (position is None or positions.get(name, 0) <= position)]
+    return keywords, positions
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
@@ -168,6 +183,13 @@ def test_every_default_parameter_is_set():
     sources = [p.read_text() for p in [*MODULES, *TESTS, *(ROOT / "perfbench").rglob("*.py")]]
     unset = {p.name: unset_defaults(p.read_text(), sources) for p in MODULES}
     assert {name: params for name, params in unset.items() if params} == {}
+
+
+def test_program_sets_its_own_options():
+    # an option that only the tests or the benchmark set is a test-only surface
+    sources = [p.read_text() for p in MODULES]
+    unset = {d for p in MODULES for d in unset_defaults(p.read_text(), sources)}
+    assert unset == set(PROGRAM_UNSET)
 
 
 def test_checkers_flag_what_they_should():

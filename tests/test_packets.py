@@ -6,7 +6,7 @@ import pytest
 from holoww.errors import OutOfDomain, WrapAround
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg
 from holoww.dynamics import StepperConfig, WaveState, evolve, linear_propagate, plateau_data
-from holoww.diagnostics import decay_fit, ell_hyp_split
+from holoww.diagnostics import decay_fit
 from holoww.normalform import gamma_samples, nf_rate, para_nf
 from holoww.packets import (
     GammaProfile,
@@ -21,9 +21,9 @@ from holoww.packets import (
     omega0_band,
     omega0_grid,
     packet_defect,
-    packet_rate,
     packet_reconstruction_error,
     pair_energy_product,
+    phase,
     phase_alpha,
     phase_t,
     spectral_profile,
@@ -176,7 +176,7 @@ def test_bump_normalization_and_derivatives():
 
 def test_phase_on_ray():
     t, v = 36.0, 1.0
-    assert phase_t(t, v * t) * 0 + t**2 / (4 * v * t) == pytest.approx(t / (4 * v))
+    assert phase(t, v * t) == pytest.approx(t / (4 * v))
 
 
 def test_scaling_annihilates_phase():
@@ -261,13 +261,11 @@ def test_subleading_term_gains_half_power():
 
 
 def test_packet_rate_identities(frame64):
-    # d_t q = i w holds exactly; d_t w is -d_a q plus the defect, with the
-    # closed-form d_a q (the spectral one differs by sampling tails)
-    dw, dq = packet_rate(frame64)
-    assert (dq - 1j * frame64.w).l2() == 0.0
+    # d_t w is -d_a q plus the defect, with the closed-form d_a q (the
+    # spectral one differs by sampling tails)
     g = packet_defect(frame64)
     dalpha_q = Field.from_values(DESK, frame64.v * carrier_derivatives_oracle(frame64)[0])
-    assert (dw + dalpha_q - g).l2() < 1e-14 * frame64.w.l2()
+    assert (frame64.dt_w + dalpha_q - g).l2() < 1e-14 * frame64.w.l2()
 
 
 # one builder, on the support ---------------------------------------------------------
@@ -288,7 +286,7 @@ def test_frames_equal_the_whole_grid_oracle(grid, t, v):
     for mine, theirs in ((frame.u, oracle.u), (frame.w, oracle.w), (frame.q, oracle.q)):
         assert np.array_equal(mine.coef, theirs.coef)
         assert np.array_equal(mine.values, theirs.values)
-    assert np.array_equal(packet_rate(frame)[0].coef, dt_w.coef)
+    assert np.array_equal(frame.dt_w.coef, dt_w.coef)
     assert np.array_equal(packet_defect(frame).coef, defect.coef)
     assert (frame.width, frame.xi_v) == (oracle.width, oracle.xi_v)
 
@@ -455,9 +453,8 @@ def test_reconstruction_weights_are_exact_multipliers(frame64):
     wt = project_neg(frame64.w)
     qt = project_neg(frame64.q)
     vs = np.array([1.0])
-    split = ell_hyp_split((wt, qt), 64.0)
-    e0w, _, g0 = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.0, split=split)
-    ehw, _, gh = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.5, split=split)
+    e0w, _, g0 = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.0)
+    ehw, _, gh = packet_reconstruction_error(wt, qt, 64.0, vs, s=0.5)
     # on a monochromatic main term the s-weight is |xi_v|^(1/2) exactly
     main0 = g0[0] * 64.0**-0.5
     mainh = gh[0] * 64.0**-0.5 * abs(-0.25) ** 0.5

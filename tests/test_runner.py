@@ -119,11 +119,18 @@ def test_norm_sample_builds_no_normal_form(tmp_path, monkeypatch):
     monkeypatch.setattr(normalform, "nf_rate", refuse)
     (tmp_path / "config.txt").write_text(
         "grid.n = 256\nrun.t_end = 0.4\nrun.norm_every = 0.2\ngamma.enabled = false\n"
+        "sigma = 3\n"
     )
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(out)]) == 0
-    _, rows = table_rows(out / "norms.csv")
-    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.2, 0.4]
+    header, rows = table_rows(out / "norms.csv")
+    assert header == ("t,a0,a_quarter,a_half,a_sharp,x,wh_sharp,xsharp,xsharp_ell,"
+                      "hs_0.25,hs_2,energy")
+    cols = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+    assert cols["t"] == (0.0, 0.2, 0.4)
+    # X-sharp is not computed in a run yet; the weighted energy is, from t > 0
+    assert cols["xsharp"] == cols["xsharp_ell"] == (0.0, 0.0, 0.0)
+    assert cols["wh_sharp"][0] == 0.0 and all(v > 0 for v in cols["wh_sharp"][1:])
 
 
 @pytest.mark.parametrize("line", [
