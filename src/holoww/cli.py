@@ -21,7 +21,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
-    checks = verify(args.suite, n=args.n, seed=args.seed)
+    checks = verify(args.suite, seed=args.seed)
     for check in checks:
         print(check.line())
     gating = [c for c in checks if not c.informational]
@@ -57,7 +57,6 @@ def main(argv=None):
     p_ver = sub.add_parser("verify", help="run an acceptance suite")
     p_ver.add_argument("--suite", required=True,
                        help=f"one of: {', '.join([*SUITES, 'all'])}")
-    p_ver.add_argument("--n", type=int, default=None, help="override mode count")
     p_ver.add_argument("--seed", type=int, default=1234)
     p_ver.set_defaults(func=_cmd_verify)
 

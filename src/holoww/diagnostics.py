@@ -37,7 +37,6 @@ from .lp import (
     band_symbol,
     besov_inf2,
     ramp,
-    x_norm,
     x_sup_norm,
     x_zero_norm,
 )
@@ -81,7 +80,7 @@ def control_norms(state, sigma=SIGMA_DEFAULT):
         a_quarter=a_quarter,
         a_half=a_half,
         a_sharp=a_sharp,
-        x=x_sup_norm(wa, r) + a_quarter,  # `x_norm`, its Besov pair computed once
+        x=x_sup_norm(wa, r) + a_quarter,  # X: a_quarter is its Besov pair
         hs={s: pair_sobolev((wa, r), s) for s in hs_exponents(sigma)},
     )
 
@@ -220,28 +219,6 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
         sup_ell = max(sup_ell, t**0.5 * xi0**-0.5 * pair_sobolev((w_a, qa_a), 0.25)
                       + t**0.5 * pair_sobolev((w_a, qa_a), -0.25))
     return lo + hi + sup_blocks, lo + hi + sup_ell
-
-
-def hyp_x_norm(split):
-    """Plain X norm of the differentiated hyperbolic part."""
-    return x_norm(split.hyp_w.deriv(), split.hyp_qa)
-
-
-def velocity_masked_hyp_x_norm(split, delta):
-    """X norm of the hyperbolic part outside the band t^-delta < |v| < t^delta."""
-    t = split.t
-    grid = split.grid
-    v = np.abs(grid.alpha) / t
-    inside = (v >= t**-delta) & (v <= t**delta)
-    mask = 1.0 - inside.astype(float)
-    # smooth the indicator on the local dyadic scale to avoid Gibbs spikes
-    width = max(4, grid.n // 256)
-    kern = np.hanning(2 * width + 1)
-    kern /= kern.sum()
-    mask = np.convolve(np.pad(mask, width, mode="wrap"), kern, mode="valid")  # periodic
-    wm = Field.from_values(grid, mask * split.hyp_w.values)
-    qam = Field.from_values(grid, mask * split.hyp_qa.values)
-    return x_norm(wm.deriv(), qam)
 
 
 # decay fitting -------------------------------------------------------------------

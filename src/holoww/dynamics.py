@@ -398,12 +398,12 @@ def linear_propagate(state, t_target):
 
 # initial data ---------------------------------------------------------------
 
-def packet_data(grid, eps, velocity=1.0, width=None, center=0.0):
-    """Right-moving localized data: a Gaussian spectral bump for W_a at the
-    group-velocity frequency -1/(4 v^2), with Q = |D|^(-1/2) W so the pair
-    rides the right-moving branch of the dispersion relation."""
+def packet_data(grid, eps, width, velocity=1.0, center=0.0):
+    """Right-moving localized data: a Gaussian spectral bump for W_a, of
+    standard deviation 1/width, at the group-velocity frequency -1/(4 v^2),
+    with Q = |D|^(-1/2) W so the pair rides the right-moving branch of the
+    dispersion relation."""
     k0 = -1.0 / (4.0 * velocity**2)
-    width = width if width is not None else 6.0 / abs(k0)
     sigma = 1.0 / width
     k = grid.k
     envelope = np.exp(-((k - k0) ** 2) / (2.0 * sigma**2))

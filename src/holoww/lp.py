@@ -245,11 +245,7 @@ def x_zero_norm(w_alpha, q_alpha):
 
 
 def x_sup_norm(w_alpha, r):
-    """Sup-norm part of `x_norm`:  | |D|^(-1/2) w_alpha |_Linf + | r |_Linf."""
+    """Sup-norm part of the X norm of the differentiated pair (w_alpha, r):
+    | |D|^(-1/2) w_alpha |_Linf + | r |_Linf.  X itself is this plus the
+    Besov pair `x_zero_norm`."""
     return frac_deriv(w_alpha.demean(), -0.5).linf() + r.linf()
-
-
-def x_norm(w_alpha, r):
-    """Pointwise control norm of the differentiated pair (w_alpha, r):
-    `x_sup_norm` plus the Besov pair `x_zero_norm`."""
-    return x_sup_norm(w_alpha, r) + x_zero_norm(w_alpha, r)

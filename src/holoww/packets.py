@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import OutOfDomain, WrapAround
 from .diagnostics import ell_hyp_split
-from .grid import Field, frac_deriv
+from .grid import Field
 from .lp import plateau
 
 PACKET_T_MIN = 4.0  # earliest time of a packet, and so of a gamma sample
@@ -215,11 +215,12 @@ def asymptotic_residual(profile):
 
 # ray reconstruction -------------------------------------------------------------
 
-def packet_reconstruction_error(wt, qt, t, vs, s=0.0):
-    """Compare the hyperbolic part on rays with its gamma representation.
+def packet_reconstruction_error(wt, qt, t, vs):
+    """Compare the hyperbolic part of w on rays with its gamma representation.
 
-    Returns per-velocity errors for both slots together with gamma; the main
-    term is |xi_v|^s t^(-1/2) e^{i phi(t, vt)} gamma(t, v) (1, sgn v).
+    Returns (err_w, gammas): per velocity v, err_w is the mean-free
+    hyperbolic part of w at alpha = v t less the main term
+    t^(-1/2) e^{i phi(t, vt)} gamma(t, v), and gammas holds gamma(t, v).
 
     The main term is the chi-weighted mean of the profile over a packet of
     width t^(1/2) v^(3/2), so the error is small only for profiles that vary
@@ -230,25 +231,14 @@ def packet_reconstruction_error(wt, qt, t, vs, s=0.0):
     outside the windows of both neighbouring blocks, and the profile there
     is counted as elliptic.
     """
-    split = ell_hyp_split((wt, qt), t)
-    grid = wt.grid
-    hyp_w = split.hyp_w
-    hyp_q = split.hyp_qa.antideriv()
+    hyp_w = ell_hyp_split((wt, qt), t).hyp_w.demean()
     err_w = np.zeros(len(vs), dtype=complex)
-    err_q = np.zeros(len(vs), dtype=complex)
     gammas = np.zeros(len(vs), dtype=complex)
     for i, v in enumerate(vs):
-        frame = build_packet(grid, t, v)
-        gam = gamma_value(wt, qt, frame)
-        gammas[i] = gam
-        ray = v * t
-        xi = abs(frame.xi_v)
-        main = xi**s * t**-0.5 * np.exp(1j * phase(t, ray)) * gam
-        lhs_w = frac_deriv(hyp_w, s).evaluate_at(ray)
-        lhs_q = frac_deriv(hyp_q, s + 0.5).evaluate_at(ray)
-        err_w[i] = lhs_w - main
-        err_q[i] = lhs_q - main * math.copysign(1.0, v)
-    return err_w, err_q, gammas
+        gammas[i] = gamma_value(wt, qt, build_packet(wt.grid, t, v))
+        main = t**-0.5 * np.exp(1j * phase(t, v * t)) * gammas[i]
+        err_w[i] = hyp_w.evaluate_at(v * t) - main
+    return err_w, gammas
 
 
 def weighted_l2_v(vs, err, weight_power):
@@ -279,7 +269,7 @@ MONOCHROME_HALFWIDTH = 3.0
 MONOCHROME_RAMP = 2.0
 
 
-def monochrome_ansatz(grid, t, v, gamma0=1.0):
+def monochrome_ansatz(grid, t, v):
     """Idealized single-frequency profile riding the packet ray.
 
     Carries (Wt, Qt) plus independently supplied derivative fields in which
@@ -294,7 +284,7 @@ def monochrome_ansatz(grid, t, v, gamma0=1.0):
     alpha = np.where(grid.alpha != 0, grid.alpha, 1.0)
     phi = np.where(mask > 0, phase(t, alpha), 0.0)
     xi = -1.0 / (4.0 * v**2)
-    base = gamma0 * t**-0.5 * mask * np.exp(1j * phi)
+    base = t**-0.5 * mask * np.exp(1j * phi)
     wt = Field.from_values(grid, base)
     wt_a = Field.from_values(grid, 1j * xi * base)
     sgn = math.copysign(1.0, v)

@@ -129,7 +129,7 @@ class RunConfig:
                 raise UsageError(f"{key} must be nonnegative")
         if self["sigma"] <= 2.75:
             raise UsageError("sigma must exceed 11/4")
-        for key in ("run.t_end", "data.ramp", *_INTERVALS):
+        for key in ("run.t_end", "data.width", "data.ramp", *_INTERVALS):
             if self[key] <= 0:
                 raise UsageError(f"{key} must be positive")
         if self["data.kind"] not in ("packet", "plateau"):
@@ -148,7 +148,7 @@ class RunConfig:
                 grid,
                 self["data.eps"],
                 velocity=self["data.velocity"],
-                width=self["data.width"] or None,
+                width=self["data.width"],
                 center=self["data.center"],
             )
         return plateau_data(
@@ -195,27 +195,32 @@ def _open_csv(path, mode, header):
 def simulate(cfg, out_dir, resume_state=None):
     """Run the configured experiment into `out_dir`; returns the directory.
 
-    Runs start at t = 0.  A run resumed from a state at t_c appends to the
-    tables in `out_dir` and keeps the norm, gamma and checkpoint schedules
-    of that start, from the first sample time after t_c.
+    Runs start at t = 0, in a directory without a manifest.json (else
+    `UsageError`).  A run resumed from a state at t_c appends to the tables
+    in `out_dir` and keeps the norm, gamma and checkpoint schedules of that
+    start, from the first sample time after t_c.
     """
     os.makedirs(out_dir, exist_ok=True)
     grid = cfg.grid()
     sigma = cfg["sigma"]
-    state = resume_state if resume_state is not None else cfg.initial_state()
+    fresh = resume_state is None
+    state = cfg.initial_state() if fresh else resume_state
 
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write(cfg.text())
     manifest = {
         "version": __version__,
         "config_sha256": cfg.sha256(),
         "grid": {"length": grid.length, "n": grid.n, "dealias": grid.dealias},
-        "resumed_from_t": None if resume_state is None else resume_state.t,
+        "resumed_from_t": None if fresh else resume_state.t,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    try:  # a fresh run claims the directory before it writes anything else
+        with open(os.path.join(out_dir, "manifest.json"), "x" if fresh else "w") as fh:
+            json.dump(manifest, fh, indent=1)
+    except FileExistsError:
+        raise UsageError(f"{out_dir} already holds a run") from None
+    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
+        fh.write(cfg.text())
 
-    mode = "a" if resume_state is not None else "w"
+    mode = "w" if fresh else "a"
     norm_fh = _open_csv(os.path.join(out_dir, "norms.csv"), mode, ",".join([
         "t,a0,a_quarter,a_half,a_sharp,x,wh_sharp,xsharp,xsharp_ell",
         *(f"hs_{s:g}" for s in hs_exponents(sigma)), "energy"]))
@@ -247,7 +252,7 @@ def simulate(cfg, out_dir, resume_state=None):
     gammas.skip_before(PACKET_T_MIN)
     ckpts = _Schedule(0.0, cfg["run.checkpoint_every"])
     ckpts.skip_through(state.t)
-    if resume_state is not None:
+    if not fresh:
         norms.skip_through(state.t)
         gammas.skip_through(state.t)
 

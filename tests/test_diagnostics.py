@@ -21,8 +21,6 @@ from holoww.diagnostics import (
     decay_fit,
     ell_hyp_split,
     hyp_band_mass_fraction,
-    hyp_x_norm,
-    velocity_masked_hyp_x_norm,
     weighted_energy,
     xsharp_exponents,
     xsharp_norm,
@@ -65,7 +63,8 @@ def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
     st = small_random_state(grid, 1e-3, 7)
     rec = control_norms(st)
     assert sorted(calls) == [0.0, 0.25, 0.75]
-    assert rec.x == pytest.approx(lp.x_norm(st.wa, st.r), rel=1e-15)
+    x = lp.x_sup_norm(st.wa, st.r) + lp.x_zero_norm(st.wa, st.r)
+    assert rec.x == pytest.approx(x, rel=1e-15)
     assert rec.a_quarter == lp.x_zero_norm(st.wa, st.r)
 
 
@@ -225,44 +224,10 @@ def test_x_below_xsharp_constant_is_stable():
         w = project_neg(Field.from_values(DESK, blob * w.values))
         q = project_neg(frac_deriv(w.demean(), -0.5))
         split = ell_hyp_split((w, q), t)
-        total, _ = xsharp_norm(split)
-        cs.append(hyp_x_norm(split) / total)
+        total, _ = xsharp_norm(split, sigma=3.0)
+        hyp_wa, hyp_qa = split.hyp_w.deriv(), split.hyp_qa
+        cs.append((lp.x_sup_norm(hyp_wa, hyp_qa) + lp.x_zero_norm(hyp_wa, hyp_qa)) / total)
     assert max(cs) / min(cs) < 2.0
-
-
-def _velocity_blob(grid, t, v, rel_width=0.4):
-    alpha0 = v * t
-    xi = -(t**2) / (4.0 * alpha0**2)
-    envelope = bump_jet((grid.alpha - alpha0) / (rel_width * alpha0))[0]
-    w = project_neg(Field.from_values(grid, envelope * np.exp(1j * xi * grid.alpha)))
-    return w
-
-
-def test_velocity_mask_gain_trend():
-    # content off the unit-velocity band is damped ever harder as t grows;
-    # t = 16 is left out: off-band ray frequencies are sub-wavelength there
-    fine = GridSpec(length=400.0 * math.pi, n=8192)
-    delta = 0.3
-    ratios = []
-    for t, v_out in ((64.0, 0.22), (144.0, 0.18), (256.0, 0.16)):
-        w = _velocity_blob(fine, t, 1.0) + _velocity_blob(fine, t, v_out)
-        w = project_neg(w)
-        q = project_neg(frac_deriv(w.demean(), -0.5))
-        split = ell_hyp_split((w, q), t)
-        total, _ = xsharp_norm(split, sigma=6.0)
-        ratios.append(velocity_masked_hyp_x_norm(split, delta) / total)
-    assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_velocity_mask_is_periodic():
-    # with delta = 0 the mask is all ones, so it must leave the norm as it is;
-    # this holds only if the smoothing of the mask wraps at both ends
-    fine = GridSpec(length=400.0 * math.pi, n=8192)
-    t = 200.0
-    w = _velocity_blob(fine, t, -1.5)  # alpha_0 = -300
-    q = project_neg(frac_deriv(w.demean(), -0.5))
-    split = ell_hyp_split((w, q), t)
-    assert velocity_masked_hyp_x_norm(split, 0.0) == pytest.approx(hyp_x_norm(split), rel=1e-12)
 
 
 # decay fitting ----------------------------------------------------------------------

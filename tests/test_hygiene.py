@@ -4,7 +4,8 @@ file already imports from at the top, every top-level definition of
 `src/holoww`, and every method or property of its classes, is named
 somewhere in the program itself (not only in the tests or the benchmark),
 and every defaulted parameter of `src/holoww` is passed by some call, and,
-but for `PROGRAM_UNSET`, by some call in the program itself."""
+but for `PROGRAM_UNSET`, by some call in the program itself, and not as one
+and the same literal by every call in the program."""
 
 import ast
 import functools
@@ -20,8 +21,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # definitions that only the tests read, each waiting for the program reader
 # that ROADMAP.md plans for it
 PENDING = {
-    "xsharp_norm", "hyp_x_norm", "velocity_masked_hyp_x_norm",  # item 6: X-sharp in every run
-    "pos_leakage",  # item 8: the per-run health series
+    "xsharp_norm",  # item 6: X-sharp in every run
+    "pos_leakage",  # item 7: the per-run health series
 }
 # defaulted parameters that no call in the program itself sets, each with why
 PROGRAM_UNSET = {
@@ -104,8 +105,9 @@ def unnamed_definitions(source, names):
 
 
 def defaulted_parameters(source):
-    """(function, parameter, call position or None) of every parameter with a
-    default; a method's position does not count its `self` or `cls`."""
+    """(function, parameter, call position or None, default) of every
+    parameter with a default; a method's position does not count its `self`
+    or `cls`."""
     tree = ast.parse(source)
     methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     out = []
@@ -114,9 +116,9 @@ def defaulted_parameters(source):
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            out += [(node.name, arg.arg, i - (node in methods))
-                    for i, arg in enumerate(positional[first:], first)]
-            out += [(node.name, arg.arg, None)
+            out += [(node.name, arg.arg, i - (node in methods), d)
+                    for i, (arg, d) in enumerate(zip(positional[first:], args.defaults), first)]
+            out += [(node.name, arg.arg, None, d)
                     for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return out
 
@@ -129,29 +131,70 @@ def unset_defaults(source, sources):
     other expression) passes its keywords to every function, and calls of
     `cls` or of a class name are calls of `__init__`.
     """
-    keywords, positions = _call_table(tuple(sources))
-    return [f"{name}({param})" for name, param, position in defaulted_parameters(source)
+    keywords, positions = {}, {}  # called name (None: any) -> keywords, max positionals
+    for name, args, kwargs in _calls(tuple(sources)):
+        keywords.setdefault(name, set()).update(kwargs)
+        positions[name] = max(positions.get(name, 0), len(args))
+    return [f"{name}({param})" for name, param, position, _ in defaulted_parameters(source)
             if not {param, "*"} & (keywords.get(name, set()) | keywords.get(None, set()))
             and (position is None or positions.get(name, 0) <= position)]
 
 
+def _literal(node):
+    """repr of the literal `node` spells, or None for any other expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+def single_valued_defaults(source, sources):
+    """Defaulted parameters of `source` that some call in `sources` passes and
+    that every call passes as one and the same literal.  A call that leaves
+    the parameter out passes its default; calls are matched as in
+    `unset_defaults`, and one through an expression counts where it names
+    the parameter."""
+    calls = _calls(tuple(sources))
+    out = []
+    for name, param, position, default in defaulted_parameters(source):
+        values, passed = set(), False
+        for called, args, kwargs in calls:
+            if called != name and (called is not None or param not in kwargs):
+                continue
+            if "*" in kwargs:
+                node = None  # may pass anything
+            elif param in kwargs:
+                node = kwargs[param]
+            elif position is not None and position < len(args):
+                node = args[position]
+            else:
+                values.add(_literal(default))
+                continue
+            passed = True
+            values.add(None if node is None else _literal(node))
+        if passed and len(values) == 1 and None not in values:
+            out.append(f"{name}({param})")
+    return out
+
+
 @functools.cache
-def _call_table(sources):
-    """Keywords passed to, and most positionals of, each called name, over
-    every call in `sources` (a tuple), built once per set of sources."""
+def _calls(sources):
+    """Every call in `sources` (a tuple), parsed once per set of sources, as
+    (called name, positional arguments, keyword arguments by name, with "*"
+    for `*args` or `**kwargs`).  Calls of `cls` or of a class name are calls
+    of `__init__`; a call through any other expression has the name None."""
     trees = [ast.parse(s) for s in sources]
     classes = {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
-    keywords, positions = {}, {}  # called name (None: any) -> keywords, max positionals
+    out = []
     for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         name = "__init__" if name == "cls" or name in classes else name
-        passed = {k.arg or "*" for k in call.keywords}
+        kwargs = {k.arg or "*": k.value for k in call.keywords}
         if any(isinstance(a, ast.Starred) for a in call.args):
-            passed.add("*")
-        keywords.setdefault(name, set()).update(passed)
-        positions[name] = max(positions.get(name, 0), len(call.args))
-    return keywords, positions
+            kwargs["*"] = None
+        out.append((name, call.args, kwargs))
+    return out
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
@@ -192,6 +235,12 @@ def test_program_sets_its_own_options():
     assert unset == set(PROGRAM_UNSET)
 
 
+def test_no_program_option_has_one_value():
+    # an option that every call in the program sets alike is a constant
+    sources = [p.read_text() for p in MODULES]
+    assert {d for p in MODULES for d in single_valued_defaults(p.read_text(), sources)} == set()
+
+
 def test_checkers_flag_what_they_should():
     source = ("import os\nfrom .grid import Field\n\n\ndef f():\n"
               "    from .grid import frac_deriv\n    return Field, frac_deriv\n")
@@ -210,3 +259,6 @@ def test_checkers_flag_what_they_should():
               "    def m(self, z=0):\n        pass\n\n\n"
               "f(0, 1, d=4)\nC(5)\nTABLE['k'](y=2)\nc.m(*args)\n")
     assert unset_defaults(source, [source]) == ["f(c)"]
+    source = ("def f(a, b=1, c=2, d=3, e=4):\n    pass\n\n\n"
+              "f(0, 5, c=x)\nf(1, 5, d=3)\nf(2, b=5, c=2)\n")
+    assert single_valued_defaults(source, [source]) == ["f(b)", "f(d)"]

@@ -86,6 +86,17 @@ def test_fit_cli(full_run, capsys):
     assert main(["fit", "--run", str(full_run), "--norm", "nope"]) == 2
 
 
+def test_fresh_run_refuses_a_directory_that_holds_a_run(full_run, tmp_path, capsys):
+    # a second run into the same directory must not truncate the first one's
+    # tables, nor leave its checkpoints for a later resume to mix in
+    before = {f.name: f.read_bytes() for f in full_run.iterdir()}
+    (tmp_path / "config.txt").write_text(CONFIG + "data.eps = 2e-3\n")
+    argv = ["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(full_run)]
+    assert main(argv) == 2
+    assert f"{full_run} already holds a run" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in full_run.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"],
     ["simulate", "--config", "config.txt", "--resume-from", "run"],
@@ -143,6 +154,7 @@ def test_norm_sample_builds_no_normal_form(tmp_path, monkeypatch):
     "sigma = nan",
     "gamma.velocities = -1",
     "data.ramp = 0",
+    "data.width = 0",
     "data.plateau = -1",
 ])
 def test_bad_config_value_is_a_usage_error(line, tmp_path, capsys):

@@ -1,5 +1,8 @@
-"""Acceptance suites: the report rows, suite lookup, and one cheap suite
-end to end through `verify` and the command line."""
+"""Acceptance suites: the report rows, suite lookup, one cheap suite end to
+end through `verify` and the command line, and smoke runs of the cheap
+suites."""
+
+import math
 
 import pytest
 
@@ -15,6 +18,22 @@ def test_identities_suite_passes():
     checks = verify("identities")
     assert [c.cid for c in checks] == IDENTITIES
     assert all(c.passed and not c.informational for c in checks)
+
+
+@pytest.mark.parametrize("suite, cids", [
+    ("linear", ["single-mode-phase-error-per-time"]),
+    ("cancellation", ["raw-quadratic-ratio", "classical-nf-cubic-ratio",
+                      "paradiff-residual-cubic-ratio", "quartic-remainder-ratio"]),
+    ("consistency", ["diff-vs-derivative-of-full", "dual-dt-estimator-order",
+                     "scaling-identity-defect"]),
+    ("packets", ["defect-size-slope", "ray-error-l2v-slope",
+                 "spectrum-profile-modulus-collapse", "spectrum-profile-phase-collapse"]),
+])
+def test_suite_reports_its_rows(suite, cids):
+    # rows and finite values only: `ray-error-l2v-slope` is red (ROADMAP item 3)
+    checks = verify(suite)
+    assert [c.cid for c in checks] == cids
+    assert all(math.isfinite(c.measured) for c in checks)
 
 
 def test_unknown_suite_names_the_choices(capsys):
