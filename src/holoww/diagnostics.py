@@ -118,7 +118,7 @@ class EllHypSplit:
     q is carried through its derivative everywhere.  `blocks` holds, per
     dyadic center alpha_0 = 2^m, the localized pair (w, qa), the hyperbolic
     window center xi_0 = t^2/(4 alpha_0^2), and the hyperbolic parts
-    (w_hyp, qa_hyp) of the pair.
+    (w_hyp, qa_hyp) of the pair; `hyp_w` sums the blocks' w_hyp.
     """
 
     t: float
@@ -129,7 +129,6 @@ class EllHypSplit:
     qa_hi: object
     blocks: list
     hyp_w: object
-    hyp_qa: object
 
 
 def ell_hyp_split(pair, t):
@@ -149,7 +148,6 @@ def ell_hyp_split(pair, t):
     w_hi, qa_hi = localize(hi_sym)
     blocks = []
     hyp_w = Field.zero(grid)
-    hyp_qa = Field.zero(grid)
     for m, sym in block_syms:
         alpha0 = 2.0**m
         xi0 = t**2 / (4.0 * alpha0**2)
@@ -168,8 +166,7 @@ def ell_hyp_split(pair, t):
             }
         )
         hyp_w = hyp_w + wm_hyp
-        hyp_qa = hyp_qa + qam_hyp
-    return EllHypSplit(t, grid, w_lo, qa_lo, w_hi, qa_hi, blocks, hyp_w, hyp_qa)
+    return EllHypSplit(t, grid, w_lo, qa_lo, w_hi, qa_hi, blocks, hyp_w)
 
 
 def hyp_band_mass_fraction(block):

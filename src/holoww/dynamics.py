@@ -319,19 +319,19 @@ def _from_diag(half_root, z):
     return np.array([(z[0] + zm) * 0.5, (z[0] - zm) * half_root])
 
 
-def _rk4(t, y, a, rates, dt, half, full):
-    """One fourth-order Runge-Kutta step of  y' = L y + N(t, y)  on a stack
-    of coefficient arrays; returns the new stack.
+def _rk4(y, a, rates, dt, half, full):
+    """One fourth-order Runge-Kutta step of  y' = L y + N(y)  on a stack of
+    coefficient arrays; returns the new stack.  The system is autonomous,
+    so no stage reads a time.
 
-    `a` is N at (t, y), so stage 1 reuses the caller's state, and
-    `rates(t, z)` is N at a stage value z.  `half` and `full` hold the
-    phases exp(L dt/2) and exp(L dt) of every row, which make this the
-    integrating-factor (Lawson) scheme, exact on the linear part; unit
-    phases (L = 0) give classical RK4.
+    `a` is N(y), so stage 1 reuses the caller's state, and `rates(z)` is N
+    at a stage value z.  `half` and `full` hold the phases exp(L dt/2) and
+    exp(L dt) of every row, which make this the integrating-factor (Lawson)
+    scheme, exact on the linear part; unit phases (L = 0) give classical RK4.
     """
     h = dt / 2
-    b = rates(t + h, half * (y + h * a))
-    c = rates(t + h, half * y + h * b)
+    b = rates(half * (y + h * a))
+    c = rates(half * y + h * b)
     acc = b + c  # full a + 2 half (b + c), formed before the last stage
     acc *= 2.0 * half
     acc += full * a
@@ -339,7 +339,7 @@ def _rk4(t, y, a, rates, dt, half, full):
     z = c * (dt * half)
     z += full * y
     del c
-    out = rates(t + dt, z)
+    out = rates(z)
     out += acc
     out *= dt / 6
     out += full * y
@@ -366,7 +366,7 @@ def step(state, cfg):
             d = _to_diag(root, *d)
         return d
 
-    def stage(t, z):
+    def stage(z):
         s = _state_arrays(tab, coefs(z))
         return nonlinear(s, _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1])
 
@@ -375,7 +375,7 @@ def step(state, cfg):
         if dt not in tab.phases:
             tab.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
         y, phases = _to_diag(root, *y), tab.phases[dt]
-    z = _rk4(state.t, y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
+    z = _rk4(y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
     return WaveState(state.t + dt, *_embed(grid, coefs(z)))
 
 

@@ -25,7 +25,7 @@ tests cross-check the table against independent whole-group transcriptions
 to machine precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InconsistentTimes
@@ -57,14 +57,14 @@ def classical_nf_rate(state, dw, dq):
 @dataclass
 class NormalFormState:
     """Normal-form pair (Wt, Qt) at time t with the derivative fields the
-    cubic terms read, and the quadratic flux formed from them once.
+    cubic terms read.
 
     `para_nf` passes the spectral derivatives of Wt and Qt; a test profile
     may pass independently supplied ones, as the monochrome ansatz does.
 
-    The operands that several cubic atoms read and that cost paraproducts,
-    with `2Re Wt` and `Qt' Wt'`, are formed once, on first read, and kept
-    with their sub-grid pieces (`paradiff`); operands that cost one
+    The operands that only the cubic table reads and that cost paraproducts,
+    with `2Re Wt`, `Qt' Wt'` and the flux F2, are formed once, on first read,
+    and kept with their sub-grid pieces (`paradiff`); operands that cost one
     transform pair are formed where they are read.  The fields are not
     reassigned after construction.
     """
@@ -74,10 +74,11 @@ class NormalFormState:
     qt: object
     wt_a: object
     qt_a: object
-    f2: object = field(init=False)  # P[conj(Qt_a) Wt_a - Qt_a conj(Wt_a)]
 
-    def __post_init__(self):
-        self.f2 = project_neg(self.qt_a.conj() * self.wt_a - self.qt_a * self.wt_a.conj())
+    @cached_property
+    def f2(self):
+        """P[conj(Qt') Wt' - Qt' conj(Wt')]"""
+        return project_neg(self.qt_a.conj() * self.wt_a - self.qt_a * self.wt_a.conj())
 
     @cached_property
     def qa_wa(self):
@@ -115,11 +116,20 @@ class NormalFormState:
         return balanced(self.qt_a, self.wt.conj()).deriv().two_re()
 
 
+def _corrected(u, terms):
+    """P[u - sum T_a v - sum Pi(a, 2Re v)] over (a, v, 2Re v) in `terms`, T terms first."""
+    for a, v, _ in terms:
+        u = u - para(a, v)
+    for a, _, v2 in terms:
+        u = u - balanced(a, v2)
+    return project_neg(u)
+
+
 def para_nf(state):
     """Partial (paradifferential) normal form of a state."""
-    w2re = state.w.two_re()
-    wt = project_neg(state.w - para(state.wa, state.w) - balanced(state.wa, w2re))
-    qt = project_neg(state.q - para(state.r, state.w) - balanced(state.r, w2re))
+    w, w2 = state.w, state.w.two_re()
+    wt = _corrected(w, [(state.wa, w, w2)])
+    qt = _corrected(state.q, [(state.r, w, w2)])
     return NormalFormState(state.t, wt, qt, wt.deriv(), qt.deriv())
 
 
@@ -264,27 +274,12 @@ def cubic_sources(nf):
 # measured flow residuals ----------------------------------------------------
 
 def nf_rate(state):
-    """Analytic time derivative of the normal-form pair via the chain rule."""
+    """Analytic rate of the normal-form pair: the correction is bilinear."""
     dw, dq = rhs_full(state)
-    dwa = dw.deriv()
-    dr = r_rate(state, dw, dq)
-    w2 = state.w.two_re()
-    dw2 = dw.two_re()
-    dwt = (
-        dw
-        - para(dwa, state.w)
-        - para(state.wa, dw)
-        - balanced(dwa, w2)
-        - balanced(state.wa, dw2)
-    )
-    dqt = (
-        dq
-        - para(dr, state.w)
-        - para(state.r, dw)
-        - balanced(dr, w2)
-        - balanced(state.r, dw2)
-    )
-    return project_neg(dwt), project_neg(dqt)
+    w, w2, dw2 = state.w, state.w.two_re(), dw.two_re()
+    dwt = _corrected(dw, [(dw.deriv(), w, w2), (state.wa, dw, dw2)])
+    dqt = _corrected(dq, [(r_rate(state, dw, dq), w, w2), (state.r, dw, dw2)])
+    return dwt, dqt
 
 
 def gamma_samples(state, vs):

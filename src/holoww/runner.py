@@ -276,13 +276,16 @@ def simulate(cfg, out_dir, resume_state=None):
 
 
 def resume(run_dir, out_dir):
-    """Continue a finished or interrupted run from its last checkpoint."""
+    """Continue a run from its last checkpoint, into a directory with no other run."""
     cfg = RunConfig.load(os.path.join(run_dir, "config.txt"))
     candidates = sorted(
         f for f in os.listdir(run_dir) if f.startswith("state_") and f != "state_final.txt"
     )
     if not candidates:
         raise UsageError(f"no checkpoints in {run_dir}")
+    if (os.path.exists(os.path.join(out_dir, "manifest.json"))
+            and not os.path.samefile(run_dir, out_dir)):
+        raise UsageError(f"{out_dir} already holds a run")
     state, _ = load_state(os.path.join(run_dir, candidates[-1]))
     return simulate(cfg, out_dir, resume_state=state)
 

@@ -1,8 +1,8 @@
 """Acceptance suites: deterministic checks, one report line per criterion.
 
 Each suite takes the `verify` seed (only `identities` draws from it) and
-returns a list of `Check` rows with the measured value, its bound, and the
-comparison direction.  Every tolerance is pinned here, for the grids fixed
+returns a list of `Check` rows, each a measured value and the interval it
+must lie in.  Every tolerance is pinned here, for the grids fixed
 here (the desk grid 400 pi / 2048 unless a check names another).  Rows flagged
 `informational` document measurements outside the attainable regime (the
 blocking analysis lives in the repository notes); they are printed but do
@@ -72,24 +72,21 @@ from .paradiff import trichotomy_residual
 class Check:
     cid: str
     measured: float
-    bound: float
-    op: str = "<="            # or ">=", "in" (bound is (lo, hi))
-    lo: float = 0.0
+    lo: float = -math.inf     # passes in [lo, hi], an infinite end open; NaN fails
+    hi: float = math.inf
     informational: bool = False
 
     @property
     def passed(self):
-        if self.op == "<=":
-            return self.measured <= self.bound
-        if self.op == ">=":
-            return self.measured >= self.bound
-        return self.lo <= self.measured <= self.bound
+        return self.lo <= self.measured <= self.hi
 
     def line(self):
-        if self.op == "in":
-            bound = f"[{self.lo:g}, {self.bound:g}]"
+        if self.lo == -math.inf:
+            bound = f"<= {self.hi:g}"
+        elif self.hi == math.inf:
+            bound = f">= {self.lo:g}"
         else:
-            bound = f"{self.op} {self.bound:g}"
+            bound = f"[{self.lo:g}, {self.hi:g}]"
         flag = "PASS" if self.passed else ("info" if self.informational else "FAIL")
         return f"{flag:4s} {self.cid:42s} measured={self.measured:12.5g}  bound {bound}"
 
@@ -124,28 +121,28 @@ def suite_identities(seed):
     a, b = _rng_fields(grid, seed, 0.4, 0.15, 1.0, count=2, holo=False)
     scale = max((a * b).l2(), 1e-300)
     checks = [
-        Check("trichotomy-residual", trichotomy_residual(a, b) / scale, 1e-12)
+        Check("trichotomy-residual", trichotomy_residual(a, b) / scale, hi=1e-12)
     ]
     st = _random_state(grid, 0.08, seed + 1)
     f_rational, m_rational = rational_forms(st)
     _, taylor, m = diff_coefficients(st)
-    checks.append(Check("f-identity", (flux(st) - f_rational).l2(), 1e-10))
-    checks.append(Check("m-identity", (m - m_rational).l2(), 1e-10))
+    checks.append(Check("f-identity", (flux(st) - f_rational).l2(), hi=1e-10))
+    checks.append(Check("m-identity", (m - m_rational).l2(), hi=1e-10))
     checks.append(
-        Check("taylor-term-real", float(np.max(np.abs(np.imag(taylor.values)))), 1e-10)
+        Check("taylor-term-real", float(np.max(np.abs(np.imag(taylor.values)))), hi=1e-10)
     )
     u, v = _rng_fields(grid, seed + 2, 0.4, 0.15, 1.0, count=2, holo=False)
     pu = project_neg(u)
     checks.append(
         Check("projector-idempotent",
-              float(np.max(np.abs(project_neg(pu).coef - pu.coef))), 1e-12)
+              float(np.max(np.abs(project_neg(pu).coef - pu.coef))), hi=1e-12)
     )
     rest = v - project_neg(v)
     checks.append(
         Check("projector-orthogonal",
-              abs(pu.inner(rest)) / max(u.l2() * v.l2(), 1e-300), 1e-12)
+              abs(pu.inner(rest)) / max(u.l2() * v.l2(), 1e-300), hi=1e-12)
     )
-    checks.append(Check("partition-of-unity", partition_defect(grid), 1e-12))
+    checks.append(Check("partition-of-unity", partition_defect(grid), hi=1e-12))
     return checks
 
 
@@ -162,7 +159,7 @@ def suite_linear(seed):
     out = evolve(st, StepperConfig(dt=0.2), horizon)
     exact = linear_propagate(st, out.t)
     phase_err = abs(np.angle(out.w.coef[idx] / exact.w.coef[idx])) / horizon
-    return [Check("single-mode-phase-error-per-time", phase_err, 1e-10)]
+    return [Check("single-mode-phase-error-per-time", phase_err, hi=1e-10)]
 
 
 # 3 -------------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def suite_conservation(seed):
 
     st = evolve(st, StepperConfig(dt=0.2), 50.0, observe)
     drifts.append(abs((hamiltonian(st).real - e0) / e0))
-    return [Check("hamiltonian-relative-drift", max(drifts), 1e-6)]
+    return [Check("hamiltonian-relative-drift", max(drifts), hi=1e-6)]
 
 
 # 4 -------------------------------------------------------------------------------
@@ -204,10 +201,10 @@ def suite_cancellation(seed):
     lo = _ladder_norms(grid, 5e-4)
     ratios = [h / l for h, l in zip(hi, lo)]
     return [
-        Check("raw-quadratic-ratio", ratios[0], 4.5, op="in", lo=3.5),
-        Check("classical-nf-cubic-ratio", ratios[1], 9.0, op="in", lo=7.0),
-        Check("paradiff-residual-cubic-ratio", ratios[2], 9.0, op="in", lo=7.0),
-        Check("quartic-remainder-ratio", ratios[3], 19.0, op="in", lo=13.0),
+        Check("raw-quadratic-ratio", ratios[0], 3.5, 4.5),
+        Check("classical-nf-cubic-ratio", ratios[1], 7.0, 9.0),
+        Check("paradiff-residual-cubic-ratio", ratios[2], 7.0, 9.0),
+        Check("quartic-remainder-ratio", ratios[3], 13.0, 19.0),
     ]
 
 
@@ -218,7 +215,7 @@ def suite_consistency(seed):
     st = packet_data(grid, 1e-3, velocity=1.0, width=24.0)
     dw, _ = rhs_full(st)
     dwa, _ = rhs_diff(DiffState(st.t, st.wa, st.r))
-    checks = [Check("diff-vs-derivative-of-full", (dw.deriv() - dwa).l2(), 1e-9)]
+    checks = [Check("diff-vs-derivative-of-full", (dw.deriv() - dwa).l2(), hi=1e-9)]
 
     # two time-derivative estimators for the measured sources, at two steps
     stp = packet_data(grid, 1e-2, velocity=1.0, width=24.0)
@@ -233,13 +230,13 @@ def suite_consistency(seed):
 
     e1, e2 = centered_mismatch(0.2), centered_mismatch(0.1)
     order = math.log2(e1 / e2)
-    checks.append(Check("dual-dt-estimator-order", order, 2.2, op="in", lo=1.8))
+    checks.append(Check("dual-dt-estimator-order", order, 1.8, 2.2))
 
     # scaling-identity defect against the discretization error scale
     st_t = WaveState(2.0, stp.w, stp.q)
     _, _, ts_w, ts_q = scaling_fields(st_t)
     defect = math.sqrt(ts_w.l2() ** 2 + ts_q.l2() ** 2)
-    checks.append(Check("scaling-identity-defect", defect, 10.0 * e2))
+    checks.append(Check("scaling-identity-defect", defect, hi=10.0 * e2))
     return checks
 
 
@@ -253,7 +250,7 @@ def suite_packets(seed):
         fr = build_packet(grid, t, 1.0)
         ratios.append(packet_defect(fr).l2() / fr.w.l2())
     slope, _ = decay_fit(ts, ratios, min_samples=5)
-    checks = [Check("defect-size-slope", slope, -0.8, op="in", lo=-1.2)]
+    checks = [Check("defect-size-slope", slope, -1.2, -0.8)]
 
     fr0 = build_packet(grid, 16.0, 1.0)
     amp = 1e-3 / fr0.w.linf()
@@ -265,7 +262,7 @@ def suite_packets(seed):
         err_w, _ = packet_reconstruction_error(st.w, st.q, t, vs)
         norms.append(weighted_l2_v(vs, err_w, -1.0))
     slope_err, _ = decay_fit(ts, norms, min_samples=5)
-    checks.append(Check("ray-error-l2v-slope", slope_err, -0.7, op="in", lo=-1.3))
+    checks.append(Check("ray-error-l2v-slope", slope_err, -1.3, -0.7))
 
     s_grid = np.linspace(-0.75, 0.75, 31)
     p1 = spectral_profile(build_packet(grid, 64.0, 1.0), s_grid)
@@ -275,8 +272,8 @@ def suite_packets(seed):
     peak = float(np.max(np.abs(p2)))
     mod_dev = math.sqrt(float(np.sum(wgt * (np.abs(p1) - np.abs(p2)) ** 2))) / peak
     phase_dev = math.sqrt(float(np.sum(wgt * np.angle(p1 / p2) ** 2))) / (2 * math.pi)
-    checks.append(Check("spectrum-profile-modulus-collapse", mod_dev, 0.05))
-    checks.append(Check("spectrum-profile-phase-collapse", phase_dev, 0.05))
+    checks.append(Check("spectrum-profile-modulus-collapse", mod_dev, hi=0.05))
+    checks.append(Check("spectrum-profile-phase-collapse", phase_dev, hi=0.05))
     return checks
 
 
@@ -294,12 +291,12 @@ def _linear_gamma_spread(state, ts):
 def suite_gamma(seed):
     big = GridSpec(1600.0 * math.pi, 8192)
     spread = _linear_gamma_spread(plateau_data(big, 1e-3), np.linspace(400.0, 1600.0, 7))
-    checks = [Check("gamma-linear-constancy[400,1600]", spread, 1.1)]
+    checks = [Check("gamma-linear-constancy[400,1600]", spread, hi=1.1)]
 
     desk = _desk_grid()
     spread_s = _linear_gamma_spread(plateau_data(desk, 1e-3, plateau=0.10),
                                     np.linspace(20.0, 80.0, 7))
-    checks.append(Check("gamma-linear-constancy[20,80]-as-stated", spread_s, 1.1,
+    checks.append(Check("gamma-linear-constancy[20,80]-as-stated", spread_s, hi=1.1,
                         informational=True))
 
     # frozen-input audit: a constant profile must return exactly minus the
@@ -312,7 +309,7 @@ def suite_gamma(seed):
     e = asymptotic_residual(prof)
     expect = -cubic_coefficient(c, ts_audit[:, None], vs_audit[None, :])
     checks.append(Check("ode-coefficient-frozen-audit",
-                        float(np.max(np.abs(e - expect))), 1e-15))
+                        float(np.max(np.abs(e - expect))), hi=1e-15))
 
     # nonlinear run: the residual decays measurably faster than the cubic term
     st = plateau_data(desk, 1e-3)
@@ -326,7 +323,7 @@ def suite_gamma(seed):
         cubic_series.append(abs(cubic))
     e_slope, _ = decay_fit(ts, e_series, min_samples=5)
     c_slope, _ = decay_fit(ts, cubic_series, min_samples=5)
-    checks.append(Check("residual-vs-cubic-slope-gap", c_slope - e_slope, 0.3, op=">="))
+    checks.append(Check("residual-vs-cubic-slope-gap", c_slope - e_slope, lo=0.3))
     return checks
 
 
@@ -354,7 +351,7 @@ def suite_decay(seed):
             ("x-decay-nonlinear[60,600]", grid, 1e-3, 60.0, True, False)):
         ts = np.geomspace(t0, 10.0 * t0, 9)
         slope, _ = decay_fit(ts, x_series(plateau_data(g, eps, **profile), ts, stepped))
-        checks.append(Check(cid, slope, -0.4, op="in", lo=-0.6, informational=info))
+        checks.append(Check(cid, slope, -0.6, -0.4, informational=info))
     return checks
 
 
@@ -387,10 +384,10 @@ def suite_structure(seed):
     resonant = abs(cubic_coefficient(1.0, t, v))  # 1 / (2 t (2v)^5)
 
     checks = [
-        Check("nonresonant-pairing-suppression", nonres / res, 1e-3),
-        Check("null-pairing-first-equation", null_g / res, 1e-10),
-        Check("null-pairing-second-equation", null_k / res, 3.0 * truncation),
-        Check("resonant-coefficient-match", abs(res - resonant) / resonant, 0.05),
+        Check("nonresonant-pairing-suppression", nonres / res, hi=1e-3),
+        Check("null-pairing-first-equation", null_g / res, hi=1e-10),
+        Check("null-pairing-second-equation", null_k / res, hi=3.0 * truncation),
+        Check("resonant-coefficient-match", abs(res - resonant) / resonant, hi=0.05),
     ]
 
     big = GridSpec(1600.0 * math.pi, 8192)
@@ -400,7 +397,7 @@ def suite_structure(seed):
     for blk in split.blocks:
         if blk["w_hyp"].l2() > 1e-10 * frb.w.l2():
             worst = min(worst, hyp_band_mass_fraction(blk))
-    checks.append(Check("hyp-block-frequency-concentration", worst, 0.9, op=">="))
+    checks.append(Check("hyp-block-frequency-concentration", worst, lo=0.9))
     return checks
 
 

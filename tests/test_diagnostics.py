@@ -225,7 +225,8 @@ def test_x_below_xsharp_constant_is_stable():
         q = project_neg(frac_deriv(w.demean(), -0.5))
         split = ell_hyp_split((w, q), t)
         total, _ = xsharp_norm(split, sigma=3.0)
-        hyp_wa, hyp_qa = split.hyp_w.deriv(), split.hyp_qa
+        hyp_wa = split.hyp_w.deriv()
+        hyp_qa = sum((blk["qa_hyp"] for blk in split.blocks), Field.zero(DESK))
         cs.append((lp.x_sup_norm(hyp_wa, hyp_qa) + lp.x_zero_norm(hyp_wa, hyp_qa)) / total)
     assert max(cs) / min(cs) < 2.0
 

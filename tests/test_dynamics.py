@@ -182,7 +182,7 @@ def field_step_oracle(w, q, cfg):
                    for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)])
 
 
-def step_oracle(grid, t, w, q, cfg):
+def step_oracle(grid, w, q, cfg):
     """`step` on (W, Q) coefficient arrays as the array kernel took it with
     every array n long: the masks k < 0 (`neg`) and k < 0 inside the dealias
     cut (`keep`) applied by multiplies, and the transforms scaling by 1/n and
@@ -243,7 +243,7 @@ def step_oracle(grid, t, w, q, cfg):
             d = to_diag(*d)
         return d
 
-    def stage(t, z):
+    def stage(z):
         s = state_arrays(*coefs(z))
         return nonlinear(s, rate_arrays(s))
 
@@ -251,14 +251,14 @@ def step_oracle(grid, t, w, q, cfg):
     if integrating:
         y, phases = to_diag(w, q), (np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt))
     s = state_arrays(w, q)
-    return coefs(_rk4(t, y, nonlinear(s, rate_arrays(s)), stage, dt, *phases))
+    return coefs(_rk4(y, nonlinear(s, rate_arrays(s)), stage, dt, *phases))
 
 
 def march_both(st, cfg, steps):
     """`step` and `step_oracle` from st: the two (W, Q) coefficient pairs."""
     got, (w, q) = st, (st.w.coef, st.q.coef)
     for _ in range(steps):
-        new = step_oracle(st.grid, got.t, w, q, cfg)
+        new = step_oracle(st.grid, w, q, cfg)
         w, q = (project_neg(Field(st.grid, c)).coef for c in new)
         got = step(got, cfg)
     return (got.w.coef, got.q.coef), (w, q)
@@ -449,17 +449,17 @@ def test_holomorphy_preserved_many_steps():
 def step_diff(state, cfg):
     """Classical RK4 step of the self-contained differentiated system, each
     stage masked to the dealias band."""
-    grid = state.grid
+    grid, t = state.grid, state.t + cfg.dt  # no rate reads the time
 
-    def make(t, z):
+    def make(z):
         return DiffState(t, *(Field(grid, np.where(grid.dealias_mask, c, 0.0)) for c in z))
 
     def rates(s):
         return np.stack([u.coef for u in rhs_diff(s)])
 
-    z = _rk4(state.t, np.stack([state.wa.coef, state.r.coef]), rates(state),
-             lambda t, z: rates(make(t, z)), cfg.dt, 1.0, 1.0)
-    return make(state.t + cfg.dt, z)
+    z = _rk4(np.stack([state.wa.coef, state.r.coef]), rates(state),
+             lambda z: rates(make(z)), cfg.dt, 1.0, 1.0)
+    return make(z)
 
 
 def test_diff_system_trajectory_matches_differentiated_full(grid):

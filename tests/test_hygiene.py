@@ -5,10 +5,12 @@ file already imports from at the top, every top-level definition of
 somewhere in the program itself (not only in the tests or the benchmark),
 and every defaulted parameter of `src/holoww` is passed by some call, and,
 but for `PROGRAM_UNSET`, by some call in the program itself, and not as one
-and the same literal by every call in the program."""
+and the same literal by every call in the program.  Every name that the
+benchmark in `perfbench/` looks up in the program resolves."""
 
 import ast
 import functools
+import importlib
 import pathlib
 import re
 
@@ -24,6 +26,11 @@ PENDING = {
     "xsharp_norm",  # item 6: X-sharp in every run
     "pos_leakage",  # item 7: the per-run health series
 }
+# what perfbench/workloads.py calls in the program, beside the names that
+# perfbench/tracer.py wraps (read from its MODULES, CLASS_INITS and METHODS)
+BENCH_CALLS = ("runner.RunConfig.parse", "runner.RunConfig.grid",
+               "runner.RunConfig.initial_state", "runner.simulate",
+               "dynamics.load_state", "suites.verify")
 # defaulted parameters that no call in the program itself sets, each with why
 PROGRAM_UNSET = {
     "main(argv)": "the argparse entry point: the console script passes no argv",
@@ -197,6 +204,30 @@ def _calls(sources):
     return out
 
 
+def tracer_names():
+    """The dotted names `perfbench/tracer.py` looks up in `holoww`: its
+    modules, then `module.Class` and `module.Class.method`."""
+    wanted = ("MODULES", "CLASS_INITS", "METHODS")
+    found = {t.id: ast.literal_eval(node.value)
+             for node in ast.parse((ROOT / "perfbench" / "tracer.py").read_text()).body
+             if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name) and t.id in wanted}
+    assert set(found) == set(wanted)
+    return [*found["MODULES"], *(".".join(n) for n in found["CLASS_INITS"] + found["METHODS"])]
+
+
+def unresolved(names):
+    """The dotted names `module.attr...` that do not resolve in `holoww`."""
+    out = []
+    for name in names:
+        module, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"holoww.{module}"))
+        except (ImportError, AttributeError):
+            out.append(name)
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -241,7 +272,14 @@ def test_no_program_option_has_one_value():
     assert {d for p in MODULES for d in single_valued_defaults(p.read_text(), sources)} == set()
 
 
+def test_benchmark_names_resolve():
+    # the benchmark breaks on a name the program lost; tier-1 skips perfbench/tests
+    assert unresolved([*tracer_names(), *BENCH_CALLS]) == []
+
+
 def test_checkers_flag_what_they_should():
+    assert unresolved(["grid.GridSpec", "grid.GridSpec.nope", "nope"]) == [
+        "grid.GridSpec.nope", "nope"]
     source = ("import os\nfrom .grid import Field\n\n\ndef f():\n"
               "    from .grid import frac_deriv\n    return Field, frac_deriv\n")
     assert unused_imports(source) == ["os (line 1)"]

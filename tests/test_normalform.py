@@ -187,6 +187,17 @@ def test_atoms_from_a_warm_state_match_a_fresh_one(grid):
         assert np.array_equal(warm[t.tid].coef, fresh[t.tid].coef), t.tid
 
 
+def test_flux_is_formed_on_first_read(grid):
+    # only the cubic table reads F2: a normal form or a flow residual forms none
+    st = small_state(grid, 3e-2)
+    nf = para_nf(st)
+    assert "f2" not in vars(nf)
+    assert "f2" not in vars(flow_residual_analytic(st)[0])
+    qa, wa = nf.qt_a, nf.wt_a
+    assert np.array_equal(nf.f2.coef, project_neg(qa.conj() * wa - qa * wa.conj()).coef)
+    assert "f2" in vars(nf)
+
+
 def direct_groups(nf):
     """The groups g1..g3, k1..k3 transcribed whole, independent of the atom table."""
     wt, wa, qa, f2 = nf.wt, nf.wt_a, nf.qt_a, nf.f2

@@ -97,6 +97,17 @@ def test_fresh_run_refuses_a_directory_that_holds_a_run(full_run, tmp_path, caps
     assert {f.name: f.read_bytes() for f in full_run.iterdir()} == before
 
 
+def test_resume_refuses_a_directory_that_holds_another_run(full_run, tmp_path, capsys):
+    # continuing one run into another's directory must leave that run as it was
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    other = tmp_path / "other"
+    shutil.copytree(full_run, other)
+    before = {f.name: f.read_bytes() for f in other.iterdir()}
+    assert main(["simulate", "--resume-from", str(crashed), "--out", str(other)]) == 2
+    assert f"{other} already holds a run" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in other.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"],
     ["simulate", "--config", "config.txt", "--resume-from", "run"],

@@ -44,15 +44,21 @@ def test_unknown_suite_names_the_choices(capsys):
 
 
 @pytest.mark.parametrize("check, passed, flag, bound", [
-    (Check("le", 1.0, 1.0), True, "PASS", "<= 1"),
-    (Check("le", 2.0, 1.0), False, "FAIL", "<= 1"),
-    (Check("ge", 0.95, 0.9, op=">="), True, "PASS", ">= 0.9"),
-    (Check("ge", 0.5, 0.9, op=">="), False, "FAIL", ">= 0.9"),
-    (Check("in", -0.5, -0.4, op="in", lo=-0.6), True, "PASS", "[-0.6, -0.4]"),
-    (Check("in", -0.7, -0.4, op="in", lo=-0.6), False, "FAIL", "[-0.6, -0.4]"),
-    (Check("in", -0.398, -0.4, op="in", lo=-0.6, informational=True), False, "info",
+    (Check("le", 1.0, hi=1.0), True, "PASS", "<= 1"),
+    (Check("le", 2.0, hi=1.0), False, "FAIL", "<= 1"),
+    (Check("ge", 0.95, lo=0.9), True, "PASS", ">= 0.9"),
+    (Check("ge", 0.5, lo=0.9), False, "FAIL", ">= 0.9"),
+    (Check("in", -0.5, -0.6, -0.4), True, "PASS", "[-0.6, -0.4]"),
+    (Check("in", -0.7, -0.6, -0.4), False, "FAIL", "[-0.6, -0.4]"),
+    (Check("in", -0.398, -0.6, -0.4, informational=True), False, "info",
      "[-0.6, -0.4]"),
-    (Check("le", 0.5, 1.0, informational=True), True, "PASS", "<= 1"),
+    (Check("le", 0.5, hi=1.0, informational=True), True, "PASS", "<= 1"),
+    # a NaN lies in no interval
+    (Check("le", math.nan, hi=1.0), False, "FAIL", "<= 1"),
+    (Check("ge", math.nan, lo=0.9), False, "FAIL", ">= 0.9"),
+    (Check("in", math.nan, -0.6, -0.4), False, "FAIL", "[-0.6, -0.4]"),
+    (Check("in", math.nan, -0.6, -0.4, informational=True), False, "info",
+     "[-0.6, -0.4]"),
 ])
 def test_check_verdict_and_line(check, passed, flag, bound):
     assert check.passed is passed
