@@ -282,26 +282,38 @@ _ROWS = 4096  # rows per block of a text checkpoint
 
 def write_field(fh, u):
     """Columnar text dump: a header with the grid data, then one `m re im` row
-    per mode, formatted a block at a time."""
+    per mode, formatted a block at a time.  Each value is its `repr`, so the
+    text reads back bit for bit (-0.0 and subnormals included); the rows whose
+    two values are +0.0 (every mode off the kept band) are spelled without one."""
     g = u.grid
     fh.write(f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n")
     for lo in range(0, g.n, _ROWS):
         part = slice(lo, lo + _ROWS)
-        rows = zip(g.modes[part].tolist(), u.coef.real[part].tolist(), u.coef.imag[part].tolist())
-        fh.write("".join([f"{m} {re!r} {im!r}\n" for m, re, im in rows]))
+        modes, c = g.modes[part].tolist(), u.coef[part]
+        rows = [f"{m} 0.0 0.0\n" for m in modes]
+        live = np.flatnonzero(c.real.view(np.int64) | c.imag.view(np.int64))
+        for i, re, im in zip(live.tolist(), c.real[live].tolist(), c.imag[live].tolist()):
+            rows[i] = f"{modes[i]} {re!r} {im!r}\n"
+        fh.write("".join(rows))
 
 
 def read_field(fh, grid=None):
     """The field `write_field` wrote, parsed a block of rows at a time; reads
-    its n rows and no further, and raises on a short or malformed block."""
+    its n rows and no further, and raises `ValueError` on a header without the
+    grid data or a short or malformed block (a stream cut inside a value
+    loses that row's newline)."""
     header = fh.readline().split()
     meta = dict(item.split("=") for item in header[1:])
-    g = grid or GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
+    try:
+        g = grid or GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
+    except KeyError as exc:
+        raise ValueError(f"field header without {exc.args[0]}") from None
     coef = np.zeros(g.n, dtype=complex)
     for lo in range(0, g.n, _ROWS):
         rows = min(_ROWS, g.n - lo)
-        tokens = "".join(itertools.islice(fh, rows)).split()
-        if len(tokens) != 3 * rows:
+        text = "".join(itertools.islice(fh, rows))
+        tokens = text.split()
+        if len(tokens) != 3 * rows or not text.endswith("\n"):
             raise ValueError(f"expected {g.n} rows of `m re im`")
         modes = np.array(tokens[0::3], dtype=int) % g.n
         coef.real[modes], coef.imag[modes] = (np.array(tokens[i::3], dtype=float) for i in (1, 2))

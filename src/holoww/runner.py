@@ -7,7 +7,8 @@ and the ray profile gamma(t, v); everything lands in a run directory:
     manifest.json  code version, config hash, grid
     norms.csv      one row per norm sample; `simulate` owns its columns
     gamma.csv      rows (t, v, Re gamma, Im gamma, |e|, |cubic|)
-    state_*.txt    checkpoints (final state always written)
+    state_*.txt    checkpoints; state_final.txt is always written, as a byte
+                   copy of the checkpoint when one was taken at the last time
 
 Configuration is flat `key = value` text with strict unknown-key rejection.
 """
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +104,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.parse(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+        return cls.parse(text)
 
     def text(self):
         return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values)) + "\n"
@@ -257,26 +263,38 @@ def simulate(cfg, out_dir, resume_state=None):
         gammas.skip_through(state.t)
 
     def save(st, name):
-        save_state(os.path.join(out_dir, f"state_{name}.txt"), st,
-                   extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
+        path = os.path.join(out_dir, f"state_{name}.txt")
+        save_state(path, st, extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
+        return path
+
+    # time and path of the last checkpoint; holding its state would keep a
+    # stepped-past state's arrays alive through the next steps
+    saved_t, saved_path = None, None
 
     def observe(st):
+        nonlocal saved_t, saved_path
         if norms.due(st.t):
             sample_norms(st)
         if cfg["gamma.enabled"] and st.t >= PACKET_T_MIN and gammas.due(st.t):
             sample_gamma(st)
         if ckpts.due(st.t):
-            save(st, f"{st.t:012.4f}")
+            saved_t, saved_path = st.t, save(st, f"{st.t:012.4f}")
 
     with norm_fh, gamma_fh:
         observe(state)
         start, state = [state], None  # hand over: the march holds its only reference
-        save(evolve(start.pop(), cfg.stepper(), cfg["run.t_end"], observe), "final")
+        final = evolve(start.pop(), cfg.stepper(), cfg["run.t_end"], observe)
+        if final.t == saved_t:  # times only grow: the observer saved this state
+            shutil.copyfile(saved_path, os.path.join(out_dir, "state_final.txt"))
+        else:
+            save(final, "final")
     return out_dir
 
 
 def resume(run_dir, out_dir):
     """Continue a run from its last checkpoint, into a directory with no other run."""
+    if not os.path.isdir(run_dir):
+        raise UsageError(f"no run directory {run_dir}")
     cfg = RunConfig.load(os.path.join(run_dir, "config.txt"))
     candidates = sorted(
         f for f in os.listdir(run_dir) if f.startswith("state_") and f != "state_final.txt"
@@ -286,7 +304,11 @@ def resume(run_dir, out_dir):
     if (os.path.exists(os.path.join(out_dir, "manifest.json"))
             and not os.path.samefile(run_dir, out_dir)):
         raise UsageError(f"{out_dir} already holds a run")
-    state, _ = load_state(os.path.join(run_dir, candidates[-1]))
+    path = os.path.join(run_dir, candidates[-1])
+    try:
+        state, _ = load_state(path)
+    except ValueError as exc:  # a checkpoint cut short or garbled
+        raise UsageError(f"unreadable checkpoint {path}: {exc}") from None
     return simulate(cfg, out_dir, resume_state=state)
 
 

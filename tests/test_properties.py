@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holoww.dynamics import StepperConfig, plateau_data, step
 from holoww.grid import Field, GridSpec, project_neg, read_field, write_field
 from holoww.lp import (
     SEPARATION,
@@ -167,3 +168,36 @@ def test_field_text_matches_per_row_writer_and_round_trips(tmp_path_factory, dat
     assert [read_field(fh).coef.tobytes() for _ in range(2)] == [u.coef.tobytes()] * 2
     with pytest.raises(ValueError):
         read_field(io.StringIO(text[: len(text) // 2]))
+
+
+def test_field_text_of_a_stepped_state():
+    # the writer's common input: a stepped state on two blocks of rows, whose
+    # modes off the kept band (all of the first block) are +0.0, spelled
+    # without a repr; -0.0 and a subnormal on the band must keep theirs
+    grid = GridSpec(1600.0 * math.pi, 8192)
+    coef = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2)).w.coef.copy()
+    bits = coef.view(np.int64)
+    assert 0.6 < np.mean(bits == 0) < 0.7
+    band = np.flatnonzero(bits[0::2])
+    coef.real[band[0]], coef.imag[band[-1]] = -0.0, 5e-324
+    u = Field(grid, coef)
+    fh = io.StringIO()
+    write_field(fh, u)
+    assert fh.getvalue() == per_row_text(u)
+    fh.seek(0)
+    assert read_field(fh).coef.tobytes() == coef.tobytes()
+
+
+@pytest.mark.parametrize("broken", ["value", "mode", "cut", "header"])
+def test_read_field_rejects_malformed_text(broken):
+    u = Field(GridSpec(64.0, 16), np.linspace(0.1, 1.6, 16) * (1 - 1j))
+    lines = per_row_text(u).splitlines(keepends=True)
+    m, re, im = lines[5].split()
+    if broken == "header":
+        lines[0] = "# n=16\n"
+    elif broken == "cut":  # a stream cut inside the last value still parses as a float
+        lines[-1] = lines[-1][:-3]
+    else:
+        lines[5] = f"{m}.5 {re} {im}\n" if broken == "mode" else f"{m} {re}x {im}\n"
+    with pytest.raises(ValueError):
+        read_field(io.StringIO("".join(lines)))
