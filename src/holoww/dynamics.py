@@ -432,15 +432,16 @@ def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05):
 # checkpoints ----------------------------------------------------------------
 
 def save_state(path, state, extra=None):
+    """A JSON line of t and `extra`, then W and Q as `write_field` spells them:
+    a row of two hex words of IEEE-754 bits per mode, in fft order."""
     with open(path, "w") as fh:
-        meta = {"t": state.t}
-        meta.update(extra or {})
-        fh.write(json.dumps(meta) + "\n")
+        fh.write(json.dumps({"t": state.t, **(extra or {})}) + "\n")
         write_field(fh, state.w)
         write_field(fh, state.q)
 
 
 def load_state(path):
+    """The state and metadata `save_state` wrote; `ValueError` if cut short or garbled."""
     with open(path) as fh:
         meta = json.loads(fh.readline())
         w = read_field(fh)

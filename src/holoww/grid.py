@@ -16,7 +16,6 @@ constants, and pinning the mean keeps homogeneous negative-order multipliers
 finite).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -277,44 +276,30 @@ def pair_sobolev(pair, s):
 
 # serialization ------------------------------------------------------------
 
-_ROWS = 4096  # rows per block of a text checkpoint
-
-
 def write_field(fh, u):
-    """Columnar text dump: a header with the grid data, then one `m re im` row
-    per mode, formatted a block at a time.  Each value is its `repr`, so the
-    text reads back bit for bit (-0.0 and subnormals included); the rows whose
-    two values are +0.0 (every mode off the kept band) are spelled without one."""
+    """Columnar text dump: a header with the grid data, then one row per mode in
+    fft order, the big-endian IEEE-754 bits of the real and the imaginary part as
+    two 16-digit lowercase hex words, a space between and a newline after (34
+    characters), so the text reads back exactly (-0.0, subnormals, inf, nan)."""
     g = u.grid
     fh.write(f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n")
-    for lo in range(0, g.n, _ROWS):
-        part = slice(lo, lo + _ROWS)
-        modes, c = g.modes[part].tolist(), u.coef[part]
-        rows = [f"{m} 0.0 0.0\n" for m in modes]
-        live = np.flatnonzero(c.real.view(np.int64) | c.imag.view(np.int64))
-        for i, re, im in zip(live.tolist(), c.real[live].tolist(), c.imag[live].tolist()):
-            rows[i] = f"{modes[i]} {re!r} {im!r}\n"
-        fh.write("".join(rows))
+    rows = bytearray(u.coef.astype(">c16").tobytes().hex(" ", 8) + "\n", "ascii")
+    rows[33::34] = b"\n" * g.n  # every other space ends a row
+    fh.write(rows.decode("ascii"))
 
 
 def read_field(fh, grid=None):
-    """The field `write_field` wrote, parsed a block of rows at a time; reads
-    its n rows and no further, and raises `ValueError` on a header without the
-    grid data or a short or malformed block (a stream cut inside a value
-    loses that row's newline)."""
+    """The field `write_field` wrote; reads its header and the 34 n characters
+    of its rows, no further, and raises `ValueError` on a header without the
+    grid data, or rows cut short or not of that form."""
     header = fh.readline().split()
     meta = dict(item.split("=") for item in header[1:])
     try:
         g = grid or GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
     except KeyError as exc:
         raise ValueError(f"field header without {exc.args[0]}") from None
-    coef = np.zeros(g.n, dtype=complex)
-    for lo in range(0, g.n, _ROWS):
-        rows = min(_ROWS, g.n - lo)
-        text = "".join(itertools.islice(fh, rows))
-        tokens = text.split()
-        if len(tokens) != 3 * rows or not text.endswith("\n"):
-            raise ValueError(f"expected {g.n} rows of `m re im`")
-        modes = np.array(tokens[0::3], dtype=int) % g.n
-        coef.real[modes], coef.imag[modes] = (np.array(tokens[i::3], dtype=float) for i in (1, 2))
-    return Field(g, coef)
+    text = fh.read(34 * g.n)
+    raw, bits = text.encode("ascii"), bytes.fromhex(text)  # fromhex skips whitespace
+    if len(bits) != 16 * g.n or raw[16::34] != b" " * g.n or raw[33::34] != b"\n" * g.n:
+        raise ValueError(f"expected {g.n} rows of two 16-digit hex words")
+    return Field(g, np.frombuffer(bits, ">c16").astype(complex))

@@ -7,8 +7,8 @@ and the ray profile gamma(t, v); everything lands in a run directory:
     manifest.json  code version, config hash, grid
     norms.csv      one row per norm sample; `simulate` owns its columns
     gamma.csv      rows (t, v, Re gamma, Im gamma, |e|, |cubic|)
-    state_*.txt    checkpoints; state_final.txt is always written, as a byte
-                   copy of the checkpoint when one was taken at the last time
+    state_*.txt    whole checkpoints (`_write_whole`); state_final.txt is always
+                   written, a byte copy of the checkpoint taken at the last time if any
 
 Configuration is flat `key = value` text with strict unknown-key rejection.
 """
@@ -198,6 +198,18 @@ def _open_csv(path, mode, header):
     return fh
 
 
+def _write_whole(path, write):
+    """`write(tmp)` to a dot-prefixed temporary beside `path`, renamed over it
+    when done: a run stopped mid-write leaves no partial file under `path`."""
+    tmp = os.path.join(os.path.dirname(path), "." + os.path.basename(path))
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def simulate(cfg, out_dir, resume_state=None):
     """Run the configured experiment into `out_dir`; returns the directory.
 
@@ -264,7 +276,8 @@ def simulate(cfg, out_dir, resume_state=None):
 
     def save(st, name):
         path = os.path.join(out_dir, f"state_{name}.txt")
-        save_state(path, st, extra={"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]})
+        extra = {"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]}
+        _write_whole(path, lambda tmp: save_state(tmp, st, extra=extra))
         return path
 
     # time and path of the last checkpoint; holding its state would keep a
@@ -285,7 +298,8 @@ def simulate(cfg, out_dir, resume_state=None):
         start, state = [state], None  # hand over: the march holds its only reference
         final = evolve(start.pop(), cfg.stepper(), cfg["run.t_end"], observe)
         if final.t == saved_t:  # times only grow: the observer saved this state
-            shutil.copyfile(saved_path, os.path.join(out_dir, "state_final.txt"))
+            _write_whole(os.path.join(out_dir, "state_final.txt"),
+                         lambda tmp: shutil.copyfile(saved_path, tmp))
         else:
             save(final, "final")
     return out_dir

@@ -17,6 +17,7 @@ from holoww.dynamics import (
     linear_propagate,
     load_state,
     packet_data,
+    plateau_data,
     r_rate,
     rational_forms,
     rhs_diff,
@@ -535,3 +536,22 @@ def test_checkpoint_roundtrip(tmp_path, grid):
     resumed_a = evolve(out, StepperConfig(dt=0.1), 2.0)
     resumed_b = evolve(loaded, StepperConfig(dt=0.1), 2.0)
     assert (resumed_a.w - resumed_b.w).l2() < 1e-13
+
+
+def test_checkpoint_of_the_long_grid_is_exact(tmp_path):
+    # perfbench's march-xl grid: after its header line each field takes 34
+    # characters per mode, and a stepped state reads back bit for bit
+    grid = GridSpec(12800.0 * math.pi, 65536)
+    out = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2))
+    path = tmp_path / "state.txt"
+    save_state(path, out)
+    loaded, meta = load_state(path)
+    assert meta == {"t": out.t}
+    assert loaded.w.coef.tobytes() == out.w.coef.tobytes()
+    assert loaded.q.coef.tobytes() == out.q.coef.tobytes()
+    _, rest = path.read_text().split("\n", 1)
+    for _ in range(2):
+        header, rest = rest.split("\n", 1)
+        assert header == f"# length={grid.length!r} n={grid.n} dealias={grid.dealias!r}"
+        rest = rest[34 * grid.n:]
+    assert rest == ""

@@ -5,6 +5,7 @@ the negative-frequency projector, and the field text format."""
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -136,11 +137,11 @@ def test_save_load_field_round_trip_is_exact(grid, tmp_path_factory, data):
 
 
 def per_row_text(u):
-    """`write_field` as one formatted row per mode."""
+    """`write_field` as one row per mode, its IEEE-754 bits spelled by `struct`."""
     g = u.grid
     out = [f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n"]
-    for m, c in zip(g.modes, u.coef):
-        out.append(f"{m} {float(c.real)!r} {float(c.imag)!r}\n")
+    for c in u.coef.tolist():
+        out.append(f"{struct.pack('>d', c.real).hex()} {struct.pack('>d', c.imag).hex()}\n")
     return "".join(out)
 
 
@@ -151,7 +152,6 @@ edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e
 @PROPERTY
 @given(data=st.data(), n=st.sampled_from([16, 4098, 8200]))
 def test_field_text_matches_per_row_writer_and_round_trips(tmp_path_factory, data, n):
-    # n = 4098 and 8200 span two and three blocks of rows, the last one short
     grid = GridSpec(64.0, n)
     parts = data.draw(arrays(np.float64, (2, n), elements=st.one_of(edge, finite), fill=edge))
     u = Field(grid, parts[0] + 1j * parts[1])
@@ -171,9 +171,8 @@ def test_field_text_matches_per_row_writer_and_round_trips(tmp_path_factory, dat
 
 
 def test_field_text_of_a_stepped_state():
-    # the writer's common input: a stepped state on two blocks of rows, whose
-    # modes off the kept band (all of the first block) are +0.0, spelled
-    # without a repr; -0.0 and a subnormal on the band must keep theirs
+    # the writer's common input: a stepped state whose modes off the kept band
+    # are +0.0, with -0.0 and a subnormal set on the band
     grid = GridSpec(1600.0 * math.pi, 8192)
     coef = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2)).w.coef.copy()
     bits = coef.view(np.int64)
@@ -188,16 +187,25 @@ def test_field_text_of_a_stepped_state():
     assert read_field(fh).coef.tobytes() == coef.tobytes()
 
 
-@pytest.mark.parametrize("broken", ["value", "mode", "cut", "header"])
+@pytest.mark.parametrize("broken", ["value", "short", "separator", "newline", "blank", "cut",
+                                    "header"])
 def test_read_field_rejects_malformed_text(broken):
     u = Field(GridSpec(64.0, 16), np.linspace(0.1, 1.6, 16) * (1 - 1j))
     lines = per_row_text(u).splitlines(keepends=True)
-    m, re, im = lines[5].split()
+    re, im = lines[5].split()
     if broken == "header":
         lines[0] = "# n=16\n"
-    elif broken == "cut":  # a stream cut inside the last value still parses as a float
+    elif broken == "cut":  # a stream cut inside the last word
         lines[-1] = lines[-1][:-3]
-    else:
-        lines[5] = f"{m}.5 {re} {im}\n" if broken == "mode" else f"{m} {re}x {im}\n"
+    elif broken == "value":
+        lines[5] = f"{re[:-1]}g {im}\n"
+    elif broken == "short":
+        lines[5] = f"{re} {im[:-1]}\n"
+    elif broken == "separator":  # the space two digits early: the digits still pair up
+        lines[5] = f"{re[:-2]} {re[-2:]}{im}\n"
+    elif broken == "newline":
+        lines[5] = f"{re} {im[:-2]}\n{im[-2:]}"
+    else:  # spaces for digits: 16 bytes fewer, every separator in place
+        lines[5] = " " * 33 + "\n"
     with pytest.raises(ValueError):
         read_field(io.StringIO("".join(lines)))

@@ -2,6 +2,7 @@
 bit for bit, and the `holoww` subcommands work end to end (n = 256)."""
 
 import gc
+import json
 import shutil
 
 import numpy as np
@@ -183,6 +184,52 @@ def test_truncated_checkpoint_is_a_usage_error(lines, chars, full_run, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ckpt) in err
     assert not out.exists()
+
+
+def test_a_checkpoint_write_stopped_midway_leaves_the_earlier_ones(full_run, tmp_path,
+                                                                  monkeypatch):
+    # the write of the t = 2 checkpoint fails after its W: the run keeps the
+    # t = 1 checkpoint, with no partial state_* file and no temporary, and a
+    # resume continues from it as the uninterrupted run did
+    write_field, written = dynamics.write_field, []
+
+    def failing(fh, u):
+        write_field(fh, u)
+        written.append(u)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(dynamics, "write_field", failing)
+    (tmp_path / "config.txt").write_text(CONFIG)
+    run = tmp_path / "run"
+    with pytest.raises(OSError):
+        main(["simulate", "--config", str(tmp_path / "config.txt"), "--out", str(run)])
+    monkeypatch.undo()
+    assert sorted(f.name for f in run.iterdir()) == [
+        "config.txt", "gamma.csv", "manifest.json", "norms.csv", "state_0000001.0000.txt"]
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--resume-from", str(run), "--out", str(out)]) == 0
+    assert_same_final_state(out, full_run)
+
+
+def test_a_checkpoint_in_decimal_rows_is_a_usage_error(full_run, tmp_path, capsys):
+    # checkpoints written before the hex rows spelled each mode `m re im`,
+    # each value its repr; they get no second parser, and nothing is written
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    ckpt = crashed / "state_0000001.0000.txt"
+    state, meta = load_state(ckpt)
+    text = [json.dumps(meta) + "\n"]
+    for u in (state.w, state.q):
+        g = u.grid
+        text.append(f"# length={g.length!r} n={g.n} dealias={g.dealias!r}\n")
+        text += [f"{m} {c.real!r} {c.imag!r}\n" for m, c in zip(g.modes.tolist(), u.coef.tolist())]
+    ckpt.write_text("".join(text))
+    before = {f.name: f.read_bytes() for f in crashed.iterdir()}
+    for out in (tmp_path / "resumed", crashed):
+        assert main(["simulate", "--resume-from", str(crashed), "--out", str(out)]) == 2
+        assert f"error: unreadable checkpoint {ckpt}: " in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+    assert {f.name: f.read_bytes() for f in crashed.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv", [
