@@ -123,7 +123,10 @@ class Field:
     transforms of the field's LP pieces that `paradiff` keeps in `_pieces`,
     both formed on first use and dropped with the field.  Pointwise products
     go through `__mul__`, which applies the 2/3-rule mask afterwards so that
-    products of band-limited fields stay alias-free.
+    products of band-limited fields stay alias-free.  `conj` and `two_re`
+    make no forward transform: the coefficients of conj(u) are those of u
+    mirrored, conj(c_m) at mode -m mod n (exact on the grid, the Nyquist
+    mode included), and their values are formed pointwise from `values`.
     """
 
     __slots__ = ("grid", "coef", "_values", "_pieces")
@@ -177,12 +180,17 @@ class Field:
     def __rmul__(self, scalar):
         return Field(self.grid, self.coef * scalar)
 
+    def _mirror(self):
+        """Coefficients of conj(u): conj(c_m) at mode -m mod n."""
+        return np.conj(np.concatenate((self.coef[:1], self.coef[:0:-1])))
+
     def conj(self):
-        return Field.from_values(self.grid, np.conj(self.values))
+        return Field(self.grid, self._mirror(), np.conj(self.values))
 
     def two_re(self):
         """u + conj(u), i.e. twice the pointwise real part."""
-        return Field.from_values(self.grid, 2.0 * np.real(self.values))
+        return Field(self.grid, self.coef + self._mirror(),
+                     np.asarray(2.0 * np.real(self.values), dtype=complex))
 
     def deriv(self):
         return Field(self.grid, self.coef * (1j * self.grid.k))

@@ -62,11 +62,11 @@ class NormalFormState:
     `para_nf` passes the spectral derivatives of Wt and Qt; a test profile
     may pass independently supplied ones, as the monochrome ansatz does.
 
-    The operands that only the cubic table reads and that cost paraproducts,
-    with `2Re Wt`, `Qt' Wt'` and the flux F2, are formed once, on first read,
-    and kept with their sub-grid pieces (`paradiff`); operands that cost one
-    transform pair are formed where they are read.  The fields are not
-    reassigned after construction.
+    The operands below are shared: each is read by several atoms of `TERMS`
+    (or by another shared operand), formed once, on first read, and kept in
+    the instance dictionary with its values and sub-grid pieces (`paradiff`)
+    until `evaluate_terms` drops it after its last reader.  The fields are
+    not reassigned after construction.
     """
 
     t: float
@@ -75,45 +75,33 @@ class NormalFormState:
     wt_a: object
     qt_a: object
 
-    @cached_property
-    def f2(self):
-        """P[conj(Qt') Wt' - Qt' conj(Wt')]"""
-        return project_neg(self.qt_a.conj() * self.wt_a - self.qt_a * self.wt_a.conj())
-
-    @cached_property
-    def qa_wa(self):
-        """Qt' Wt'"""
-        return self.qt_a * self.wt_a
-
-    @cached_property
-    def re_wt(self):
-        """2Re Wt"""
-        return self.wt.two_re()
-
-    @cached_property
-    def t_qa_wt(self):
-        """T[Qt'] Wt"""
-        return para(self.qt_a, self.wt)
-
-    @cached_property
-    def t_wa_wt(self):
-        """T[Wt'] Wt"""
-        return para(self.wt_a, self.wt)
-
-    @cached_property
-    def d_qa_wt(self):
-        """(T[Qt']Wt + Pi(Qt', Wt))'"""
-        return (self.t_qa_wt + balanced(self.qt_a, self.wt, self.t_qa_wt)).deriv()
-
-    @cached_property
-    def d_qa_re_wt(self):
-        """(T[Qt']Wt + Pi(Qt', 2Re Wt))'"""
-        return (self.t_qa_wt + balanced(self.qt_a, self.re_wt)).deriv()
-
-    @cached_property
-    def re_d_pi_qa_cwt(self):
-        """2Re(Pi(Qt', conj Wt))'"""
-        return balanced(self.qt_a, self.wt.conj()).deriv().two_re()
+    cwt = cached_property(lambda v: v.wt.conj())                    # conj Wt
+    cwa = cached_property(lambda v: v.wt_a.conj())                  # conj Wt'
+    cqa = cached_property(lambda v: v.qt_a.conj())                  # conj Qt'
+    re_wt = cached_property(lambda v: v.wt.two_re())                # 2Re Wt
+    re_wa = cached_property(lambda v: v.wt_a.two_re())              # 2Re Wt'
+    re_qa = cached_property(lambda v: v.qt_a.two_re())              # 2Re Qt'
+    wa2 = cached_property(lambda v: v.wt_a * v.wt_a)                # Wt'^2
+    cwa2 = cached_property(lambda v: v.cwa * v.cwa)                 # conj(Wt')^2
+    qa_wa = cached_property(lambda v: v.qt_a * v.wt_a)              # Qt' Wt'
+    re_qa_wa = cached_property(lambda v: v.qa_wa.two_re())          # 2Re(Qt' Wt')
+    d_qa_wa = cached_property(lambda v: v.qa_wa.deriv())            # (Qt' Wt')'
+    qa_dqa = cached_property(lambda v: v.qt_a * v.qt_a.deriv())     # Qt' Qt''
+    d_abs_qa = cached_property(lambda v: project_neg(v.qt_a * v.cqa).deriv())  # P[|Qt'|^2]'
+    # F2 = P[conj(Qt') Wt' - Qt' conj(Wt')], its conjugate and derivative
+    f2 = cached_property(lambda v: project_neg(v.cqa * v.wt_a - v.qt_a * v.cwa))
+    cf2 = cached_property(lambda v: v.f2.conj())
+    d_f2 = cached_property(lambda v: v.f2.deriv())
+    # paraproducts, each read twice (a T[a]b + Pi(a, b) pair shares its T[a]b)
+    t_qa_wt = cached_property(lambda v: para(v.qt_a, v.wt))         # T[Qt'] Wt
+    t_wa_wt = cached_property(lambda v: para(v.wt_a, v.wt))         # T[Wt'] Wt
+    t_dqa_wa_wt = cached_property(lambda v: para(v.d_qa_wa, v.wt))  # T[(Qt' Wt')'] Wt
+    t_cwa2_qa = cached_property(lambda v: para(v.cwa2, v.qt_a))     # T[conj(Wt')^2] Qt'
+    t_cqa_wa2 = cached_property(lambda v: para(v.cqa, v.wa2))       # T[conj Qt'] Wt'^2
+    # (T[Qt']Wt + Pi(Qt', Wt))', (T[Qt']Wt + Pi(Qt', 2Re Wt))', 2Re(Pi(Qt', conj Wt))'
+    d_qa_wt = cached_property(lambda v: (v.t_qa_wt + balanced(v.qt_a, v.wt, v.t_qa_wt)).deriv())
+    d_qa_re_wt = cached_property(lambda v: (v.t_qa_wt + balanced(v.qt_a, v.re_wt)).deriv())
+    re_d_pi_qa_cwt = cached_property(lambda v: balanced(v.qt_a, v.cwt).deriv().two_re())
 
 
 def _corrected(u, terms):
@@ -142,6 +130,7 @@ class Term:
     klass: str          # resonant | nonresonant | null
     formula: str
     build: object
+    reads: tuple        # shared operands `build` reads, directly or through another one
 
 
 def _d(u):
@@ -164,108 +153,127 @@ def _t_pi(a, b):
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
     Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
-         lambda v: T(v.wt_a, v.qa_wa)),
+         lambda v: T(v.wt_a, v.qa_wa), ("qa_wa",)),
     Term("g1.2", "g1", "nonresonant", "T[(Qt' Wt')'] Wt",
-         lambda v: T(_d(v.qa_wa), v.wt)),
+         lambda v: v.t_dqa_wa_wt, ("t_dqa_wa_wt", "d_qa_wa", "qa_wa")),
     Term("g1.3", "g1", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.wt_a, _tr(v.qa_wa))),
+         lambda v: Pi(v.wt_a, v.re_qa_wa), ("re_qa_wa", "qa_wa")),
     Term("g1.4", "g1", "nonresonant", "Pi((Qt' Wt')', Wt)",
-         lambda v: Pi(_d(v.qa_wa), v.wt)),
+         lambda v: Pi(v.d_qa_wa, v.wt, v.t_dqa_wa_wt), ("d_qa_wa", "qa_wa", "t_dqa_wa_wt")),
     Term("g1.5", "g1", "resonant", "Pi((Qt' Wt')', conj Wt)",
-         lambda v: Pi(_d(v.qa_wa), v.wt.conj())),
+         lambda v: Pi(v.d_qa_wa, v.cwt), ("d_qa_wa", "qa_wa", "cwt")),
     # --- cancellations against d_a Qt
     Term("g2.1", "g2", "null", "-Wt' F2",
-         lambda v: -1.0 * (v.wt_a * v.f2)),
+         lambda v: -1.0 * (v.wt_a * v.f2), ("f2", "cqa", "cwa")),
     Term("g2.2", "g2", "null", "T[F2'] Wt",
-         lambda v: T(_d(v.f2), v.wt)),
+         lambda v: T(v.d_f2, v.wt), ("d_f2", "f2", "cqa", "cwa")),
     Term("g2.3", "g2", "null", "Pi(F2', 2Re Wt)",
-         lambda v: Pi(_d(v.f2), v.re_wt)),
+         lambda v: Pi(v.d_f2, v.re_wt), ("d_f2", "f2", "cqa", "cwa", "re_wt")),
     Term("g2.4", "g2", "null", "Pi(F2, Wt')",
-         lambda v: Pi(v.f2, v.wt_a)),
+         lambda v: Pi(v.f2, v.wt_a), ("f2", "cqa", "cwa")),
     Term("g2.5", "g2", "null", "Pi(Wt', conj F2)",
-         lambda v: Pi(v.wt_a, v.f2.conj())),
+         lambda v: Pi(v.wt_a, v.cf2), ("cf2", "f2", "cqa", "cwa")),
     Term("g2.6", "g2", "nonresonant", "-Pi(conj(Wt')^2, Qt')",
-         lambda v: -1.0 * Pi(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
+         lambda v: -1.0 * Pi(v.cwa2, v.qt_a, v.t_cwa2_qa), ("cwa2", "cwa", "t_cwa2_qa")),
     Term("g2.7", "g2", "resonant", "Pi(conj Qt', Wt'^2)",
-         lambda v: Pi(v.qt_a.conj(), v.wt_a * v.wt_a)),
+         lambda v: Pi(v.cqa, v.wa2, v.t_cqa_wa2), ("cqa", "wa2", "t_cqa_wa2")),
     Term("g2.8", "g2", "nonresonant", "-T[conj(Wt')^2] Qt'",
-         lambda v: -1.0 * T(v.wt_a.conj() * v.wt_a.conj(), v.qt_a)),
+         lambda v: -1.0 * v.t_cwa2_qa, ("t_cwa2_qa", "cwa2", "cwa")),
     Term("g2.9", "g2", "nonresonant", "-T[conj Wt'] F2",
-         lambda v: -1.0 * T(v.wt_a.conj(), v.f2)),
+         lambda v: -1.0 * T(v.cwa, v.f2), ("cwa", "f2", "cqa")),
     Term("g2.10", "g2", "nonresonant", "T[conj Qt'] Wt'^2",
-         lambda v: T(v.qt_a.conj(), v.wt_a * v.wt_a)),
+         lambda v: v.t_cqa_wa2, ("t_cqa_wa2", "cqa", "wa2")),
     # --- rewriting the quadratic potentials in normal-form variables
     Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt, v.t_wa_wt))), v.qt_a)),
+         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt, v.t_wa_wt))), v.qt_a), ("t_wa_wt",)),
     Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
-         lambda v: T(_tr(_d(Pi(v.wt_a, v.wt.conj()))), v.qt_a)),
+         lambda v: T(_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a), ("cwt",)),
     Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
-         lambda v: -1.0 * T(_tr(v.wt_a), v.qa_wa)),
+         lambda v: -1.0 * T(v.re_wa, v.qa_wa), ("re_wa", "qa_wa")),
     Term("g3.4", "g3", "null", "T[2Re Wt'] F2",
-         lambda v: T(_tr(v.wt_a), v.f2)),
+         lambda v: T(v.re_wa, v.f2), ("re_wa", "f2", "cqa", "cwa")),
     Term("g3.5", "g3", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: T(_tr(v.wt_a), v.d_qa_re_wt)),
+         lambda v: T(v.re_wa, v.d_qa_re_wt), ("re_wa", "d_qa_re_wt", "t_qa_wt", "re_wt")),
     Term("g3.6", "g3", "nonresonant",
          "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a)),
+         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a), ("qa_wa", "d_qa_wt", "t_qa_wt")),
     Term("g3.7", "g3", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a)),
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a), ("re_d_pi_qa_cwt", "cwt")),
     Term("g3.8", "g3", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * T(_tr(v.qt_a), _d(v.t_wa_wt + Pi(v.wt_a, v.re_wt)))),
+         lambda v: -1.0 * T(v.re_qa, _d(v.t_wa_wt + Pi(v.wt_a, v.re_wt))),
+         ("re_qa", "t_wa_wt", "re_wt")),
     # --- sources of the second equation
     Term("k1.1", "k1", "nonresonant", "T[Qt' Qt''] Wt",
-         lambda v: T(v.qt_a * _d(v.qt_a), v.wt)),
+         lambda v: T(v.qa_dqa, v.wt), ("qa_dqa",)),
     Term("k1.2", "k1", "null", "T[P[|Qt'|^2]'] Wt",
-         lambda v: T(_d(project_neg(v.qt_a * v.qt_a.conj())), v.wt)),
+         lambda v: T(v.d_abs_qa, v.wt), ("d_abs_qa", "cqa")),
     Term("k1.3", "k1", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
-         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a))),
+         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a)), ()),
     Term("k1.4", "k1", "null", "Pi(Qt' Qt'', 2Re Wt)",
-         lambda v: Pi(v.qt_a * _d(v.qt_a), v.re_wt)),
+         lambda v: Pi(v.qa_dqa, v.re_wt), ("qa_dqa", "re_wt")),
     Term("k1.5", "k1", "null", "Pi(P[|Qt'|^2]', 2Re Wt)",
-         lambda v: Pi(_d(project_neg(v.qt_a * v.qt_a.conj())), v.re_wt)),
+         lambda v: Pi(v.d_abs_qa, v.re_wt), ("d_abs_qa", "cqa", "re_wt")),
     Term("k1.6", "k1", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.qt_a, _tr(v.qa_wa))),
+         lambda v: Pi(v.qt_a, v.re_qa_wa), ("re_qa_wa", "qa_wa")),
     Term("k1.7", "k1", "nonresonant", "-Pi(Wt' Qt', Qt')",
-         lambda v: -1.0 * Pi(v.wt_a * v.qt_a, v.qt_a)),
+         lambda v: -1.0 * Pi(v.qa_wa, v.qt_a), ("qa_wa",)),
     Term("k1.8", "k1", "null", "Pi(Qt', conj F2)",
-         lambda v: Pi(v.qt_a, v.f2.conj())),
+         lambda v: Pi(v.qt_a, v.cf2), ("cf2", "f2", "cqa", "cwa")),
     Term("k1.9", "k1", "nonresonant", "-T[Qt' Wt'] Qt'",
-         lambda v: -1.0 * T(v.qa_wa, v.qt_a)),
+         lambda v: -1.0 * T(v.qa_wa, v.qt_a), ("qa_wa",)),
     Term("k2.1", "k2", "nonresonant", "i T[Wt'^2] Wt",
-         lambda v: 1j * T(v.wt_a * v.wt_a, v.wt)),
+         lambda v: 1j * T(v.wa2, v.wt), ("wa2",)),
     Term("k2.2", "k2", "null", "i Pi(Wt'^2, 2Re Wt)",
-         lambda v: 1j * Pi(v.wt_a * v.wt_a, v.re_wt)),
+         lambda v: 1j * Pi(v.wa2, v.re_wt), ("wa2", "re_wt")),
     Term("k2.3", "k2", "null", "-T[F2] Qt'",
-         lambda v: -1.0 * T(v.f2, v.qt_a)),
+         lambda v: -1.0 * T(v.f2, v.qt_a), ("f2", "cqa", "cwa")),
     Term("k3.1", "k3", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a)),
+         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a), ("d_qa_wt", "t_qa_wt")),
     Term("k3.2", "k3", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a)),
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a), ("re_d_pi_qa_cwt", "cwt")),
     Term("k3.3", "k3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * T(_tr(v.qt_a), v.d_qa_re_wt)),
+         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt), ("re_qa", "d_qa_re_wt", "t_qa_wt", "re_wt")),
     Term("k3.4", "k3", "nonresonant", "T[2Re(Qt' Wt')] Qt'",
-         lambda v: T(_tr(v.qa_wa), v.qt_a)),
+         lambda v: T(v.re_qa_wa, v.qt_a), ("re_qa_wa", "qa_wa")),
     Term("k3.5", "k3", "nonresonant", "T[conj Qt'](Qt' Wt')",
-         lambda v: T(v.qt_a.conj(), v.qa_wa)),
+         lambda v: T(v.cqa, v.qa_wa), ("cqa", "qa_wa")),
     Term("k3.6", "k3", "nonresonant", "T[Qt'] T[Qt'] Wt'",
-         lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
+         lambda v: T(v.qt_a, T(v.qt_a, v.wt_a)), ()),
 )
+
+
+# the atoms in evaluation order, which keeps the readers of each shared
+# operand close together, so that few operands are held at once
+_ORDER = tuple(t for tid in """
+    k1.3 k3.6 g2.8 g2.6 k2.3 k1.8 g2.5 g2.9 g2.4 g2.1 g2.2 g2.3 g3.4 k1.5 k1.2
+    k1.1 k1.4 g2.7 g2.10 k2.1 k2.2 k3.5 g3.3 g3.5 k3.3 g3.8 g3.1 g3.6 k3.1 k1.7
+    k1.6 g1.3 k3.4 g1.1 k1.9 g1.2 g1.4 g1.5 g3.2 g3.7 k3.2
+    """.split() for t in TERMS if t.tid == tid)
+_LAST = {name: t for t in _ORDER for name in t.reads}  # last reader of each shared operand
 
 
 def evaluate_terms(nf, reduce=None):
     """Every term of the table on the fields of a `NormalFormState`, keyed by
-    id; with `reduce`, `reduce(term, field)` is kept in place of each field
-    as it is built, so the fields need not all be held at once."""
+    id in table order; with `reduce`, `reduce(term, field)` is kept in place
+    of each field as it is built, so the fields need not all be held at once.
+    The atoms are built in `_ORDER`, and each shared operand is dropped from
+    `nf` after its last reader there."""
     keep = reduce or (lambda term, u: u)
-    return {t.tid: keep(t, t.build(nf)) for t in TERMS}
+    out = {}
+    for t in _ORDER:
+        out[t.tid] = keep(t, t.build(nf))
+        for name in t.reads:
+            if _LAST[name] is t:
+                vars(nf).pop(name, None)
+    return {t.tid: out[t.tid] for t in TERMS}
 
 
 def cubic_sources(nf):
     """Explicit cubic sources (G3, K3): the terms of each group of `TERMS`
     summed in table order, then G3 = g1 + g2 + g3 and K3 = k1 + k2 + k3."""
-    groups = {}
+    atoms, groups = evaluate_terms(nf), {}
     for t in TERMS:
-        u = t.build(nf)
+        u = atoms[t.tid]
         groups[t.group] = groups[t.group] + u if t.group in groups else u
     return (groups["g1"] + groups["g2"] + groups["g3"],
             groups["k1"] + groups["k2"] + groups["k3"])

@@ -498,7 +498,8 @@ def test_transform_budget(grid, monkeypatch):
     # step from the same state finds its (R, Y) values kept.  From n = 8192 on
     # each row of a stack is one call, so a step makes its 40 in 40.  r_rate forms
     # two products of three transforms and reads the kept values of R.
-    # rhs_diff and rational_forms transform no 1 + W_a or J
+    # rhs_diff and rational_forms transform no 1 + W_a or J, and conjugates
+    # and real parts make no forward transform
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
@@ -519,8 +520,8 @@ def test_transform_budget(grid, monkeypatch):
     dw, dq = rhs_full(st)
     assert budget(r_rate, st, dw, dq) == (5, 5)
     ds = DiffState(st.t, st.wa, st.r)
-    assert budget(rhs_diff, ds) == (32, 32)
-    assert budget(rational_forms, st) == (29, 29)
+    assert budget(rhs_diff, ds) == (27, 27)
+    assert budget(rational_forms, st) == (22, 22)
     long = packet_data(GridSpec(length=4096.0, n=16384), 1e-3, velocity=1.4, width=8.0)
     assert budget(step, long, StepperConfig(dt=0.05)) == (40, 40)
 

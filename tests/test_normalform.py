@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ from holoww.normalform import (
 )
 
 from conftest import holo_field, transform_points
+
+
+def fresh(nf, cls=NormalFormState):
+    """A state on copies of the fields of `nf`: no operand or piece formed."""
+    return cls(nf.t, *(Field(nf.wt.grid, u.coef.copy()) for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a)))
 
 
 def small_state(grid, eps, seed=None):
@@ -135,26 +141,66 @@ def test_terms_are_trilinear(grid):
         assert diff < 1e-12 * scale, t.tid
 
 
-def test_table_transform_budget(monkeypatch):
-    # the operands several atoms read are formed once, and every field
-    # keeps the sub-grid transforms of its paraproduct pieces: one table on
-    # the desk grid transforms about 249n points (394n when every atom
-    # formed its own operands and pieces)
-    desk = GridSpec()
-    nf = para_nf(packet_data(desk, 3e-2, velocity=1.4, width=8.0))
+SHARED = {name for name, attr in vars(NormalFormState).items()
+          if isinstance(attr, cached_property)}
+
+
+@pytest.fixture(scope="module")
+def desk_nf():
+    return para_nf(packet_data(GridSpec(), 3e-2, velocity=1.4, width=8.0))
+
+
+def test_table_transform_budget(monkeypatch, desk_nf):
+    # each shared operand is formed once, conjugates and real parts make no
+    # forward transform, and every field keeps the sub-grid transforms of its
+    # paraproduct pieces: one table on the desk grid transforms about 175n
+    # points (252n with a transform per conjugate or real part, and those and
+    # the products formed per atom)
+    nf = fresh(desk_nf)
     points = transform_points(monkeypatch)
     evaluate_terms(nf)
-    assert sum(points) <= 260 * desk.n
+    assert sum(points) <= 180 * nf.wt.grid.n
 
 
-def test_table_forms_each_t_plus_pi_once(monkeypatch):
-    # g3.1, g3.6 and k3.1 (through d_qa_wt) and k1.3 hand their T[a]b to
-    # Pi(a, b): the table makes 69 paraproducts (72 when Pi formed it again),
-    # and the atoms keep the bits of the spelling that forms it twice
-    desk = GridSpec()
-    nf = para_nf(packet_data(desk, 3e-2, velocity=1.4, width=8.0))
-    fresh = NormalFormState(nf.t, *(Field(desk, u.coef.copy())
-                                    for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a)))
+def test_atoms_equal_their_build_on_a_fresh_state(desk_nf):
+    # shared operands, the order of evaluation and the release change no bit
+    # of any atom, and no shared operand outlives the table, not even one
+    # formed before it
+    nf = fresh(desk_nf)
+    nf.f2  # formed before the table
+    values = evaluate_terms(nf)
+    assert not SHARED & set(vars(nf))
+    for t in TERMS:
+        assert np.array_equal(values[t.tid].coef, t.build(fresh(desk_nf)).coef), t.tid
+    assert list(values) == [t.tid for t in TERMS]
+    assert sorted(t.tid for t in normalform._ORDER) == sorted(values)
+
+
+def test_declared_reads_are_the_traced_ones(desk_nf):
+    # built on a state with nothing formed, each atom reads exactly the shared
+    # operands its `reads` names, directly or through another shared operand,
+    # and every shared operand has a reader
+    seen = []
+
+    class Traced(NormalFormState):
+        def __getattribute__(self, name):
+            seen.append(name)
+            return super().__getattribute__(name)
+
+    for t in TERMS:
+        seen.clear()
+        t.build(fresh(desk_nf, Traced))
+        assert SHARED.intersection(seen) == set(t.reads), t.tid
+    assert set().union(*(t.reads for t in TERMS)) == SHARED
+
+
+def test_table_forms_each_t_plus_pi_once(monkeypatch, desk_nf):
+    # g3.1, g3.6 and k3.1 (through d_qa_wt), k1.3, and the pairs g1.2/g1.4,
+    # g2.6/g2.8 and g2.7/g2.10 hand their T[a]b to Pi(a, b): the table makes
+    # 66 paraproducts (72 when Pi formed it again), and the atoms keep the
+    # bits of the spelling that forms it twice.  k1.7 reads Qt' Wt' for its
+    # Wt' Qt', which numpy's complex product may round differently
+    nf, unformed = fresh(desk_nf), fresh(desk_nf)
     calls = []
 
     def counted(a, b, _fn=paradiff.para):
@@ -164,14 +210,22 @@ def test_table_forms_each_t_plus_pi_once(monkeypatch):
         monkeypatch.setattr(module, "para", counted)
     monkeypatch.setattr(normalform, "T", counted)
     values = evaluate_terms(nf)
-    assert len(calls) == 69
+    assert len(calls) == 66
     monkeypatch.undo()
-    wt, wa, qa = fresh.wt, fresh.wt_a, fresh.qt_a
+    wt, wa, qa = unformed.wt, unformed.wt_a, unformed.qt_a
+    cwa2, wa2, d_qw = wa.conj() * wa.conj(), wa * wa, _d(qa * wa)
     twice = {
         "g3.1": T(_tr(_d(T(wa, wt) + Pi(wa, wt))), qa),
-        "g3.6": T(_tr(fresh.qa_wa - _d(T(qa, wt) + Pi(qa, wt))), wa),
+        "g3.6": T(_tr(qa * wa - _d(T(qa, wt) + Pi(qa, wt))), wa),
         "k3.1": -1.0 * T(_tr(_d(T(qa, wt) + Pi(qa, wt))), qa),
         "k1.3": T(qa, T(wa, qa) + Pi(wa, qa)),
+        "g1.2": T(d_qw, wt),
+        "g1.4": Pi(d_qw, wt),
+        "g2.6": -1.0 * Pi(cwa2, qa),
+        "g2.8": -1.0 * T(cwa2, qa),
+        "g2.7": Pi(qa.conj(), wa2),
+        "g2.10": T(qa.conj(), wa2),
+        "k1.7": -1.0 * Pi(qa * wa, qa),
     }
     for tid, u in twice.items():
         assert np.array_equal(values[tid].coef, u.coef), tid
@@ -179,12 +233,11 @@ def test_table_forms_each_t_plus_pi_once(monkeypatch):
 
 def test_atoms_from_a_warm_state_match_a_fresh_one(grid):
     nf = para_nf(small_state(grid, 3e-2))
-    evaluate_terms(nf)  # forms the shared operands and the pieces
+    evaluate_terms(nf)  # forms the pieces of the state's fields
     warm = evaluate_terms(nf)
-    fresh = evaluate_terms(NormalFormState(nf.t, *(Field(grid, u.coef.copy())
-                                                   for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a))))
+    unformed = evaluate_terms(fresh(nf))
     for t in TERMS:
-        assert np.array_equal(warm[t.tid].coef, fresh[t.tid].coef), t.tid
+        assert np.array_equal(warm[t.tid].coef, unformed[t.tid].coef), t.tid
 
 
 def test_flux_is_formed_on_first_read(grid):
