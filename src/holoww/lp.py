@@ -104,6 +104,7 @@ class HalfBlock(NamedTuple):
 
     block: Band  # the half's support
     low: Band  # the low-pass support of cut 2^(m - SEPARATION)
+    read: Band | None  # the run of `block` whose products reach a kept mode
     size: int  # fast length N' >= the product band's width
     out: tuple  # (at, run) parts of the product band, its modes taken mod n
     neg: bool  # the product reaches a kept mode with k < 0
@@ -124,6 +125,16 @@ def _band(n, start, sym):
     return Band(start + first, sym[first:stop], _parts(n, start + first, stop - first))
 
 
+def _clip(n, band, lim):
+    """The run of `band` (on one side of 0) on the modes |j| <= lim, None
+    where it has none; its values are a view of `band`'s."""
+    first, stop = max(0, -lim - band.start), min(len(band.values), lim + 1 - band.start)
+    if first >= stop:
+        return None
+    start = band.start + first
+    return Band(start, band.values[first:stop], _parts(n, start, stop - first))
+
+
 def _window(grid, inner, outer):
     """Wavenumbers of the modes -outer .. -inner, then inner .. outer (below n/2)."""
     n = grid.n
@@ -138,14 +149,19 @@ def band_table(grid):
     (open at a clamped end), and the low-pass symbol of cut 2^(m - SEPARATION)
     on |k| < 2^(m + 1 - SEPARATION); each is stored as its nonzero run on
     consecutive modes (`Band`), the block split at k = 0 into two
-    `HalfBlock`s.  A half times the low piece lies in a band of width
-    len(half) + len(low) - 1, which is formed on the shortest fast length N'
-    that holds it and added back at its modes mod n, so the top blocks alias
-    as on the full grid.  Only the k < 0 halves reach a kept k < 0 mode,
-    unless the dealias cut lies within the low reach of n/2, where the top
-    k > 0 half wraps there too.  Table build and storage are O(n)."""
+    `HalfBlock`s.  `spread` reads a whole half, products its run `read` on
+    |j| <= cut + reach (cut = floor(dealias n / 2), reach the low run's
+    half-width): modes further out reach no kept mode, unless cut + reach
+    >= n/2, where products wrap back inside the cut and read the whole half.
+    `read` times the low piece lies in a band of width len(read) + len(low)
+    - 1, which is formed on the shortest fast length N' that holds it and
+    added back at its modes mod n, so the top blocks alias as on the full
+    grid.  Only the k < 0 halves reach a kept k < 0 mode, unless the dealias
+    cut lies within the low reach of n/2, where the top k > 0 half wraps
+    there too.  Table build and storage are O(n)."""
     if grid not in _BANDS:
         n, top = grid.n, grid.n // 2
+        cut = math.floor(grid.dealias * n / 2)
         kept_neg = grid.dealias_mask & (grid.modes < 0)
         table = []
         for block in lp_blocks(grid):
@@ -158,10 +174,14 @@ def band_table(grid):
             low = _band(n, -reach, lowpass_symbol(_window(grid, 0, reach), 2.0 ** (m - SEPARATION)))
             halves = []
             for half in (_band(n, -outer, sym[:split]), _band(n, inner, sym[split:])):
-                width = len(half.values) + len(low.values) - 1
-                out = _parts(n, half.start + low.start, width)
+                read = _clip(n, half, cut - low.start)  # low.start is -reach
+                if read is None:
+                    halves.append(HalfBlock(half, low, None, 0, (), False))
+                    continue
+                width = len(read.values) + len(low.values) - 1
+                out = _parts(n, read.start + low.start, width)
                 neg = any(kept_neg[at].any() for at, _ in out)
-                halves.append(HalfBlock(half, low, _fft_size(width), out, neg))
+                halves.append(HalfBlock(half, low, read, _fft_size(width), out, neg))
             table.append((m, tuple(halves)))
         _BANDS[grid] = tuple(table)
     return _BANDS[grid]

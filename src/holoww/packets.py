@@ -285,9 +285,7 @@ def monochrome_ansatz(grid, t, v):
     phi = np.where(mask > 0, phase(t, alpha), 0.0)
     xi = -1.0 / (4.0 * v**2)
     base = t**-0.5 * mask * np.exp(1j * phi)
-    wt = Field.from_values(grid, base)
-    wt_a = Field.from_values(grid, 1j * xi * base)
-    sgn = math.copysign(1.0, v)
-    qt = Field.from_values(grid, abs(xi) ** -0.5 * sgn * base)
-    qt_a = Field.from_values(grid, 1j * xi * abs(xi) ** -0.5 * sgn * base)
-    return wt, wt_a, qt, qt_a
+    coef = grid.coef_from_values(base)  # the other three are fixed multiples of Wt
+    q = abs(xi) ** -0.5 * math.copysign(1.0, v)
+    wt_a, qt_a = (Field(grid, c * coef, c * base) for c in (1j * xi, 1j * xi * q))
+    return Field(grid, coef, base), wt_a, Field(grid, q * coef), qt_a

@@ -14,20 +14,24 @@ P does not commute with multiplication.
 Each LP block's support is split at k = 0 (`lp.band_table`).  One half of
 P_m b spans 2^(m-1) < |k| < 2^(m+1) on one side of 0, and the low piece of a
 reaches |k| < 2^(m-3), so their product lies in a band about 1.75 2^m wide
-on that side (Bony's support property).  It is formed on the shortest fast
-length N' that holds the band, the half placed at the band's offset, and
-added back at its modes mod n: its transform is the exact convolution, so
-the sum is the full-grid one to rounding, aliasing of the top blocks
-included.  `_lohi` sums both halves of every block; `para` only the halves
-whose product reaches a kept k < 0 mode, the k < 0 ones.
+on that side (Bony's support property); only the half's run within the low
+reach of the dealias cut reaches a kept mode.  The product of that run is
+formed on the shortest fast length N' that holds its band, the run placed
+at the band's offset, and added back at its modes mod n: its transform is
+the exact convolution, so the sum is the full-grid one to rounding,
+aliasing of the top blocks included.  `_lohi` sums both halves of every
+block; `para` only the halves whose product reaches a kept k < 0 mode, the
+k < 0 ones.  `balanced`, unless handed T_a b, forms T_a b + T_b a as one
+sum: on each half's sub-grid it adds the two products and transforms once.
 
-The sub-grid transform of each piece, the low piece of a and the half of
+The sub-grid transform of each piece, the low piece of a and the run of
 P_m b, is kept on its field (`Field._pieces`) the first time a product
-needs it, keyed by the band's first mode and N', so both halves of a block
-that share N' share the low piece, and a field read again as an operand is
-not transformed again.  On the 2048-mode desk grid a `para` call transforms
-about 3.5n points with both operands new, 2.3n with one of them already
-transformed, and 1.2n (the products alone) with both; `_lohi` about 6n.
+needs it, keyed by the run's first mode, length and N', so both halves of
+a block that share N' share the low piece, and a field read again as an
+operand is not transformed again.  On the 2048-mode desk grid a `para` call
+transforms about 3.0n points with both operands new, 2.0n with one of them
+already transformed, and 1.0n (the products alone) with both; `_lohi` about
+5.0n, and `balanced` of two new operands 8.0n, 3n of them for P[a b].
 """
 
 import numpy as np
@@ -38,10 +42,11 @@ from .lp import band_table, gather
 
 def _piece(u, kind, band, size):
     """Values of `u` times the symbol of `band` on the sub-grid of length
-    `size`, kept on `u` under (kind, first mode, size) and read-only."""
+    `size`, kept on `u` under (kind, first mode, run length, size) and
+    read-only."""
     if u._pieces is None:
         u._pieces = {}
-    key = (kind, band.start, size)
+    key = (kind, band.start, len(band.values), size)
     piece = u._pieces.get(key)
     if piece is None:
         piece = u._pieces[key] = np.fft.ifft(gather(u.coef, band, size), norm="forward")
@@ -49,14 +54,17 @@ def _piece(u, kind, band, size):
     return piece
 
 
-def _half_sum(a, b, halves):
-    """Sum over `halves` of one half of P_m b times the part of a below
-    2^(m - SEPARATION), unprojected."""
-    a._check(b)
-    grid = a.grid
+def _half_sum(pairs, halves):
+    """Sum over `halves` and over the (a, b) in `pairs` of the read run of
+    one half of P_m b times the part of a below 2^(m - SEPARATION),
+    unprojected: the pairs' products are summed before the one transform."""
+    grid = pairs[0][0].grid
+    for a, b in pairs:
+        a._check(b)
     coef = np.zeros(grid.n, dtype=complex)
     for half in halves:
-        prod = _piece(a, "low", half.low, half.size) * _piece(b, "block", half.block, half.size)
+        prod = sum(_piece(a, "low", half.low, half.size) * _piece(b, "block", half.read, half.size)
+                   for a, b in pairs)
         prod = np.fft.fft(prod, norm="forward")  # the linear convolution of the pieces
         for at, run in half.out:
             coef[at] += prod[run]
@@ -65,19 +73,28 @@ def _half_sum(a, b, halves):
 
 def _lohi(a, b):
     """Unprojected low-high sum: P_m b times the part of a below 2^(m - SEPARATION)."""
-    return _half_sum(a, b, [half for _, pair in band_table(a.grid) for half in pair])
+    halves = [half for _, pair in band_table(a.grid) for half in pair if half.read]
+    return _half_sum([(a, b)], halves)
+
+
+def _para(*pairs):
+    """Sum of T_a b over the (a, b) in `pairs`, from the halves whose product reaches k < 0."""
+    halves = [half for _, pair in band_table(pairs[0][0].grid) for half in pair if half.neg]
+    return project_neg(_half_sum(pairs, halves))
 
 
 def para(a, b):
-    """Low-high paraproduct T_a b, from the halves whose product reaches k < 0."""
-    halves = [half for _, pair in band_table(a.grid) for half in pair if half.neg]
-    return project_neg(_half_sum(a, b, halves))
+    """Low-high paraproduct T_a b."""
+    return _para((a, b))
 
 
 def balanced(a, b, t_ab=None):
     """Balanced product Pi(a, b) = P[a b] - T_a b - T_b a; `t_ab` is T_a b
-    when the caller has formed it already."""
-    return project_neg(a * b) - (para(a, b) if t_ab is None else t_ab) - para(b, a)
+    when the caller has formed it already, else the two paraproducts are
+    formed as one sum."""
+    if t_ab is None:
+        return project_neg(a * b) - _para((a, b), (b, a))
+    return project_neg(a * b) - t_ab - para(b, a)
 
 
 def trichotomy_residual(a, b):

@@ -152,14 +152,17 @@ def desk_nf():
 
 def test_table_transform_budget(monkeypatch, desk_nf):
     # each shared operand is formed once, conjugates and real parts make no
-    # forward transform, and every field keeps the sub-grid transforms of its
-    # paraproduct pieces: one table on the desk grid transforms about 175n
-    # points (252n with a transform per conjugate or real part, and those and
-    # the products formed per atom)
+    # forward transform, every field keeps the sub-grid transforms of its
+    # paraproduct pieces, products read each block half within reach of the
+    # dealias cut only, and Pi sums its two paraproducts before transforming:
+    # one table on the desk grid transforms about 142n points (175n with the
+    # whole halves and a transform per paraproduct, 252n with a transform per
+    # conjugate or real part as well, and those and the products formed per
+    # atom)
     nf = fresh(desk_nf)
     points = transform_points(monkeypatch)
     evaluate_terms(nf)
-    assert sum(points) <= 180 * nf.wt.grid.n
+    assert sum(points) <= 150 * nf.wt.grid.n
 
 
 def test_atoms_equal_their_build_on_a_fresh_state(desk_nf):
@@ -197,33 +200,36 @@ def test_declared_reads_are_the_traced_ones(desk_nf):
 def test_table_forms_each_t_plus_pi_once(monkeypatch, desk_nf):
     # g3.1, g3.6 and k3.1 (through d_qa_wt), k1.3, and the pairs g1.2/g1.4,
     # g2.6/g2.8 and g2.7/g2.10 hand their T[a]b to Pi(a, b): the table makes
-    # 66 paraproducts (72 when Pi formed it again), and the atoms keep the
-    # bits of the spelling that forms it twice.  k1.7 reads Qt' Wt' for its
-    # Wt' Qt', which numpy's complex product may round differently
+    # 66 paraproducts (72 when Pi formed it again; a Pi that forms T[a]b and
+    # T[b]a as one sum counts two), and the atoms keep the bits of the
+    # spelling P[a b] - T[a]b - T[b]a that forms it twice.  k1.7 reads
+    # Qt' Wt' for its Wt' Qt', which numpy's complex product may round
+    # differently
     nf, unformed = fresh(desk_nf), fresh(desk_nf)
-    calls = []
+    pairs = []
 
-    def counted(a, b, _fn=paradiff.para):
-        calls.append((a, b))
-        return _fn(a, b)
-    for module in (paradiff, normalform):
-        monkeypatch.setattr(module, "para", counted)
-    monkeypatch.setattr(normalform, "T", counted)
+    def counted(*args, _fn=paradiff._para):
+        pairs.extend(args)
+        return _fn(*args)
+    monkeypatch.setattr(paradiff, "_para", counted)
     values = evaluate_terms(nf)
-    assert len(calls) == 66
+    assert len(pairs) == 66
     monkeypatch.undo()
+
+    def pi(a, b):
+        return project_neg(a * b) - T(a, b) - T(b, a)
     wt, wa, qa = unformed.wt, unformed.wt_a, unformed.qt_a
     cwa2, wa2, d_qw = wa.conj() * wa.conj(), wa * wa, _d(qa * wa)
     twice = {
-        "g3.1": T(_tr(_d(T(wa, wt) + Pi(wa, wt))), qa),
-        "g3.6": T(_tr(qa * wa - _d(T(qa, wt) + Pi(qa, wt))), wa),
-        "k3.1": -1.0 * T(_tr(_d(T(qa, wt) + Pi(qa, wt))), qa),
-        "k1.3": T(qa, T(wa, qa) + Pi(wa, qa)),
+        "g3.1": T(_tr(_d(T(wa, wt) + pi(wa, wt))), qa),
+        "g3.6": T(_tr(qa * wa - _d(T(qa, wt) + pi(qa, wt))), wa),
+        "k3.1": -1.0 * T(_tr(_d(T(qa, wt) + pi(qa, wt))), qa),
+        "k1.3": T(qa, T(wa, qa) + pi(wa, qa)),
         "g1.2": T(d_qw, wt),
-        "g1.4": Pi(d_qw, wt),
-        "g2.6": -1.0 * Pi(cwa2, qa),
+        "g1.4": pi(d_qw, wt),
+        "g2.6": -1.0 * pi(cwa2, qa),
         "g2.8": -1.0 * T(cwa2, qa),
-        "g2.7": Pi(qa.conj(), wa2),
+        "g2.7": pi(qa.conj(), wa2),
         "g2.10": T(qa.conj(), wa2),
         "k1.7": -1.0 * Pi(qa * wa, qa),
     }

@@ -20,11 +20,12 @@ from holoww.lp import (
     SEPARATION,
     band_table,
     besov_inf2,
+    block_range,
     lowpass_symbol,
     lp_blocks,
     partition_defect,
 )
-from holoww.paradiff import _lohi, balanced, para, trichotomy_residual
+from holoww.paradiff import _half_sum, _lohi, balanced, para, trichotomy_residual
 
 from conftest import full_spectrum_field, lohi_oracle, scatter
 
@@ -48,9 +49,11 @@ def test_lp_blocks_partition_unity_on_any_grid(n, length):
        seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.0, 0.25, 0.75]))
 def test_band_table_holds_the_dense_symbols(n, length, seed, s):
     # the two halves of each block scatter back to its dense symbol, the low
-    # support to the dense low-pass symbol; each half's product band fits its
-    # sub-grid length, and only the k < 0 halves reach a kept k < 0 mode
+    # support to the dense low-pass symbol; products read each half on
+    # |j| <= cut + reach, that run times the low band fits the sub-grid
+    # length, and only the k < 0 halves reach a kept k < 0 mode
     grid = GridSpec(length, n)
+    cut = math.floor(grid.dealias * n / 2)
     rng = np.random.default_rng(seed)
     u = Field(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     blocks = lp_blocks(grid)
@@ -62,7 +65,9 @@ def test_band_table_holds_the_dense_symbols(n, length, seed, s):
         assert np.array_equal(scatter(neg.block, n) + scatter(pos.block, n), block.symbol(grid.k))
         for half in halves:
             assert half.low is neg.low
-            assert len(half.block.values) + len(half.low.values) - 1 <= half.size
+            reached = np.abs(grid.modes) <= cut - half.low.start  # low.start is -reach
+            assert np.array_equal(scatter(half.read, n), scatter(half.block, n) * reached)
+            assert len(half.read.values) + len(half.low.values) - 1 <= half.size
         assert np.array_equal(scatter(neg.low, n), lowpass_symbol(grid.k, 2.0 ** (m - SEPARATION)))
         assert (neg.neg, pos.neg) == (True, False)
         total += 2.0 ** (2 * m * s) * Field(grid, u.coef * block.symbol(grid.k)).linf() ** 2
@@ -81,6 +86,39 @@ def test_half_band_kernel_matches_full_grid_formula(n, length, seed, dealias):
     oracle = lohi_oracle(a, b)
     assert np.max(np.abs(_lohi(a, b).coef - oracle.coef)) <= 1e-13 * scale
     assert np.max(np.abs(para(a, b).coef - project_neg(oracle).coef)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(n=st.integers(8, 1024).map(lambda h: 2 * h), length=st.floats(1.0, 1e4),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_term_of_para_lies_in_its_band(n, length, seed):
+    # Bony's support property, on the runs products read: for an unclamped
+    # block m, P_m b times the part of a below 2^(m - SEPARATION) is nonzero
+    # only at 3/8 2^m < |k| < 17/8 2^m
+    grid = GridSpec(length, n)
+    a, b = full_spectrum_field(grid, seed), full_spectrum_field(grid, seed + 1)
+    for m, halves in band_table(grid)[1:-1]:
+        term = _half_sum([(a, b)], [half for half in halves if half.read]).coef
+        inside = (grid.abs_k > 3.0 / 8.0 * 2.0**m) & (grid.abs_k < 17.0 / 8.0 * 2.0**m)
+        assert np.all(term[~inside] == 0.0) and np.any(term[inside] != 0.0), m
+
+
+@PROPERTY
+@given(n=st.integers(8, 512).map(lambda h: 2 * h), length=st.floats(1.0, 1e4),
+       seed=st.integers(0, 2**32 - 1))
+def test_balanced_of_one_octave_has_nothing_above_four_times_it(n, length, seed):
+    # Pi(a, b) of two inputs on 2^(m-1) <= |k| <= 2^m has nothing above
+    # 2^(m+2) but roundoff, with its paraproducts formed as one sum or
+    # T_a b handed in
+    grid = GridSpec(length, n)
+    lo, hi = block_range(grid)
+    for m in range(lo, hi - 1):
+        octave = (grid.abs_k >= 2.0 ** (m - 1)) & (grid.abs_k <= 2.0**m)
+        a, b = (Field(grid, np.where(octave, full_spectrum_field(grid, seed + i).coef, 0.0))
+                for i in (0, 1))
+        above = grid.abs_k > 2.0 ** (m + 2)
+        for pi in (balanced(a, b), balanced(a, b, para(a, b))):
+            assert np.max(np.abs(pi.coef[above]), initial=0.0) <= 1e-13 * a.linf() * b.linf(), m
 
 
 @PROPERTY
