@@ -230,13 +230,5 @@ def decay_fit(ts, values, min_samples=8):
         raise InsufficientSamples(f"need at least {min_samples} positive samples")
     if ts.max() / ts.min() < 10.0:
         raise InsufficientSamples("samples must span at least one decade of t")
-    x = np.log(ts)
-    y = np.log(values)
-    n = x.size
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - (ym + slope * (x - xm))
-    var = float(np.sum(resid**2)) / max(n - 2, 1)
-    stderr = math.sqrt(var / sxx)
-    return slope, stderr
+    p, cov = np.polyfit(np.log(ts), np.log(values), 1, cov=True)  # cov: SSR / (n - 2)
+    return float(p[0]), math.sqrt(cov[0, 0])

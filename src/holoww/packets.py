@@ -1,4 +1,4 @@
-"""Wave packets, the asymptotic profile gamma(t, v), and its residuals.
+"""Wave packets and the asymptotic profile gamma(t, v).
 
 A packet riding the ray alpha = v t carries the stationary phase
 phi = t^2/(4 alpha) (`phase`) and frequency xi_v = -1/(4 v^2):
@@ -191,26 +191,9 @@ def gamma_rate(wt, qt, dwt, dqt, frame):
     )
 
 
-@dataclass
-class GammaProfile:
-    """Samples of gamma(t, v) on a velocity grid, with their analytic rates."""
-
-    ts: np.ndarray
-    vs: np.ndarray
-    gamma: np.ndarray            # shape (len(ts), len(vs))
-    rate_analytic: np.ndarray
-
-
 def cubic_coefficient(gamma, t, v):
     """The asymptotic equation's cubic term  i gamma |gamma|^2 / (2 t (2v)^5)."""
     return 1j * gamma * np.abs(gamma) ** 2 / (2.0 * t * (2.0 * v) ** 5)
-
-
-def asymptotic_residual(profile):
-    """e = d(gamma)/dt - cubic term, per (t, v) sample."""
-    ts = np.asarray(profile.ts, dtype=float)[:, None]
-    vs = np.asarray(profile.vs, dtype=float)[None, :]
-    return profile.rate_analytic - cubic_coefficient(profile.gamma, ts, vs)
 
 
 # ray reconstruction -------------------------------------------------------------

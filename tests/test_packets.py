@@ -9,9 +9,7 @@ from holoww.dynamics import StepperConfig, WaveState, evolve, linear_propagate, 
 from holoww.diagnostics import decay_fit
 from holoww.normalform import gamma_samples, nf_rate, para_nf
 from holoww.packets import (
-    GammaProfile,
     PacketFrame,
-    asymptotic_residual,
     build_packet,
     bump_jet,
     cubic_coefficient,
@@ -407,27 +405,6 @@ def test_gamma_rate_matches_centered_difference_second_order():
     errs = [abs(analytic - centered(dt)) for dt in (0.1, 0.05)]
     order = math.log2(errs[0] / errs[1])
     assert 1.6 <= order <= 2.3
-
-
-# asymptotic residual --------------------------------------------------------------
-
-def test_residual_zero_solution():
-    ts = np.array([10.0, 20.0, 40.0])
-    vs = np.array([1.0])
-    prof = GammaProfile(ts, vs, np.zeros((3, 1), complex), np.zeros((3, 1), complex))
-    assert np.all(asymptotic_residual(prof) == 0.0)
-
-
-def test_residual_frozen_coefficient_audit():
-    # constant gamma: the residual must be exactly minus the cubic term
-    ts = np.array([8.0, 16.0, 32.0, 64.0])
-    vs = omega0_grid(32.0, count=5)
-    c = 0.3 - 0.4j
-    gam = np.full((len(ts), len(vs)), c)
-    prof = GammaProfile(ts, vs, gam, np.zeros_like(gam))
-    e = asymptotic_residual(prof)
-    expect = -cubic_coefficient(c, ts[:, None], vs[None, :])
-    assert np.max(np.abs(e - expect)) == 0.0
 
 
 # ray reconstruction ----------------------------------------------------------------

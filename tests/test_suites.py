@@ -1,14 +1,17 @@
 """Acceptance suites: the report rows, suite lookup, one cheap suite end to
-end through `verify` and the command line, and smoke runs of the cheap
-suites."""
+end through `verify` and the command line, smoke runs of the cheap suites,
+and the resonant-coefficient comparison that `structure` and `gamma` share."""
 
 import math
 
 import pytest
 
+from holoww import suites
 from holoww.cli import main
 from holoww.errors import UsageError
-from holoww.suites import Check, verify
+from holoww.grid import GridSpec
+from holoww.packets import omega0_grid
+from holoww.suites import RESONANT_MATCH, Check, _class_pairings, verify
 
 IDENTITIES = ["trichotomy-residual", "f-identity", "m-identity", "taylor-term-real",
               "projector-idempotent", "projector-orthogonal", "partition-of-unity"]
@@ -73,3 +76,24 @@ def test_verify_command_runs_a_suite(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == IDENTITIES
     assert lines[-1] == "7/7 checks passed"
+
+
+# `ode-coefficient-frozen-audit` is the largest of these mismatches over
+# omega0_grid(1024, count=3) on the gamma suite's grid; one pairing per case
+GAMMA_GRID = GridSpec(1600.0 * math.pi, 8192)
+EDGE_LO, _, EDGE_HI = omega0_grid(1024.0, count=3)
+
+
+def test_coefficient_audit_compares_the_table_with_the_formula():
+    # the largest of the three (1.85e-3): nonzero, so the row can fail
+    mismatch = _class_pairings(GAMMA_GRID, 1024.0, EDGE_HI)[3]
+    assert 0.0 < mismatch <= RESONANT_MATCH
+
+
+@pytest.mark.parametrize("v, wrong", [
+    (1.0, lambda g, t, v: 1j * g * abs(g) ** 2 / (2.0 * t * (2.0 * v) ** 4)),
+    (EDGE_LO, lambda g, t, v: 1j * g * abs(g) ** 2 / (2.0 * t * 2.0**5 * v**4)),
+], ids=["(2v)^-4", "2^5 v^4"])
+def test_coefficient_audit_fails_a_wrong_coefficient(monkeypatch, v, wrong):
+    monkeypatch.setattr(suites, "cubic_coefficient", wrong)
+    assert _class_pairings(GAMMA_GRID, 1024.0, v)[3] > RESONANT_MATCH
