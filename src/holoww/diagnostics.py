@@ -230,5 +230,8 @@ def decay_fit(ts, values, min_samples=8):
         raise InsufficientSamples(f"need at least {min_samples} positive samples")
     if ts.max() / ts.min() < 10.0:
         raise InsufficientSamples("samples must span at least one decade of t")
-    p, cov = np.polyfit(np.log(ts), np.log(values), 1, cov=True)  # cov: SSR / (n - 2)
-    return float(p[0]), math.sqrt(cov[0, 0])
+    x, y = np.log(ts), np.log(values)
+    x, y = x - x.mean(), y - y.mean()
+    sxx = float(np.sum(x * x))
+    slope = float(np.sum(x * y)) / sxx
+    return slope, math.sqrt(float(np.sum((y - slope * x) ** 2)) / ((ts.size - 2) * sxx))

@@ -92,15 +92,9 @@ class NormalFormState:
     f2 = cached_property(lambda v: project_neg(v.cqa * v.wt_a - v.qt_a * v.cwa))
     cf2 = cached_property(lambda v: v.f2.conj())
     d_f2 = cached_property(lambda v: v.f2.deriv())
-    # paraproducts, each read twice (a T[a]b + Pi(a, b) pair shares its T[a]b)
-    t_qa_wt = cached_property(lambda v: para(v.qt_a, v.wt))         # T[Qt'] Wt
-    t_wa_wt = cached_property(lambda v: para(v.wt_a, v.wt))         # T[Wt'] Wt
-    t_dqa_wa_wt = cached_property(lambda v: para(v.d_qa_wa, v.wt))  # T[(Qt' Wt')'] Wt
-    t_cwa2_qa = cached_property(lambda v: para(v.cwa2, v.qt_a))     # T[conj(Wt')^2] Qt'
-    t_cqa_wa2 = cached_property(lambda v: para(v.cqa, v.wa2))       # T[conj Qt'] Wt'^2
     # (T[Qt']Wt + Pi(Qt', Wt))', (T[Qt']Wt + Pi(Qt', 2Re Wt))', 2Re(Pi(Qt', conj Wt))'
-    d_qa_wt = cached_property(lambda v: (v.t_qa_wt + balanced(v.qt_a, v.wt, v.t_qa_wt)).deriv())
-    d_qa_re_wt = cached_property(lambda v: (v.t_qa_wt + balanced(v.qt_a, v.re_wt)).deriv())
+    d_qa_wt = cached_property(lambda v: _t_pi(v.qt_a, v.wt).deriv())
+    d_qa_re_wt = cached_property(lambda v: _t_pi(v.qt_a, v.re_wt).deriv())
     re_d_pi_qa_cwt = cached_property(lambda v: balanced(v.qt_a, v.cwt).deriv().two_re())
 
 
@@ -145,9 +139,11 @@ T, Pi = para, balanced  # the table's shorthands
 
 
 def _t_pi(a, b):
-    """T[a]b + Pi(a, b), with T[a]b formed once."""
-    t_ab = T(a, b)
-    return t_ab + Pi(a, b, t_ab)
+    """T[a]b + Pi(a, b), which is P[a b] - T[b]a by Pi's definition.  For
+    holomorphic c, _t_pi(a, 2Re c) is T[a]c + Pi(a, 2Re c): conj c lies at
+    k > 0, so T[a](2Re c) = T[a]c, bit for bit on a dealiased grid, where no
+    k > 0 half of a product reaches a kept k < 0 mode."""
+    return project_neg(a * b) - T(b, a)
 
 
 TERMS = (
@@ -155,11 +151,11 @@ TERMS = (
     Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
          lambda v: T(v.wt_a, v.qa_wa), ("qa_wa",)),
     Term("g1.2", "g1", "nonresonant", "T[(Qt' Wt')'] Wt",
-         lambda v: v.t_dqa_wa_wt, ("t_dqa_wa_wt", "d_qa_wa", "qa_wa")),
+         lambda v: T(v.d_qa_wa, v.wt), ("d_qa_wa", "qa_wa")),
     Term("g1.3", "g1", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])",
          lambda v: Pi(v.wt_a, v.re_qa_wa), ("re_qa_wa", "qa_wa")),
     Term("g1.4", "g1", "nonresonant", "Pi((Qt' Wt')', Wt)",
-         lambda v: Pi(v.d_qa_wa, v.wt, v.t_dqa_wa_wt), ("d_qa_wa", "qa_wa", "t_dqa_wa_wt")),
+         lambda v: Pi(v.d_qa_wa, v.wt), ("d_qa_wa", "qa_wa")),
     Term("g1.5", "g1", "resonant", "Pi((Qt' Wt')', conj Wt)",
          lambda v: Pi(v.d_qa_wa, v.cwt), ("d_qa_wa", "qa_wa", "cwt")),
     # --- cancellations against d_a Qt
@@ -174,18 +170,18 @@ TERMS = (
     Term("g2.5", "g2", "null", "Pi(Wt', conj F2)",
          lambda v: Pi(v.wt_a, v.cf2), ("cf2", "f2", "cqa", "cwa")),
     Term("g2.6", "g2", "nonresonant", "-Pi(conj(Wt')^2, Qt')",
-         lambda v: -1.0 * Pi(v.cwa2, v.qt_a, v.t_cwa2_qa), ("cwa2", "cwa", "t_cwa2_qa")),
+         lambda v: -1.0 * Pi(v.cwa2, v.qt_a), ("cwa2", "cwa")),
     Term("g2.7", "g2", "resonant", "Pi(conj Qt', Wt'^2)",
-         lambda v: Pi(v.cqa, v.wa2, v.t_cqa_wa2), ("cqa", "wa2", "t_cqa_wa2")),
+         lambda v: Pi(v.cqa, v.wa2), ("cqa", "wa2")),
     Term("g2.8", "g2", "nonresonant", "-T[conj(Wt')^2] Qt'",
-         lambda v: -1.0 * v.t_cwa2_qa, ("t_cwa2_qa", "cwa2", "cwa")),
+         lambda v: -1.0 * T(v.cwa2, v.qt_a), ("cwa2", "cwa")),
     Term("g2.9", "g2", "nonresonant", "-T[conj Wt'] F2",
          lambda v: -1.0 * T(v.cwa, v.f2), ("cwa", "f2", "cqa")),
     Term("g2.10", "g2", "nonresonant", "T[conj Qt'] Wt'^2",
-         lambda v: v.t_cqa_wa2, ("t_cqa_wa2", "cqa", "wa2")),
+         lambda v: T(v.cqa, v.wa2), ("cqa", "wa2")),
     # --- rewriting the quadratic potentials in normal-form variables
     Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(v.t_wa_wt + Pi(v.wt_a, v.wt, v.t_wa_wt))), v.qt_a), ("t_wa_wt",)),
+         lambda v: T(_tr(_d(_t_pi(v.wt_a, v.wt))), v.qt_a), ()),
     Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
          lambda v: T(_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a), ("cwt",)),
     Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
@@ -193,15 +189,14 @@ TERMS = (
     Term("g3.4", "g3", "null", "T[2Re Wt'] F2",
          lambda v: T(v.re_wa, v.f2), ("re_wa", "f2", "cqa", "cwa")),
     Term("g3.5", "g3", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: T(v.re_wa, v.d_qa_re_wt), ("re_wa", "d_qa_re_wt", "t_qa_wt", "re_wt")),
+         lambda v: T(v.re_wa, v.d_qa_re_wt), ("re_wa", "d_qa_re_wt", "re_wt")),
     Term("g3.6", "g3", "nonresonant",
          "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a), ("qa_wa", "d_qa_wt", "t_qa_wt")),
+         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a), ("qa_wa", "d_qa_wt")),
     Term("g3.7", "g3", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
          lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a), ("re_d_pi_qa_cwt", "cwt")),
     Term("g3.8", "g3", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, _d(v.t_wa_wt + Pi(v.wt_a, v.re_wt))),
-         ("re_qa", "t_wa_wt", "re_wt")),
+         lambda v: -1.0 * T(v.re_qa, _d(_t_pi(v.wt_a, v.re_wt))), ("re_qa", "re_wt")),
     # --- sources of the second equation
     Term("k1.1", "k1", "nonresonant", "T[Qt' Qt''] Wt",
          lambda v: T(v.qa_dqa, v.wt), ("qa_dqa",)),
@@ -228,11 +223,11 @@ TERMS = (
     Term("k2.3", "k2", "null", "-T[F2] Qt'",
          lambda v: -1.0 * T(v.f2, v.qt_a), ("f2", "cqa", "cwa")),
     Term("k3.1", "k3", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a), ("d_qa_wt", "t_qa_wt")),
+         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a), ("d_qa_wt",)),
     Term("k3.2", "k3", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
          lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a), ("re_d_pi_qa_cwt", "cwt")),
     Term("k3.3", "k3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt), ("re_qa", "d_qa_re_wt", "t_qa_wt", "re_wt")),
+         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt), ("re_qa", "d_qa_re_wt", "re_wt")),
     Term("k3.4", "k3", "nonresonant", "T[2Re(Qt' Wt')] Qt'",
          lambda v: T(v.re_qa_wa, v.qt_a), ("re_qa_wa", "qa_wa")),
     Term("k3.5", "k3", "nonresonant", "T[conj Qt'](Qt' Wt')",

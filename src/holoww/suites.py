@@ -112,6 +112,17 @@ def _random_state(grid, eps, seed):
     return WaveState(0.0, w, project_neg(frac_deriv(w, -0.5)))
 
 
+def _flow(state, ts, exact=False):
+    """The state at each time of `ts`: the exact linear flow of `state` when
+    `exact`, else the flow stepped at dt = 0.2 from each time to the next."""
+    for t in ts:
+        if exact:
+            yield linear_propagate(state, t)
+        else:
+            state = evolve(state, StepperConfig(dt=0.2), t)
+            yield state
+
+
 RESONANT_MATCH = 0.05  # relative bound on the resonant coefficient, at every (t, v)
 
 
@@ -196,10 +207,8 @@ def suite_conservation(seed):
     grid = _desk_grid()
     st = packet_data(grid, 1e-3, velocity=1.0, width=24.0)
     e0 = hamiltonian(st).real
-    drifts = []
-    for t_end in (10.0, 20.0, 30.0, 40.0, 50.0):
-        st = evolve(st, StepperConfig(dt=0.2), t_end)
-        drifts.append(abs((hamiltonian(st).real - e0) / e0))
+    drifts = [abs((hamiltonian(s).real - e0) / e0)
+              for s in _flow(st, (10.0, 20.0, 30.0, 40.0, 50.0))]
     return [Check("hamiltonian-relative-drift", max(drifts), hi=1e-6)]
 
 
@@ -280,10 +289,9 @@ def suite_packets(seed):
     amp = 1e-3 / fr0.w.linf()
     state = WaveState(16.0, amp * fr0.w, amp * fr0.q)
     norms = []
-    for t in ts:
-        st = linear_propagate(state, t)
-        vs = omega0_grid(t, count=9)
-        err_w, _ = packet_reconstruction_error(st.w, st.q, t, vs)
+    for st in _flow(state, ts, exact=True):
+        vs = omega0_grid(st.t, count=9)
+        err_w, _ = packet_reconstruction_error(st.w, st.q, st.t, vs)
         norms.append(weighted_l2_v(vs, err_w, -1.0))
     slope_err, _ = decay_fit(ts, norms, min_samples=5)
     checks.append(Check("ray-error-l2v-slope", slope_err, -1.3, -0.7))
@@ -305,10 +313,8 @@ def suite_packets(seed):
 
 def _linear_gamma_spread(state, ts):
     """max / min of |gamma(t, 1)| over the times ts of the exact linear flow."""
-    mags = []
-    for t in ts:
-        st = linear_propagate(state, t)
-        mags.append(abs(gamma_value(st.w, st.q, build_packet(st.grid, t, 1.0))))
+    mags = [abs(gamma_value(st.w, st.q, build_packet(st.grid, st.t, 1.0)))
+            for st in _flow(state, ts, exact=True)]
     return max(mags) / min(mags)
 
 
@@ -330,12 +336,9 @@ def suite_gamma(seed):
     checks.append(Check("ode-coefficient-frozen-audit", mismatch, hi=RESONANT_MATCH))
 
     # nonlinear run: the residual decays measurably faster than the cubic term
-    st = plateau_data(desk, 1e-3)
-    cfg = StepperConfig(dt=0.2)
     ts = np.geomspace(40.0, 400.0, 8)
     e_series, cubic_series = [], []
-    for t in ts:
-        st = evolve(st, cfg, t)
+    for st in _flow(plateau_data(desk, 1e-3), ts):
         ((_, _, e, cubic),) = gamma_samples(st, [1.0])
         e_series.append(abs(e))
         cubic_series.append(abs(cubic))
@@ -350,16 +353,6 @@ def suite_gamma(seed):
 def suite_decay(seed):
     grid = _desk_grid()
     checks = []
-
-    def x_series(state, ts, stepped):
-        """X at the times ts, along the stepped flow or the exact linear one."""
-        vals = []
-        for t in ts:
-            if stepped:
-                state = evolve(state, StepperConfig(dt=0.2), t)
-            vals.append(control_norms(state if stepped else linear_propagate(state, t)).x)
-        return vals
-
     profile = {"center": -1.8, "plateau": 1.0, "ramp": 0.45}
     far = GridSpec(3200.0 * math.pi, 16384)  # 8x the torus: [400, 4000] is past the transient
     for cid, g, eps, t0, stepped, info in (
@@ -368,7 +361,8 @@ def suite_decay(seed):
             ("x-decay-linear[400,4000]", far, 1e-4, 400.0, False, True),
             ("x-decay-nonlinear[60,600]", grid, 1e-3, 60.0, True, False)):
         ts = np.geomspace(t0, 10.0 * t0, 9)
-        slope, _ = decay_fit(ts, x_series(plateau_data(g, eps, **profile), ts, stepped))
+        flow = _flow(plateau_data(g, eps, **profile), ts, exact=not stepped)
+        slope, _ = decay_fit(ts, [control_norms(st).x for st in flow])
         checks.append(Check(cid, slope, -0.6, -0.4, informational=info))
     return checks
 

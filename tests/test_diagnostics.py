@@ -239,6 +239,18 @@ def test_decay_fit_constant_series():
     assert abs(slope) <= 1e-12
 
 
+def test_decay_fit_is_the_least_squares_line():
+    # the closed form agrees with numpy's fit and its SSR / (n - 2) covariance
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        ts = np.geomspace(10.0, 10.0 ** rng.uniform(2.0, 4.0), rng.integers(8, 40))
+        values = ts ** rng.uniform(-2.0, 0.5) * np.exp(0.1 * rng.standard_normal(ts.size))
+        p, cov = np.polyfit(np.log(ts), np.log(values), 1, cov=True)
+        slope, err = decay_fit(ts, values)
+        assert slope == pytest.approx(p[0], rel=1e-12)
+        assert err == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+
+
 def test_decay_fit_guards():
     with pytest.raises(InsufficientSamples):
         decay_fit([10.0, 20.0], [1.0, 2.0])
