@@ -32,8 +32,6 @@ from .grid import Field, frac_deriv, pair_sobolev
 from .lp import (
     LPBlock,
     _log2_abs,
-    band_high_symbol,
-    band_low_symbol,
     band_symbol,
     besov_inf2,
     ramp,
@@ -152,7 +150,7 @@ def ell_hyp_split(pair, t):
         alpha0 = 2.0**m
         xi0 = t**2 / (4.0 * alpha0**2)
         wm, qam = localize(sym)
-        window = band_symbol(grid, xi0)
+        _, window, _ = band_symbol(grid, xi0)
         wm_hyp = Field(grid, wm.coef * window)
         qam_hyp = Field(grid, qam.coef * window)
         blocks.append(
@@ -202,8 +200,7 @@ def xsharp_norm(split, sigma=SIGMA_DEFAULT):
         xi0 = blk["xi0"]
         w_a = blk["w"].deriv()
         qa_a = blk["qa"]
-        above = band_high_symbol(grid, xi0)
-        below = band_low_symbol(grid, xi0)
+        below, _, above = band_symbol(grid, xi0)
         hi_part = t**0.5 * xi0**-0.5 * pair_sobolev(
             (Field(grid, w_a.coef * above), Field(grid, qa_a.coef * above)), 0.25
         )

@@ -231,8 +231,8 @@ def r_rate(state, dw, dq):
     return (dq.deriv() - state.r * dw.deriv()) * _one_minus(state.y)
 
 
-def _diff_rates(state):
-    """Unprojected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
+def rhs_diff(state):
+    """Projected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
     wa, r, y = state.wa, state.r, state.y
     b, a, m = diff_coefficients(state)
     onewa = 1.0 + wa.values
@@ -243,12 +243,6 @@ def _diff_rates(state):
         + Field.from_values(state.grid, onewa * m.values, dealias=True)
     )
     dr = -1.0 * (b * r.deriv()) + 1j * ((wa - a) * _one_minus(y))
-    return dwa, dr
-
-
-def rhs_diff(state):
-    """Projected time derivatives (d(bW)/dt, dR/dt) of the diagonal pair."""
-    dwa, dr = _diff_rates(state)
     return project_neg(dwa), project_neg(dr)
 
 

@@ -236,27 +236,15 @@ def lowpass_symbol(k, cut):
 
 
 def band_symbol(grid, center):
-    """Window on |k| in (center/2, 2*center): flat within half an octave of
-    the center, cosine ramps to zero at the octave edges."""
-    if 2.0 * center < grid.dk:
-        return np.zeros(grid.n)
-    y = np.abs(_log2_abs(grid.k) - math.log2(center))
-    sym = 1.0 - ramp(2.0 * (y - 0.5))
-    return np.where(grid.k == 0, 0.0, sym)
-
-
-def band_low_symbol(grid, center):
-    """Complement of `band_symbol` on the low-frequency side; together with
-    the band and the high complement the three tile every k != 0."""
+    """Windows (below, band, above) on |k| around the octave (center/2,
+    2*center): the band is flat within half an octave of the center, with
+    cosine ramps to zero at the octave edges.  The three tile every k != 0
+    and are 0 at k = 0."""
     y = _log2_abs(grid.k) - math.log2(center)
-    sym = ramp(-2.0 * y - 1.0)
-    return np.where(grid.k == 0, 0.0, sym)
-
-
-def band_high_symbol(grid, center):
-    y = _log2_abs(grid.k) - math.log2(center)
-    sym = ramp(2.0 * y - 1.0)
-    return np.where(grid.k == 0, 0.0, sym)
+    edge = ramp(2.0 * np.abs(y) - 1.0)  # 0 within half an octave, 1 past the octave
+    below, above = np.where(y < 0.0, edge, 0.0), np.where(y > 0.0, edge, 0.0)
+    band = 1.0 - below - above  # 0 at k = 0, where `below` is 1
+    return np.where(grid.k == 0, 0.0, below), band, above
 
 
 def x_zero_norm(w_alpha, q_alpha):

@@ -117,14 +117,28 @@ def para_nf(state):
 
 # the cubic source table -----------------------------------------------------
 
+_SHARED = {name: attr.func for name, attr in vars(NormalFormState).items()
+           if isinstance(attr, cached_property)}  # shared operand -> its function
+
+
+def _reads(fn):
+    """The shared operands `fn` loads, each followed by those its function reads."""
+    return tuple(dict.fromkeys(r for name in fn.__code__.co_names if name in _SHARED
+                               for r in (name, *_reads(_SHARED[name]))))
+
+
 @dataclass(frozen=True)
 class Term:
+    """One atom of the table.  Its build reads a shared operand of
+    `NormalFormState` as `v.<name>` in its own code, where `reads` finds it."""
+
     tid: str
-    group: str          # g1, g2, g3, k1, k2, k3
     klass: str          # resonant | nonresonant | null
     formula: str
     build: object
-    reads: tuple        # shared operands `build` reads, directly or through another one
+
+    group = property(lambda t: t.tid.split(".")[0])  # g1, g2, g3, k1, k2, k3
+    reads = property(lambda t: _reads(t.build))      # directly or through another operand
 
 
 def _d(u):
@@ -148,92 +162,60 @@ def _t_pi(a, b):
 
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
-    Term("g1.1", "g1", "nonresonant", "T[Wt'](Qt' Wt')",
-         lambda v: T(v.wt_a, v.qa_wa), ("qa_wa",)),
-    Term("g1.2", "g1", "nonresonant", "T[(Qt' Wt')'] Wt",
-         lambda v: T(v.d_qa_wa, v.wt), ("d_qa_wa", "qa_wa")),
-    Term("g1.3", "g1", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.wt_a, v.re_qa_wa), ("re_qa_wa", "qa_wa")),
-    Term("g1.4", "g1", "nonresonant", "Pi((Qt' Wt')', Wt)",
-         lambda v: Pi(v.d_qa_wa, v.wt), ("d_qa_wa", "qa_wa")),
-    Term("g1.5", "g1", "resonant", "Pi((Qt' Wt')', conj Wt)",
-         lambda v: Pi(v.d_qa_wa, v.cwt), ("d_qa_wa", "qa_wa", "cwt")),
+    Term("g1.1", "nonresonant", "T[Wt'](Qt' Wt')", lambda v: T(v.wt_a, v.qa_wa)),
+    Term("g1.2", "nonresonant", "T[(Qt' Wt')'] Wt", lambda v: T(v.d_qa_wa, v.wt)),
+    Term("g1.3", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])", lambda v: Pi(v.wt_a, v.re_qa_wa)),
+    Term("g1.4", "nonresonant", "Pi((Qt' Wt')', Wt)", lambda v: Pi(v.d_qa_wa, v.wt)),
+    Term("g1.5", "resonant", "Pi((Qt' Wt')', conj Wt)", lambda v: Pi(v.d_qa_wa, v.cwt)),
     # --- cancellations against d_a Qt
-    Term("g2.1", "g2", "null", "-Wt' F2",
-         lambda v: -1.0 * (v.wt_a * v.f2), ("f2", "cqa", "cwa")),
-    Term("g2.2", "g2", "null", "T[F2'] Wt",
-         lambda v: T(v.d_f2, v.wt), ("d_f2", "f2", "cqa", "cwa")),
-    Term("g2.3", "g2", "null", "Pi(F2', 2Re Wt)",
-         lambda v: Pi(v.d_f2, v.re_wt), ("d_f2", "f2", "cqa", "cwa", "re_wt")),
-    Term("g2.4", "g2", "null", "Pi(F2, Wt')",
-         lambda v: Pi(v.f2, v.wt_a), ("f2", "cqa", "cwa")),
-    Term("g2.5", "g2", "null", "Pi(Wt', conj F2)",
-         lambda v: Pi(v.wt_a, v.cf2), ("cf2", "f2", "cqa", "cwa")),
-    Term("g2.6", "g2", "nonresonant", "-Pi(conj(Wt')^2, Qt')",
-         lambda v: -1.0 * Pi(v.cwa2, v.qt_a), ("cwa2", "cwa")),
-    Term("g2.7", "g2", "resonant", "Pi(conj Qt', Wt'^2)",
-         lambda v: Pi(v.cqa, v.wa2), ("cqa", "wa2")),
-    Term("g2.8", "g2", "nonresonant", "-T[conj(Wt')^2] Qt'",
-         lambda v: -1.0 * T(v.cwa2, v.qt_a), ("cwa2", "cwa")),
-    Term("g2.9", "g2", "nonresonant", "-T[conj Wt'] F2",
-         lambda v: -1.0 * T(v.cwa, v.f2), ("cwa", "f2", "cqa")),
-    Term("g2.10", "g2", "nonresonant", "T[conj Qt'] Wt'^2",
-         lambda v: T(v.cqa, v.wa2), ("cqa", "wa2")),
+    Term("g2.1", "null", "-Wt' F2", lambda v: -1.0 * (v.wt_a * v.f2)),
+    Term("g2.2", "null", "T[F2'] Wt", lambda v: T(v.d_f2, v.wt)),
+    Term("g2.3", "null", "Pi(F2', 2Re Wt)", lambda v: Pi(v.d_f2, v.re_wt)),
+    Term("g2.4", "null", "Pi(F2, Wt')", lambda v: Pi(v.f2, v.wt_a)),
+    Term("g2.5", "null", "Pi(Wt', conj F2)", lambda v: Pi(v.wt_a, v.cf2)),
+    Term("g2.6", "nonresonant", "-Pi(conj(Wt')^2, Qt')", lambda v: -1.0 * Pi(v.cwa2, v.qt_a)),
+    Term("g2.7", "resonant", "Pi(conj Qt', Wt'^2)", lambda v: Pi(v.cqa, v.wa2)),
+    Term("g2.8", "nonresonant", "-T[conj(Wt')^2] Qt'", lambda v: -1.0 * T(v.cwa2, v.qt_a)),
+    Term("g2.9", "nonresonant", "-T[conj Wt'] F2", lambda v: -1.0 * T(v.cwa, v.f2)),
+    Term("g2.10", "nonresonant", "T[conj Qt'] Wt'^2", lambda v: T(v.cqa, v.wa2)),
     # --- rewriting the quadratic potentials in normal-form variables
-    Term("g3.1", "g3", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(_t_pi(v.wt_a, v.wt))), v.qt_a), ()),
-    Term("g3.2", "g3", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
-         lambda v: T(_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a), ("cwt",)),
-    Term("g3.3", "g3", "nonresonant", "-T[2Re Wt'](Qt' Wt')",
-         lambda v: -1.0 * T(v.re_wa, v.qa_wa), ("re_wa", "qa_wa")),
-    Term("g3.4", "g3", "null", "T[2Re Wt'] F2",
-         lambda v: T(v.re_wa, v.f2), ("re_wa", "f2", "cqa", "cwa")),
-    Term("g3.5", "g3", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: T(v.re_wa, v.d_qa_re_wt), ("re_wa", "d_qa_re_wt", "re_wt")),
-    Term("g3.6", "g3", "nonresonant",
-         "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a), ("qa_wa", "d_qa_wt")),
-    Term("g3.7", "g3", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a), ("re_d_pi_qa_cwt", "cwt")),
-    Term("g3.8", "g3", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, _d(_t_pi(v.wt_a, v.re_wt))), ("re_qa", "re_wt")),
+    Term("g3.1", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
+         lambda v: T(_tr(_d(_t_pi(v.wt_a, v.wt))), v.qt_a)),
+    Term("g3.2", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
+         lambda v: T(_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a)),
+    Term("g3.3", "nonresonant", "-T[2Re Wt'](Qt' Wt')", lambda v: -1.0 * T(v.re_wa, v.qa_wa)),
+    Term("g3.4", "null", "T[2Re Wt'] F2", lambda v: T(v.re_wa, v.f2)),
+    Term("g3.5", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
+         lambda v: T(v.re_wa, v.d_qa_re_wt)),
+    Term("g3.6", "nonresonant", "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
+         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a)),
+    Term("g3.7", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a)),
+    Term("g3.8", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
+         lambda v: -1.0 * T(v.re_qa, _d(_t_pi(v.wt_a, v.re_wt)))),
     # --- sources of the second equation
-    Term("k1.1", "k1", "nonresonant", "T[Qt' Qt''] Wt",
-         lambda v: T(v.qa_dqa, v.wt), ("qa_dqa",)),
-    Term("k1.2", "k1", "null", "T[P[|Qt'|^2]'] Wt",
-         lambda v: T(v.d_abs_qa, v.wt), ("d_abs_qa", "cqa")),
-    Term("k1.3", "k1", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
-         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a)), ()),
-    Term("k1.4", "k1", "null", "Pi(Qt' Qt'', 2Re Wt)",
-         lambda v: Pi(v.qa_dqa, v.re_wt), ("qa_dqa", "re_wt")),
-    Term("k1.5", "k1", "null", "Pi(P[|Qt'|^2]', 2Re Wt)",
-         lambda v: Pi(v.d_abs_qa, v.re_wt), ("d_abs_qa", "cqa", "re_wt")),
-    Term("k1.6", "k1", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])",
-         lambda v: Pi(v.qt_a, v.re_qa_wa), ("re_qa_wa", "qa_wa")),
-    Term("k1.7", "k1", "nonresonant", "-Pi(Wt' Qt', Qt')",
-         lambda v: -1.0 * Pi(v.qa_wa, v.qt_a), ("qa_wa",)),
-    Term("k1.8", "k1", "null", "Pi(Qt', conj F2)",
-         lambda v: Pi(v.qt_a, v.cf2), ("cf2", "f2", "cqa", "cwa")),
-    Term("k1.9", "k1", "nonresonant", "-T[Qt' Wt'] Qt'",
-         lambda v: -1.0 * T(v.qa_wa, v.qt_a), ("qa_wa",)),
-    Term("k2.1", "k2", "nonresonant", "i T[Wt'^2] Wt",
-         lambda v: 1j * T(v.wa2, v.wt), ("wa2",)),
-    Term("k2.2", "k2", "null", "i Pi(Wt'^2, 2Re Wt)",
-         lambda v: 1j * Pi(v.wa2, v.re_wt), ("wa2", "re_wt")),
-    Term("k2.3", "k2", "null", "-T[F2] Qt'",
-         lambda v: -1.0 * T(v.f2, v.qt_a), ("f2", "cqa", "cwa")),
-    Term("k3.1", "k3", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a), ("d_qa_wt",)),
-    Term("k3.2", "k3", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a), ("re_d_pi_qa_cwt", "cwt")),
-    Term("k3.3", "k3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt), ("re_qa", "d_qa_re_wt", "re_wt")),
-    Term("k3.4", "k3", "nonresonant", "T[2Re(Qt' Wt')] Qt'",
-         lambda v: T(v.re_qa_wa, v.qt_a), ("re_qa_wa", "qa_wa")),
-    Term("k3.5", "k3", "nonresonant", "T[conj Qt'](Qt' Wt')",
-         lambda v: T(v.cqa, v.qa_wa), ("cqa", "qa_wa")),
-    Term("k3.6", "k3", "nonresonant", "T[Qt'] T[Qt'] Wt'",
-         lambda v: T(v.qt_a, T(v.qt_a, v.wt_a)), ()),
+    Term("k1.1", "nonresonant", "T[Qt' Qt''] Wt", lambda v: T(v.qa_dqa, v.wt)),
+    Term("k1.2", "null", "T[P[|Qt'|^2]'] Wt", lambda v: T(v.d_abs_qa, v.wt)),
+    Term("k1.3", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
+         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a))),
+    Term("k1.4", "null", "Pi(Qt' Qt'', 2Re Wt)", lambda v: Pi(v.qa_dqa, v.re_wt)),
+    Term("k1.5", "null", "Pi(P[|Qt'|^2]', 2Re Wt)", lambda v: Pi(v.d_abs_qa, v.re_wt)),
+    Term("k1.6", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])", lambda v: Pi(v.qt_a, v.re_qa_wa)),
+    Term("k1.7", "nonresonant", "-Pi(Wt' Qt', Qt')", lambda v: -1.0 * Pi(v.qa_wa, v.qt_a)),
+    Term("k1.8", "null", "Pi(Qt', conj F2)", lambda v: Pi(v.qt_a, v.cf2)),
+    Term("k1.9", "nonresonant", "-T[Qt' Wt'] Qt'", lambda v: -1.0 * T(v.qa_wa, v.qt_a)),
+    Term("k2.1", "nonresonant", "i T[Wt'^2] Wt", lambda v: 1j * T(v.wa2, v.wt)),
+    Term("k2.2", "null", "i Pi(Wt'^2, 2Re Wt)", lambda v: 1j * Pi(v.wa2, v.re_wt)),
+    Term("k2.3", "null", "-T[F2] Qt'", lambda v: -1.0 * T(v.f2, v.qt_a)),
+    Term("k3.1", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
+         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a)),
+    Term("k3.2", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
+         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a)),
+    Term("k3.3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
+         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt)),
+    Term("k3.4", "nonresonant", "T[2Re(Qt' Wt')] Qt'", lambda v: T(v.re_qa_wa, v.qt_a)),
+    Term("k3.5", "nonresonant", "T[conj Qt'](Qt' Wt')", lambda v: T(v.cqa, v.qa_wa)),
+    Term("k3.6", "nonresonant", "T[Qt'] T[Qt'] Wt'", lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
 )
 
 
@@ -244,7 +226,8 @@ _ORDER = tuple(t for tid in """
     k1.1 k1.4 g2.7 g2.10 k2.1 k2.2 k3.5 g3.3 g3.5 k3.3 g3.8 g3.1 g3.6 k3.1 k1.7
     k1.6 g1.3 k3.4 g1.1 k1.9 g1.2 g1.4 g1.5 g3.2 g3.7 k3.2
     """.split() for t in TERMS if t.tid == tid)
-_LAST = {name: t for t in _ORDER for name in t.reads}  # last reader of each shared operand
+_LAST = {name: t.tid for t in _ORDER for name in t.reads}  # last reader of each shared operand
+_DROPS = {t.tid: [name for name in t.reads if _LAST[name] == t.tid] for t in _ORDER}
 
 
 def evaluate_terms(nf, reduce=None):
@@ -257,9 +240,8 @@ def evaluate_terms(nf, reduce=None):
     out = {}
     for t in _ORDER:
         out[t.tid] = keep(t, t.build(nf))
-        for name in t.reads:
-            if _LAST[name] is t:
-                vars(nf).pop(name, None)
+        for name in _DROPS[t.tid]:
+            vars(nf).pop(name, None)
     return {t.tid: out[t.tid] for t in TERMS}
 
 

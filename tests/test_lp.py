@@ -6,8 +6,6 @@ import pytest
 from holoww.grid import Field, GridSpec
 from holoww.lp import (
     SEPARATION,
-    band_high_symbol,
-    band_low_symbol,
     band_symbol,
     band_table,
     besov_inf2,
@@ -15,6 +13,7 @@ from holoww.lp import (
     lowpass_symbol,
     lp_blocks,
     partition_defect,
+    ramp,
 )
 
 from conftest import full_spectrum_field, lp_project, scatter, smooth_field
@@ -104,14 +103,17 @@ def test_besov_one_row_per_call_equals_the_block_sum(s):
 
 
 def test_window_trichotomy(grid):
-    center = 2.0 ** ((sum(block_range(grid))) // 2)
-    total = (
-        band_low_symbol(grid, center)
-        + band_symbol(grid, center)
-        + band_high_symbol(grid, center)
-    )
+    # the three windows tile every k != 0, the middle one is the raised-cosine
+    # octave window bit for bit (also below the grid, where it is all 0), and
+    # all three are 0 at k = 0
     nz = grid.k != 0
-    assert np.max(np.abs(total[nz] - 1.0)) < 1e-12
+    for shift in (-8, 0, 0.37, 3):
+        center = 2.0 ** ((sum(block_range(grid))) // 2 + shift)
+        below, band, above = band_symbol(grid, center)
+        assert np.max(np.abs(below + band + above - 1.0)[nz]) < 1e-12
+        y = np.abs(np.log2(np.abs(grid.k[nz])) - math.log2(center))
+        assert np.array_equal(band[nz], 1.0 - ramp(2.0 * (y - 0.5)))
+        assert [w[~nz].tolist() for w in (below, band, above)] == [[0.0]] * 3
 
 
 @pytest.mark.parametrize("length, n", [(64.0, 256), (64.0, 1000), (12800.0 * np.pi, 65536)])

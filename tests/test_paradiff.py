@@ -14,7 +14,13 @@ from holoww.paradiff import (
     trichotomy_residual,
 )
 
-from conftest import full_spectrum_field, lohi_oracle, smooth_field, transform_points
+from conftest import (
+    full_spectrum_field,
+    lohi_oracle,
+    pi_from_block_pairs,
+    smooth_field,
+    transform_points,
+)
 
 
 def balanced_raw(a, b):
@@ -245,6 +251,33 @@ def test_trichotomy(grid, seed):
     b = smooth_field(grid, seed=seed + 100)
     scale = (a * b).l2()
     assert trichotomy_residual(a, b) < 1e-12 * max(scale, 1e-30)
+
+
+@pytest.mark.parametrize("length, n, dealias", [
+    (400.0 * np.pi, 2048, 2.0 / 3.0), (64.0, 1000, 2.0 / 3.0),
+    (400.0 * np.pi, 2048, 1.0), (64.0, 256, 1.0),
+])
+@pytest.mark.parametrize("seed", [1234, 1235, 7])
+def test_balanced_is_the_sum_of_comparable_block_pairs(length, n, dealias, seed):
+    # Pi from block pairs shares only its inputs and the LP symbols with the
+    # complement a b - T_a b - T_b a; full-spectrum inputs reach the clamped
+    # low edge and alias at the top blocks
+    g = GridSpec(length, n, dealias)
+    a, b = full_spectrum_field(g, seed), full_spectrum_field(g, seed + 100)
+    oracle, scale = pi_from_block_pairs(a, b), (a * b).l2()
+    assert (balanced_raw(a, b) - oracle).l2() <= 1e-14 * scale
+    assert (balanced(a, b) - project_neg(oracle)).l2() <= 1e-14 * scale
+
+
+def test_block_pair_oracle_sees_a_wrong_separation(monkeypatch):
+    # `_lohi` on a table built at separation 3, in a band cache of its own so
+    # that no other test reads that table, leaves the oracle far above roundoff
+    g = GridSpec(400.0 * np.pi, 2048)
+    a, b = full_spectrum_field(g, 1234), full_spectrum_field(g, 1334)
+    oracle = pi_from_block_pairs(a, b)
+    monkeypatch.setattr(lp, "SEPARATION", 3)
+    monkeypatch.setattr(lp, "_BANDS", weakref.WeakKeyDictionary())
+    assert (balanced_raw(a, b) - oracle).l2() > 1e-6 * (a * b).l2()
 
 
 def test_trichotomy_zero_field(grid):
