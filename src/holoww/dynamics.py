@@ -78,7 +78,7 @@ def _tables(grid):
     the centring phase cp, 1j k cp, cp times the dealias mask, sqrt|k| and
     0.5 / sqrt|k| on k < 0, and the integrating-factor phases on the band."""
     if grid not in _TABLES:
-        neg, root, cp = grid.k < 0, np.sqrt(grid.abs_k), grid.center_phase
+        neg, root, cp = grid.neg, np.sqrt(grid.abs_k), grid.center_phase
         _TABLES[grid] = SimpleNamespace(
             n=grid.n, band=slice(grid.n - np.count_nonzero(neg & grid.dealias_mask), grid.n),
             cp=cp, ik=1j * grid.k * cp, ry_phase=cp * grid.dealias_mask, root=root,
@@ -416,7 +416,7 @@ def plateau_data(grid, eps, center=-0.25, plateau=0.15, ramp=0.05):
     The flat-top profile makes ray functionals sample a locally constant
     spectral density, which is what long-time packet diagnostics assume.
     """
-    prof = np.where(grid.k < 0, lp.plateau(grid.k, center, plateau, ramp), 0.0)
+    prof = np.where(grid.neg, lp.plateau(grid.k, center, plateau, ramp), 0.0)
     w = project_neg(Field(grid, prof.astype(complex)).dealiased())
     w = project_neg((eps / max(w.linf(), 1e-300)) * w)
     q = project_neg(frac_deriv(w, -0.5))

@@ -14,6 +14,10 @@ coefficients vanish for k >= 0; `project_neg` maps onto it.  The zero mode is
 always dropped by the projector (velocity potentials are defined modulo
 constants, and pinning the mean keeps homogeneous negative-order multipliers
 finite).
+
+A `GridSpec` keeps its constants read-only, each formed on first read: modes,
+k, |k|, the mask k < 0 (`neg`), alpha, the centring phase, the dealias mask and
+|k|^s per exponent (`abs_k_power`) on modes 0..n/2, mirrored for modes < 0.
 """
 
 import math
@@ -26,6 +30,11 @@ from .errors import GridMismatch, NegativePowerOnMean
 
 
 ROW_CALLS_FROM = 8192  # a transform call takes ROW_CALLS_FROM // n rows of length n, one from here on
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def _rows_per_call(n):
@@ -70,33 +79,37 @@ class GridSpec:
     @cached_property
     def modes(self):
         """Integer mode numbers m in fft order."""
-        return np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
+        return _frozen(np.rint(np.fft.fftfreq(self.n) * self.n).astype(int))
 
     @cached_property
     def k(self):
         """Wavenumbers k_m in fft order."""
-        return 2.0 * np.pi / self.length * self.modes
+        return _frozen(2.0 * np.pi / self.length * self.modes)
 
-    @cached_property
-    def abs_k(self):
-        return np.abs(self.k)
+    abs_k = cached_property(lambda g: _frozen(np.abs(g.k)))
+    neg = cached_property(lambda g: _frozen(g.k < 0))  # the mask k < 0
+    _powers = cached_property(lambda g: {})  # exponent s -> `abs_k_power(s)`
 
-    @cached_property
-    def alpha(self):
-        return (np.arange(self.n) - self.n // 2) * (self.length / self.n)
+    def abs_k_power(self, s):
+        """|k|^s on modes 0..n/2 (the last the Nyquist mode -n/2), 0 at k = 0."""
+        if s not in self._powers:
+            self._powers[s] = _frozen(np.concatenate(([0.0], self.abs_k[1:self.n // 2 + 1] ** s)))
+        return self._powers[s]
+
+    alpha = cached_property(lambda g: _frozen((np.arange(g.n) - g.n // 2) * (g.length / g.n)))
 
     @cached_property
     def center_phase(self):
         # fft of samples on the centered grid picks up (-1)^m per mode; complex,
         # so that multiplying coefficients by it casts nothing
-        return np.where(self.modes % 2 == 0, 1.0 + 0j, -1.0 + 0j)
+        return _frozen(np.where(self.modes % 2 == 0, 1.0 + 0j, -1.0 + 0j))
 
     @cached_property
     def dealias_mask(self):
         cut = math.floor(self.dealias * self.n / 2)
         mask = np.abs(self.modes) <= cut
         mask[self.modes == -(self.n // 2)] = False  # unpaired Nyquist mode
-        return mask
+        return _frozen(mask)
 
     @property
     def dk(self):
@@ -203,13 +216,11 @@ class Field:
         out[nz] = self.coef[nz] / (1j * k[nz])
         return Field(self.grid, out)
 
-    def demean(self):
-        coef = self.coef.copy()
-        coef[self.grid.modes == 0] = 0.0
-        return Field(self.grid, coef)
+    def demean(self):  # mode 0 leads in fft order
+        return Field(self.grid, np.concatenate(([0.0], self.coef[1:])))
 
     def mean(self):
-        return complex(self.coef[self.grid.modes == 0][0])
+        return complex(self.coef[0])
 
     def dealiased(self):
         return Field(self.grid, np.where(self.grid.dealias_mask, self.coef, 0.0))
@@ -248,14 +259,14 @@ class Field:
 
 def project_neg(u):
     """Projector P onto negative frequencies; the k = 0 mode is dropped."""
-    coef = np.where(u.grid.k < 0, u.coef, 0.0)
+    coef = np.where(u.grid.neg, u.coef, 0.0)
     return Field(u.grid, coef)
 
 
 def pos_leakage(u):
     """Relative magnitude of content at k >= 0; zero for the holomorphic class."""
     amp = np.abs(u.coef)
-    top = float(np.max(amp[u.grid.k >= 0], initial=0.0))
+    top = float(np.max(amp[~u.grid.neg], initial=0.0))
     scale = float(np.max(amp, initial=0.0))
     return top / scale if scale > 0 else 0.0
 
@@ -267,10 +278,11 @@ def frac_deriv(u, s):
         scale = float(np.max(np.abs(u.coef), initial=0.0))
         if abs(u.mean()) > 1e-13 * max(scale, 1e-300):
             raise NegativePowerOnMean("|D|^s with s < 0 needs a zero-mean field")
-    mult = np.zeros(grid.n)
-    nz = grid.abs_k > 0
-    mult[nz] = grid.abs_k[nz] ** s
-    return Field(grid, u.coef * mult)
+    mult, h = grid.abs_k_power(s), grid.n // 2
+    coef = np.empty_like(u.coef)
+    np.multiply(u.coef[:h], mult[:h], out=coef[:h])
+    np.multiply(u.coef[h:], mult[h:0:-1], out=coef[h:])
+    return Field(grid, coef)
 
 
 def pair_sobolev(pair, s):

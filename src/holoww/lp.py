@@ -162,7 +162,7 @@ def band_table(grid):
     if grid not in _BANDS:
         n, top = grid.n, grid.n // 2
         cut = math.floor(grid.dealias * n / 2)
-        kept_neg = grid.dealias_mask & (grid.modes < 0)
+        kept_neg = grid.dealias_mask & grid.neg
         table = []
         for block in lp_blocks(grid):
             m = block.m

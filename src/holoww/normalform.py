@@ -32,7 +32,7 @@ from .errors import InconsistentTimes
 from .grid import project_neg
 from .paradiff import balanced, para
 from .dynamics import r_rate, rhs_full
-from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value
+from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value, pairing_fields
 
 
 # transforms -----------------------------------------------------------------
@@ -272,12 +272,12 @@ def gamma_samples(state, vs):
     of the normal-form pair, its analytic rate minus the cubic term, and the
     cubic term of the asymptotic equation."""
     nf = para_nf(state)
-    dwt, dqt = nf_rate(state)
+    wt, kqt, dwt, kdqt = pairing_fields((nf.wt, nf.qt), nf_rate(state))
     rows = []
     for v in vs:
         frame = build_packet(state.grid, state.t, v)
-        gam = gamma_value(nf.wt, nf.qt, frame)
-        rate = gamma_rate(nf.wt, nf.qt, dwt, dqt, frame)
+        gam = gamma_value(wt, kqt, frame)
+        rate = gamma_rate(wt, kqt, dwt, kdqt, frame)
         cubic = cubic_coefficient(gam, state.t, v)
         rows.append((v, gam, rate - cubic, cubic))
     return rows

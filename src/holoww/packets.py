@@ -26,10 +26,10 @@ the packet side satisfies d_t w = -d_a q + g and d_t q = i w exactly.
 
 `build_packet` evaluates the closed form once per velocity, and only on the
 support |y| < 1 of the bump (a dozen of the 2048 points of the desk grid at
-t = 10), zero elsewhere.  Its three grid rows u, w and d_t w go through one
-forward call; `gamma_rate` and `packet_defect` read the frame, and a gamma
-sample builds and pairs one velocity at a time.  `monochrome_ansatz` rides
-the same ray with the flat profile of `lp.plateau` in alpha.
+t = 10), zero elsewhere, and gamma pairs it there: <a, b> = (length/n) sum
+a conj(b) over grid points (Parseval on the grid), with the values of Wt and
+|D|Qt that `pairing_fields` forms once for all rays.  `monochrome_ansatz`
+rides the same ray with the flat profile of `lp.plateau` in alpha.
 """
 
 import functools
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import OutOfDomain, WrapAround
 from .diagnostics import ell_hyp_split
-from .grid import Field
+from .grid import Field, frac_deriv
 from .lp import plateau
 
 PACKET_T_MIN = 4.0  # earliest time of a packet, and so of a gamma sample
@@ -77,23 +77,27 @@ def omega0_grid(t, count=33):
 
 @dataclass
 class PacketFrame:
-    """One wave packet: the carrier u, the pair (w, q), and its geometry.
-
-    u, w and dt_w = d_t w keep the grid values they were transformed from.
-    `defect` holds the closed-form g on `support`, the grid points where the
-    bump is nonzero."""
+    """One wave packet: its geometry and closed-form rows on `support`, the
+    grid points where the bump is nonzero.  The Fields u, w, q = v u and dt_w
+    = d_t w are formed on first read, the rows in one forward call."""
 
     grid: object
     t: float
     v: float
     width: float      # t^(1/2) v^(3/2)
     xi_v: float       # -1/(4 v^2)
-    u: object
-    w: object
-    q: object
-    dt_w: object
     support: slice
+    rows: np.ndarray    # u, w and d_t w on the support
     defect: np.ndarray  # g on the support
+
+    @functools.cached_property
+    def _fields(self):
+        rows = np.zeros((3, self.grid.n), dtype=complex)
+        rows[:, self.support] = self.rows
+        u, w, dt_w = (Field(self.grid, c, r) for c, r in zip(self.grid.coef_from_values(rows), rows))
+        return u, w, self.v * u, dt_w
+
+    u, w, q, dt_w = (property(lambda f, i=i: f._fields[i]) for i in range(4))
 
 
 def phase(t, alpha):
@@ -132,8 +136,7 @@ def build_packet(grid, t, v):
 
     The closed form is evaluated once, on the support of the bump: u, w =
     -i v d_t u, and the rows `gamma_rate` and `packet_defect` read, d_t w =
-    -i v d_t^2 u and g = v (d_a - i d_t^2) u.  The grid rows u, w and d_t w
-    are transformed in one forward call."""
+    -i v d_t^2 u and g = v (d_a - i d_t^2) u.  Nothing is transformed."""
     width, span, y, alpha, carrier = _geometry(grid, t, v)
     chi, chi1, chi2 = bump_jet(y)
     y_a = 1.0 / width
@@ -151,12 +154,10 @@ def build_packet(grid, t, v):
         + y_tt * chi1
         + y_t**2 * chi2
     )
-    rows = np.zeros((3, grid.n), dtype=complex)
-    rows[0, span] = v**-1.5 * chi * carrier
-    rows[1, span] = -1j * v * du_t  # w = -i v d_t u
-    rows[2, span] = -1j * v * du_tt  # d_t w
-    u, w, dt_w = (Field(grid, c, r) for c, r in zip(grid.coef_from_values(rows), rows))
-    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, dt_w, span,
+    rows = np.array([v**-1.5 * chi * carrier,
+                     -1j * v * du_t,    # w = -i v d_t u
+                     -1j * v * du_tt])  # d_t w
+    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), span, rows,
                        v * (du_a - 1j * du_tt))
 
 
@@ -169,26 +170,30 @@ def packet_defect(frame):
 
 # the asymptotic profile -------------------------------------------------------
 
-def pair_energy_product(pair, frame_pair):
-    """Complex pairing in L2 x H^(1/2): int a conj(b) + <|D|^(1/2)., .>."""
-    (wt, qt), (pw, pq) = pair, frame_pair
-    first = wt.inner(pw)
-    k = wt.grid.abs_k
-    second = wt.grid.length * complex(np.sum(k * qt.coef * np.conj(pq.coef)))
-    return first + second
+def pairing_fields(*pairs):
+    """(w, |D|q) for each pair (w, q), the fields the gamma pairings read,
+    with their grid values formed in one stacked inverse call."""
+    fields = [f for w, q in pairs for f in (w, frac_deriv(q, 1.0))]
+    values = fields[0].grid.values_from_coef(np.stack([f.coef for f in fields]))
+    return [Field(f.grid, f.coef, x) for f, x in zip(fields, values)]
 
 
-def gamma_value(wt, qt, frame):
-    return pair_energy_product((wt, qt), (frame.w, frame.q))
+def gamma_value(wt, kqt, frame):
+    """gamma = <(Wt, Qt), (w, q)> in L2 x H^(1/2): the sum over the support
+    of Wt conj(w) + |D|Qt conj(q), from the values of Wt and kqt = |D|Qt."""
+    s, (u, w, _) = frame.support, frame.rows
+    return frame.grid.length / frame.grid.n * complex(
+        np.vdot(w, wt.values[s]) + frame.v * np.vdot(u, kqt.values[s]))
 
 
-def gamma_rate(wt, qt, dwt, dqt, frame):
-    """Analytic time derivative of gamma along the flow.  The packet side is
-    (d_t w, d_t q) = (-i v d_t^2 u, i w) from the closed form, so the pairing
-    rate is the exact time derivative of the gridded profile."""
-    return pair_energy_product((dwt, dqt), (frame.w, frame.q)) + pair_energy_product(
-        (wt, qt), (frame.dt_w, 1j * frame.w)
-    )
+def gamma_rate(wt, kqt, dwt, kdqt, frame):
+    """Analytic time derivative of gamma along the flow, paired with the
+    rates dWt and kdqt = |D|dQt too.  The packet side is (d_t w, d_t q) =
+    (-i v d_t^2 u, i w) from the closed form: the exact rate of the profile."""
+    s, (u, w, dt_w) = frame.support, frame.rows
+    return frame.grid.length / frame.grid.n * complex(
+        np.vdot(w, dwt.values[s]) + frame.v * np.vdot(u, kdqt.values[s])
+        + np.vdot(dt_w, wt.values[s]) - 1j * np.vdot(w, kqt.values[s]))
 
 
 def cubic_coefficient(gamma, t, v):
@@ -215,10 +220,11 @@ def packet_reconstruction_error(wt, qt, t, vs):
     is counted as elliptic.
     """
     hyp_w = ell_hyp_split((wt, qt), t).hyp_w.demean()
+    wt, kqt = pairing_fields((wt, qt))
     err_w = np.zeros(len(vs), dtype=complex)
     gammas = np.zeros(len(vs), dtype=complex)
     for i, v in enumerate(vs):
-        gammas[i] = gamma_value(wt, qt, build_packet(wt.grid, t, v))
+        gammas[i] = gamma_value(wt, kqt, build_packet(wt.grid, t, v))
         main = t**-0.5 * np.exp(1j * phase(t, v * t)) * gammas[i]
         err_w[i] = hyp_w.evaluate_at(v * t) - main
     return err_w, gammas

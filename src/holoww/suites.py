@@ -60,6 +60,7 @@ from .packets import (
     omega0_grid,
     packet_defect,
     packet_reconstruction_error,
+    pairing_fields,
     spectral_profile,
     weighted_l2_v,
 )
@@ -128,21 +129,23 @@ RESONANT_MATCH = 0.05  # relative bound on the resonant coefficient, at every (t
 
 def _class_pairings(grid, t, v):
     """The 41 atoms of the cubic table, built on `monochrome_ansatz` of
-    velocity v at time t and paired with the packet of that ray.  Returns the
-    frame, the (g, k) totals of each class, res = |g + k| of the resonant class
-    and |res - c| / c for c = |cubic_coefficient(1, t, v)|.  `structure` and
-    `gamma`'s coefficient audit both read it, so the asymptotic equation's
-    coefficient is compared with the table along one path."""
+    velocity v at time t and paired with the packet of that ray.  Returns its
+    (width, xi_v), the (g, k) totals of each class, res = |g + k| of the
+    resonant class and |res - c| / c for c = |cubic_coefficient(1, t, v)|.
+    `structure` and `gamma`'s coefficient audit both read it, so the asymptotic
+    equation's coefficient is compared with the table along one path."""
     fr = build_packet(grid, t, v)
+    geometry, pw, pq = (fr.width, fr.xi_v), Field(grid, fr.w.coef), Field(grid, fr.q.coef)
     wt, wt_a, qt, qt_a = monochrome_ansatz(grid, t, v)
+    del fr, qt  # only what is paired, or read by an atom, is held through the table
 
     def pairing(term, field):
         if term.group.startswith("g"):
-            return complex(field.inner(fr.w))
-        return complex(1j * field.deriv().inner(fr.q))
+            return complex(field.inner(pw))
+        return complex(1j * field.deriv().inner(pq))
 
-    # each atom is paired as it is built: 41 numbers are kept, not 41 fields
-    pairs = evaluate_terms(NormalFormState(t, wt, qt, wt_a, qt_a), pairing)
+    # each atom is paired as it is built (41 numbers are kept); none reads Qt
+    pairs = evaluate_terms(NormalFormState(t, wt, None, wt_a, qt_a), pairing)
     totals = {}
     for klass in ("resonant", "nonresonant", "null"):
         g = sum(pairs[x.tid] for x in TERMS if x.klass == klass and x.group.startswith("g"))
@@ -150,7 +153,7 @@ def _class_pairings(grid, t, v):
         totals[klass] = (g, k)
     res = abs(totals["resonant"][0] + totals["resonant"][1])
     resonant = abs(cubic_coefficient(1.0, t, v))  # 1 / (2 t (2v)^5)
-    return fr, totals, res, abs(res - resonant) / resonant
+    return geometry, totals, res, abs(res - resonant) / resonant
 
 
 # 1 -------------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def suite_packets(seed):
 
 def _linear_gamma_spread(state, ts):
     """max / min of |gamma(t, 1)| over the times ts of the exact linear flow."""
-    mags = [abs(gamma_value(st.w, st.q, build_packet(st.grid, st.t, 1.0)))
+    mags = [abs(gamma_value(*pairing_fields((st.w, st.q)), build_packet(st.grid, st.t, 1.0)))
             for st in _flow(state, ts, exact=True)]
     return max(mags) / min(mags)
 
@@ -370,13 +373,13 @@ def suite_decay(seed):
 # 9 -------------------------------------------------------------------------------
 
 def suite_structure(seed):
-    fr, totals, res, mismatch = _class_pairings(GridSpec(12800.0 * math.pi, 65536),
-                                                18432.0, 1.0)
+    (width, xi_v), totals, res, mismatch = _class_pairings(
+        GridSpec(12800.0 * math.pi, 65536), 18432.0, 1.0)
     nonres = abs(totals["nonresonant"][0]) + abs(totals["nonresonant"][1])
     null_g = abs(totals["null"][0])
     null_k = abs(totals["null"][1])
-    mask_halfwidth = MONOCHROME_HALFWIDTH * fr.width
-    truncation = 1.0 / (abs(fr.xi_v) * mask_halfwidth)
+    mask_halfwidth = MONOCHROME_HALFWIDTH * width
+    truncation = 1.0 / (abs(xi_v) * mask_halfwidth)
 
     checks = [
         Check("nonresonant-pairing-suppression", nonres / res, hi=1e-3),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from holoww.diagnostics import control_norms, weighted_energy
+from holoww.dynamics import WaveState, plateau_data
 from holoww.errors import GridMismatch, NegativePowerOnMean
 from holoww.grid import (
     Field,
@@ -163,3 +165,63 @@ def test_stacks_go_rows_per_call_and_match_single_rows(monkeypatch, n, calls):
     _fft("ifft", in_place, out=in_place)
     for i in range(5):
         assert np.array_equal(out[i], single[i]) and np.array_equal(in_place[i], single[i])
+
+
+# per-grid constants ------------------------------------------------------------
+
+CONSTANT_GRIDS = [GridSpec(length=64.0, n=64), GridSpec(), GridSpec(1600.0 * math.pi, 8192)]
+
+
+def frac_deriv_oracle(u, s):
+    """|k|^s formed at every call, as a full-length multiplier."""
+    mult = np.zeros(u.grid.n)
+    nz = u.grid.abs_k > 0
+    mult[nz] = u.grid.abs_k[nz] ** s
+    return u.coef * mult
+
+
+@pytest.mark.parametrize("grid", CONSTANT_GRIDS)
+def test_cached_multipliers_are_the_per_call_formula(grid):
+    # every mode carries a coefficient, the Nyquist one included; mode 0 too
+    # where s >= 0, and the bits are those of the multiplier formed per call
+    rng = np.random.default_rng(grid.n)
+    coef = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    assert coef[grid.n // 2] != 0 and grid.modes[grid.n // 2] == -(grid.n // 2)
+    for s in (-0.5, 0.25, 0.5, 0.75, 1, 2, 2.5):
+        u = Field(grid, coef) if s >= 0 else Field(grid, coef).demean()
+        got = frac_deriv(u, s).coef
+        assert np.array_equal(got, frac_deriv_oracle(u, s)) and got[0] == 0
+    with pytest.raises(NegativePowerOnMean):
+        frac_deriv(Field(grid, coef), -0.5)
+
+
+@pytest.mark.parametrize("grid", CONSTANT_GRIDS)
+def test_masks_and_mean_are_their_mask_spellings(grid):
+    rng = np.random.default_rng(grid.n + 1)
+    u = Field(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    assert np.array_equal(project_neg(u).coef, np.where(grid.k < 0, u.coef, 0.0))
+    assert u.mean() == complex(u.coef[grid.modes == 0][0])
+    zeroed = u.coef.copy()
+    zeroed[grid.modes == 0] = 0.0
+    assert np.array_equal(u.demean().coef, zeroed)
+
+
+def test_cached_arrays_are_read_only():
+    grid = GridSpec(length=64.0, n=64)
+    frac_deriv(smooth_field(grid), 0.5)
+    for arr in (grid.neg, grid.abs_k_power(0.5), grid.k, grid.abs_k, grid.modes,
+                grid.alpha, grid.center_phase, grid.dealias_mask):
+        with pytest.raises(ValueError):
+            arr[1] = arr[2]
+
+
+def test_a_norm_sample_caches_six_exponents():
+    # control_norms reads 0.5, 0.25, 0.75 and -0.5; the H^s pair norms at 0.25
+    # and the weighted energy's at 2 read s and s + 1/2
+    grid = GridSpec()
+    state = plateau_data(grid, 1e-3)
+    state = WaveState(1.0, state.w, state.q)
+    for _ in range(2):
+        control_norms(state)
+        weighted_energy(state)
+    assert sorted(grid._powers) == [-0.5, 0.25, 0.5, 0.75, 2.0, 2.5]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from holoww.dynamics import StepperConfig, WaveState, evolve, linear_propagate, 
 from holoww.diagnostics import decay_fit
 from holoww.normalform import gamma_samples, nf_rate, para_nf
 from holoww.packets import (
-    PacketFrame,
     build_packet,
     bump_jet,
     cubic_coefficient,
@@ -20,7 +20,7 @@ from holoww.packets import (
     omega0_grid,
     packet_defect,
     packet_reconstruction_error,
-    pair_energy_product,
+    pairing_fields,
     phase,
     phase_alpha,
     phase_t,
@@ -45,7 +45,7 @@ def geometry_oracle(grid, t, v):
 
 
 def build_packet_oracle(grid, t, v):
-    """u and w from the closed form at every grid point, one transform each."""
+    """u, w and q from the closed form at every grid point, one transform each."""
     width, y, alpha, carrier = geometry_oracle(grid, t, v)
     chi, chi1, _ = bump_jet(y)
     u_vals = v**-1.5 * chi * carrier
@@ -54,7 +54,8 @@ def build_packet_oracle(grid, t, v):
     du_t = v**-1.5 * carrier * (chi1 * y_t + 1j * phi_t * chi)
     u = Field.from_values(grid, u_vals)
     w = Field.from_values(grid, -1j * v * du_t)
-    return PacketFrame(grid, t, v, width, -1.0 / (4.0 * v**2), u, w, v * u, None, None, None)
+    return SimpleNamespace(grid=grid, t=t, v=v, width=width, xi_v=-1.0 / (4.0 * v**2),
+                           u=u, w=w, q=v * u)
 
 
 def carrier_derivatives_oracle(frame):
@@ -80,8 +81,24 @@ def carrier_derivatives_oracle(frame):
     return np.where(inside, du_a, 0.0), np.where(inside, du_tt, 0.0)
 
 
+def pair_energy_product(pair, frame_pair):
+    """Complex pairing in L2 x H^(1/2) on the coefficients:
+    int a conj(b) + <|D|^(1/2)., |D|^(1/2).>."""
+    (wt, qt), (pw, pq) = pair, frame_pair
+    first = wt.inner(pw)
+    k = wt.grid.abs_k
+    second = wt.grid.length * complex(np.sum(k * qt.coef * np.conj(pq.coef)))
+    return first + second
+
+
+def gamma_value_oracle(wt, qt, frame):
+    """`gamma_value` paired on the coefficients of the packet."""
+    return pair_energy_product((wt, qt), (frame.w, frame.q))
+
+
 def gamma_rate_oracle(wt, qt, dwt, dqt, frame):
-    """`gamma_rate` with d_t w transformed from the whole-grid closed form."""
+    """`gamma_rate` paired on the coefficients, with d_t w transformed from
+    the whole-grid closed form."""
     _, du_tt = carrier_derivatives_oracle(frame)
     pw_t = Field.from_values(frame.grid, -1j * frame.v * du_tt)
     return pair_energy_product((dwt, dqt), (frame.w, frame.q)) + pair_energy_product(
@@ -90,13 +107,14 @@ def gamma_rate_oracle(wt, qt, dwt, dqt, frame):
 
 
 def gamma_samples_oracle(state, vs):
-    """`gamma_samples` one velocity at a time on the whole-grid oracles."""
+    """`gamma_samples` one velocity at a time on the whole-grid oracles,
+    paired on the coefficients."""
     nf = para_nf(state)
     dwt, dqt = nf_rate(state)
     rows = []
     for v in vs:
         frame = build_packet_oracle(state.grid, state.t, v)
-        gam = gamma_value(nf.wt, nf.qt, frame)
+        gam = gamma_value_oracle(nf.wt, nf.qt, frame)
         cubic = cubic_coefficient(gam, state.t, v)
         rows.append((v, gam, gamma_rate_oracle(nf.wt, nf.qt, dwt, dqt, frame) - cubic, cubic))
     return rows
@@ -296,39 +314,78 @@ def sampled_state():
 
 
 def test_gamma_samples_equal_the_per_velocity_oracle(sampled_state):
-    vs = omega0_grid(sampled_state.t, count=9)
-    assert gamma_samples(sampled_state, vs) == gamma_samples_oracle(sampled_state, vs)
+    # the support pairing sums what the coefficient pairing sums, in another
+    # order: gamma and the cubic term within 1e-13 of their largest entry, e
+    # within 1e-12 (a rate summed from pairings much larger than it)
     long = linear_propagate(plateau_data(LONG, 1e-3), 400.0)
-    vs = omega0_grid(400.0, count=3)
-    assert gamma_samples(long, vs) == gamma_samples_oracle(long, vs)
+    for st, count in ((sampled_state, 9), (long, 3)):
+        vs = omega0_grid(st.t, count=count)
+        got = np.array(gamma_samples(st, vs))
+        want = np.array(gamma_samples_oracle(st, vs))
+        assert np.array_equal(got[:, 0], want[:, 0])
+        for col, tol in ((1, 1e-13), (2, 1e-12), (3, 1e-13)):
+            assert np.max(np.abs(got[:, col] - want[:, col])) <= tol * np.max(np.abs(want[:, col]))
 
 
-@pytest.mark.parametrize("grid, t, calls", [(DESK, 10.0, 9), (LONG, 400.0, 27)])
-def test_gamma_sample_packet_budget(monkeypatch, grid, t, calls):
-    # counted as (calls, 1-D transforms): each velocity's rows u, w and d_t w
-    # go through one forward call (three before), one row per call from
-    # n = 8192 on; pairing them transforms nothing
+@pytest.mark.parametrize("grid, t", [(DESK, 20.0), (GridSpec(1600.0 * math.pi, 8192), 400.0),
+                                     (GridSpec(200.0 * math.pi, 512), 20.0)])
+def test_support_pairing_is_the_coefficient_pairing(grid, t):
+    # Parseval on the grid: the sum over the packet's support of the values
+    # equals the pairing of the coefficients, to rounding
+    st = evolve(plateau_data(grid, 1e-3), StepperConfig(dt=0.2), 4.0)
+    st = linear_propagate(st, t)
+    dw, dq = -1.0 * st.q.deriv(), 1j * st.w
+    paired = pairing_fields((st.w, st.q), (dw, dq))
+    for v in omega0_grid(t, count=5):
+        frame = build_packet(grid, t, v)
+        want = gamma_value_oracle(st.w, st.q, frame)
+        assert abs(gamma_value(*paired[:2], frame) - want) <= 1e-13 * abs(want)
+        rate = gamma_rate_oracle(st.w, st.q, dw, dq, frame)
+        terms = abs(pair_energy_product((dw, dq), (frame.w, frame.q))) + abs(
+            pair_energy_product((st.w, st.q), (frame.dt_w, 1j * frame.w)))
+        assert abs(gamma_rate(*paired, frame) - rate) <= 1e-13 * terms
+
+
+def test_a_paired_frame_transforms_nothing(monkeypatch):
+    st = linear_propagate(plateau_data(DESK, 1e-3), 20.0)
+    paired = pairing_fields((st.w, st.q), (st.w, st.q))
+    rows = transform_calls(monkeypatch)
+    for v in omega0_grid(20.0, count=9):
+        frame = build_packet(DESK, 20.0, v)
+        gamma_value(*paired[:2], frame)
+        gamma_rate(*paired, frame)
+    assert rows == []
+    frame.w  # the coefficients are formed on first read: u, w and d_t w in one call
+    assert rows == [3]
+
+
+@pytest.mark.parametrize("grid, t, calls", [(DESK, 10.0, 1), (LONG, 400.0, 4)])
+def test_gamma_sample_transform_budget(monkeypatch, grid, t, calls):
+    # counted as (calls, 1-D transforms): the values of Wt, |D|Qt and their
+    # rates go through one stacked inverse call per sample, one row per call
+    # from n = 8192 on; nine packets and their pairings transform nothing
     st = linear_propagate(plateau_data(grid, 1e-3), t)
     z = Field.zero(grid)
     rows = transform_calls(monkeypatch)
+    paired = pairing_fields((st.w, st.q), (z, z))
     for v in omega0_grid(t, count=9):
         frame = build_packet(grid, t, v)
-        gamma_value(st.w, st.q, frame)
-        gamma_rate(st.w, st.q, z, z, frame)
-    assert (len(rows), sum(rows)) == (calls, 27)
+        gamma_value(*paired[:2], frame)
+        gamma_rate(*paired, frame)
+    assert (len(rows), sum(rows)) == (calls, 4)
 
 
 # gamma ----------------------------------------------------------------------------
 
 def test_gamma_zero(frame64):
     z = Field.zero(DESK)
-    assert gamma_value(z, z, frame64) == 0.0
+    assert gamma_value(*pairing_fields((z, z)), frame64) == 0.0
 
 
 def test_gamma_self_pairing(frame64):
     wt = project_neg(frame64.w)
     qt = project_neg(frame64.q)
-    gam = gamma_value(wt, qt, frame64)
+    gam = gamma_value(*pairing_fields((wt, qt)), frame64)
     # quadrature oracle for both pairing slots
     o1 = np.mean(wt.values * np.conj(frame64.w.values)) * DESK.length
     o2 = (
@@ -348,7 +405,7 @@ def test_gamma_reduced_form_converges(frame64):
     for t in (64.0, 256.0):
         fr = build_packet(DESK, t, 1.0)
         wt, qt = project_neg(fr.w), project_neg(fr.q)
-        g1 = gamma_value(wt, qt, fr)
+        g1 = gamma_value(*pairing_fields((wt, qt)), fr)
         g2 = gamma_reduced(wt, qt, fr)
         rels.append(abs(g1 - g2) / abs(g1))
     assert rels[1] < rels[0]  # tracked, shrinking with t
@@ -366,7 +423,7 @@ def test_gamma_constant_under_linear_flow():
     for t in np.linspace(400.0, 1600.0, 7):
         st = linear_propagate(state, t)
         fr = build_packet(BIG, t, 1.0)
-        mags.append(abs(gamma_value(st.w, st.q, fr)))
+        mags.append(abs(gamma_value(*pairing_fields((st.w, st.q)), fr)))
     assert max(mags) / min(mags) < 1.1
 
 
@@ -383,7 +440,7 @@ def test_gamma_constant_under_linear_flow_short_window():
     for t in np.linspace(20.0, 80.0, 7):
         st = linear_propagate(state, t)
         fr = build_packet(DESK, t, 1.0)
-        mags.append(abs(gamma_value(st.w, st.q, fr)))
+        mags.append(abs(gamma_value(*pairing_fields((st.w, st.q)), fr)))
     assert max(mags) / min(mags) < 1.1
 
 
@@ -392,14 +449,14 @@ def test_gamma_rate_matches_centered_difference_second_order():
     t0 = 40.0
     st = linear_propagate(state, t0)
     fr = build_packet(DESK, t0, 1.0)
-    analytic = gamma_rate(st.w, st.q, -1.0 * st.q.deriv(), 1j * st.w, fr)
+    analytic = gamma_rate(*pairing_fields((st.w, st.q), (-1.0 * st.q.deriv(), 1j * st.w)), fr)
 
     def centered(dt):
         vals = {}
         for tt in (t0 - dt, t0 + dt):
             s = linear_propagate(state, tt)
             f = build_packet(DESK, tt, 1.0)
-            vals[tt] = gamma_value(s.w, s.q, f)
+            vals[tt] = gamma_value(*pairing_fields((s.w, s.q)), f)
         return (vals[t0 + dt] - vals[t0 - dt]) / (2 * dt)
 
     errs = [abs(analytic - centered(dt)) for dt in (0.1, 0.05)]

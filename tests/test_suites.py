@@ -3,6 +3,10 @@ end through `verify` and the command line, smoke runs of the cheap suites,
 and the resonant-coefficient comparison that `structure` and `gamma` share."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -76,6 +80,15 @@ def test_verify_command_runs_a_suite(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == IDENTITIES
     assert lines[-1] == "7/7 checks passed"
+
+
+def test_package_runs_as_a_module():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "holoww", "verify", "--suite", "identities"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "7/7 checks passed"
 
 
 # `ode-coefficient-frozen-audit` is the largest of these mismatches over
