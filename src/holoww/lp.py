@@ -106,7 +106,7 @@ class HalfBlock(NamedTuple):
     low: Band  # the low-pass support of cut 2^(m - SEPARATION)
     read: Band | None  # the run of `block` whose products reach a kept mode
     size: int  # fast length N' >= the product band's width
-    out: tuple  # (at, run) parts of the product band, its modes taken mod n
+    out: Band | None  # the product band, its modes taken mod n, symbol 1
     neg: bool  # the product reaches a kept mode with k < 0
 
 
@@ -176,11 +176,11 @@ def band_table(grid):
             for half in (_band(n, -outer, sym[:split]), _band(n, inner, sym[split:])):
                 read = _clip(n, half, cut - low.start)  # low.start is -reach
                 if read is None:
-                    halves.append(HalfBlock(half, low, None, 0, (), False))
+                    halves.append(HalfBlock(half, low, None, 0, None, False))
                     continue
-                width = len(read.values) + len(low.values) - 1
-                out = _parts(n, read.start + low.start, width)
-                neg = any(kept_neg[at].any() for at, _ in out)
+                width, start = len(read.values) + len(low.values) - 1, read.start + low.start
+                out = Band(start, np.broadcast_to(1.0, width), _parts(n, start, width))
+                neg = any(kept_neg[at].any() for at, _ in out.parts)
                 halves.append(HalfBlock(half, low, read, _fft_size(width), out, neg))
             table.append((m, tuple(halves)))
         _BANDS[grid] = tuple(table)

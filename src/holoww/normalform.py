@@ -22,15 +22,17 @@ nonvanishing principal symbol), `nonresonant` (zero or two conjugations), or
 `null` (one conjugation, vanishing symbol).  Both the derivation grouping
 (g1..g3, k1..k3) and the class grouping are unions of the same atoms; the
 tests cross-check the table against independent whole-group transcriptions
-to machine precision.
+to machine precision.  An atom is data, scale * op(a, b) with op one of T, Pi
+and the dealiased product, read twice: `Term.build` forms it, and `Term.pair`
+pairs it with a dual row through `paradiff`'s pairings without forming it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InconsistentTimes
-from .grid import project_neg
-from .paradiff import balanced, para
+from .grid import Field, project_neg
+from .paradiff import balanced, pair_balanced, pair_para, pair_product, para
 from .dynamics import r_rate, rhs_full
 from .packets import build_packet, cubic_coefficient, gamma_rate, gamma_value, pairing_fields
 
@@ -129,27 +131,32 @@ def _reads(fn):
 
 @dataclass(frozen=True)
 class Term:
-    """One atom of the table.  Its build reads a shared operand of
+    """One atom, scale * op(a, b) with op `T`, `Pi` or the dealiased product
+    `*`: `operands(v)` gives (a, b), reading each shared operand of
     `NormalFormState` as `v.<name>` in its own code, where `reads` finds it."""
 
     tid: str
     klass: str          # resonant | nonresonant | null
     formula: str
-    build: object
+    scale: complex
+    op: str             # T | Pi | *
+    operands: object
 
     group = property(lambda t: t.tid.split(".")[0])  # g1, g2, g3, k1, k2, k3
-    reads = property(lambda t: _reads(t.build))      # directly or through another operand
+    reads = property(lambda t: _reads(t.operands))   # directly or through another operand
+
+    def build(self, v):
+        a, b = self.operands(v)
+        return self.scale * _BUILD[self.op](a, b)
+
+    def pair(self, v, d):
+        a, b = self.operands(v)
+        return self.scale * _PAIR[self.op](a, b, d)
 
 
-def _d(u):
-    return u.deriv()
-
-
-def _tr(u):
-    return u.two_re()
-
-
-T, Pi = para, balanced  # the table's shorthands
+T, Pi, _d, _tr = para, balanced, Field.deriv, Field.two_re  # the table's shorthands
+_BUILD = {"T": para, "Pi": balanced, "*": Field.__mul__}  # each op, formed and paired
+_PAIR = {"T": pair_para, "Pi": pair_balanced, "*": pair_product}
 
 
 def _t_pi(a, b):
@@ -162,60 +169,60 @@ def _t_pi(a, b):
 
 TERMS = (
     # --- sources of the first equation, from the time derivative of Wt
-    Term("g1.1", "nonresonant", "T[Wt'](Qt' Wt')", lambda v: T(v.wt_a, v.qa_wa)),
-    Term("g1.2", "nonresonant", "T[(Qt' Wt')'] Wt", lambda v: T(v.d_qa_wa, v.wt)),
-    Term("g1.3", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])", lambda v: Pi(v.wt_a, v.re_qa_wa)),
-    Term("g1.4", "nonresonant", "Pi((Qt' Wt')', Wt)", lambda v: Pi(v.d_qa_wa, v.wt)),
-    Term("g1.5", "resonant", "Pi((Qt' Wt')', conj Wt)", lambda v: Pi(v.d_qa_wa, v.cwt)),
+    Term("g1.1", "nonresonant", "T[Wt'](Qt' Wt')", 1, "T", lambda v: (v.wt_a, v.qa_wa)),
+    Term("g1.2", "nonresonant", "T[(Qt' Wt')'] Wt", 1, "T", lambda v: (v.d_qa_wa, v.wt)),
+    Term("g1.3", "nonresonant", "Pi(Wt', 2Re[Qt' Wt'])", 1, "Pi", lambda v: (v.wt_a, v.re_qa_wa)),
+    Term("g1.4", "nonresonant", "Pi((Qt' Wt')', Wt)", 1, "Pi", lambda v: (v.d_qa_wa, v.wt)),
+    Term("g1.5", "resonant", "Pi((Qt' Wt')', conj Wt)", 1, "Pi", lambda v: (v.d_qa_wa, v.cwt)),
     # --- cancellations against d_a Qt
-    Term("g2.1", "null", "-Wt' F2", lambda v: -1.0 * (v.wt_a * v.f2)),
-    Term("g2.2", "null", "T[F2'] Wt", lambda v: T(v.d_f2, v.wt)),
-    Term("g2.3", "null", "Pi(F2', 2Re Wt)", lambda v: Pi(v.d_f2, v.re_wt)),
-    Term("g2.4", "null", "Pi(F2, Wt')", lambda v: Pi(v.f2, v.wt_a)),
-    Term("g2.5", "null", "Pi(Wt', conj F2)", lambda v: Pi(v.wt_a, v.cf2)),
-    Term("g2.6", "nonresonant", "-Pi(conj(Wt')^2, Qt')", lambda v: -1.0 * Pi(v.cwa2, v.qt_a)),
-    Term("g2.7", "resonant", "Pi(conj Qt', Wt'^2)", lambda v: Pi(v.cqa, v.wa2)),
-    Term("g2.8", "nonresonant", "-T[conj(Wt')^2] Qt'", lambda v: -1.0 * T(v.cwa2, v.qt_a)),
-    Term("g2.9", "nonresonant", "-T[conj Wt'] F2", lambda v: -1.0 * T(v.cwa, v.f2)),
-    Term("g2.10", "nonresonant", "T[conj Qt'] Wt'^2", lambda v: T(v.cqa, v.wa2)),
+    Term("g2.1", "null", "-Wt' F2", -1.0, "*", lambda v: (v.wt_a, v.f2)),
+    Term("g2.2", "null", "T[F2'] Wt", 1, "T", lambda v: (v.d_f2, v.wt)),
+    Term("g2.3", "null", "Pi(F2', 2Re Wt)", 1, "Pi", lambda v: (v.d_f2, v.re_wt)),
+    Term("g2.4", "null", "Pi(F2, Wt')", 1, "Pi", lambda v: (v.f2, v.wt_a)),
+    Term("g2.5", "null", "Pi(Wt', conj F2)", 1, "Pi", lambda v: (v.wt_a, v.cf2)),
+    Term("g2.6", "nonresonant", "-Pi(conj(Wt')^2, Qt')", -1.0, "Pi", lambda v: (v.cwa2, v.qt_a)),
+    Term("g2.7", "resonant", "Pi(conj Qt', Wt'^2)", 1, "Pi", lambda v: (v.cqa, v.wa2)),
+    Term("g2.8", "nonresonant", "-T[conj(Wt')^2] Qt'", -1.0, "T", lambda v: (v.cwa2, v.qt_a)),
+    Term("g2.9", "nonresonant", "-T[conj Wt'] F2", -1.0, "T", lambda v: (v.cwa, v.f2)),
+    Term("g2.10", "nonresonant", "T[conj Qt'] Wt'^2", 1, "T", lambda v: (v.cqa, v.wa2)),
     # --- rewriting the quadratic potentials in normal-form variables
-    Term("g3.1", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'",
-         lambda v: T(_tr(_d(_t_pi(v.wt_a, v.wt))), v.qt_a)),
-    Term("g3.2", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'",
-         lambda v: T(_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a)),
-    Term("g3.3", "nonresonant", "-T[2Re Wt'](Qt' Wt')", lambda v: -1.0 * T(v.re_wa, v.qa_wa)),
-    Term("g3.4", "null", "T[2Re Wt'] F2", lambda v: T(v.re_wa, v.f2)),
-    Term("g3.5", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: T(v.re_wa, v.d_qa_re_wt)),
-    Term("g3.6", "nonresonant", "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'",
-         lambda v: T(_tr(v.qa_wa - v.d_qa_wt), v.wt_a)),
-    Term("g3.7", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.wt_a)),
-    Term("g3.8", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, _d(_t_pi(v.wt_a, v.re_wt)))),
+    Term("g3.1", "nonresonant", "T[2Re(T[Wt']Wt + Pi(Wt', Wt))'] Qt'", 1, "T",
+         lambda v: (_tr(_d(_t_pi(v.wt_a, v.wt))), v.qt_a)),
+    Term("g3.2", "null", "T[2Re(Pi(Wt', conj Wt))'] Qt'", 1, "T",
+         lambda v: (_tr(_d(Pi(v.wt_a, v.cwt))), v.qt_a)),
+    Term("g3.3", "nonresonant", "-T[2Re Wt'](Qt' Wt')", -1.0, "T", lambda v: (v.re_wa, v.qa_wa)),
+    Term("g3.4", "null", "T[2Re Wt'] F2", 1, "T", lambda v: (v.re_wa, v.f2)),
+    Term("g3.5", "nonresonant", "T[2Re Wt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'", 1, "T",
+         lambda v: (v.re_wa, v.d_qa_re_wt)),
+    Term("g3.6", "nonresonant", "T[2Re(Qt' Wt' - (T[Qt']Wt + Pi(Qt', Wt))')] Wt'", 1, "T",
+         lambda v: (_tr(v.qa_wa - v.d_qa_wt), v.wt_a)),
+    Term("g3.7", "null", "-T[2Re(Pi(Qt', conj Wt)')] Wt'", -1.0, "T",
+         lambda v: (v.re_d_pi_qa_cwt, v.wt_a)),
+    Term("g3.8", "nonresonant", "-T[2Re Qt'](T[Wt']Wt + Pi(Wt', 2Re Wt))'", -1.0, "T",
+         lambda v: (v.re_qa, _d(_t_pi(v.wt_a, v.re_wt)))),
     # --- sources of the second equation
-    Term("k1.1", "nonresonant", "T[Qt' Qt''] Wt", lambda v: T(v.qa_dqa, v.wt)),
-    Term("k1.2", "null", "T[P[|Qt'|^2]'] Wt", lambda v: T(v.d_abs_qa, v.wt)),
-    Term("k1.3", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))",
-         lambda v: T(v.qt_a, _t_pi(v.wt_a, v.qt_a))),
-    Term("k1.4", "null", "Pi(Qt' Qt'', 2Re Wt)", lambda v: Pi(v.qa_dqa, v.re_wt)),
-    Term("k1.5", "null", "Pi(P[|Qt'|^2]', 2Re Wt)", lambda v: Pi(v.d_abs_qa, v.re_wt)),
-    Term("k1.6", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])", lambda v: Pi(v.qt_a, v.re_qa_wa)),
-    Term("k1.7", "nonresonant", "-Pi(Wt' Qt', Qt')", lambda v: -1.0 * Pi(v.qa_wa, v.qt_a)),
-    Term("k1.8", "null", "Pi(Qt', conj F2)", lambda v: Pi(v.qt_a, v.cf2)),
-    Term("k1.9", "nonresonant", "-T[Qt' Wt'] Qt'", lambda v: -1.0 * T(v.qa_wa, v.qt_a)),
-    Term("k2.1", "nonresonant", "i T[Wt'^2] Wt", lambda v: 1j * T(v.wa2, v.wt)),
-    Term("k2.2", "null", "i Pi(Wt'^2, 2Re Wt)", lambda v: 1j * Pi(v.wa2, v.re_wt)),
-    Term("k2.3", "null", "-T[F2] Qt'", lambda v: -1.0 * T(v.f2, v.qt_a)),
-    Term("k3.1", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'",
-         lambda v: -1.0 * T(_tr(v.d_qa_wt), v.qt_a)),
-    Term("k3.2", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'",
-         lambda v: -1.0 * T(v.re_d_pi_qa_cwt, v.qt_a)),
-    Term("k3.3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'",
-         lambda v: -1.0 * T(v.re_qa, v.d_qa_re_wt)),
-    Term("k3.4", "nonresonant", "T[2Re(Qt' Wt')] Qt'", lambda v: T(v.re_qa_wa, v.qt_a)),
-    Term("k3.5", "nonresonant", "T[conj Qt'](Qt' Wt')", lambda v: T(v.cqa, v.qa_wa)),
-    Term("k3.6", "nonresonant", "T[Qt'] T[Qt'] Wt'", lambda v: T(v.qt_a, T(v.qt_a, v.wt_a))),
+    Term("k1.1", "nonresonant", "T[Qt' Qt''] Wt", 1, "T", lambda v: (v.qa_dqa, v.wt)),
+    Term("k1.2", "null", "T[P[|Qt'|^2]'] Wt", 1, "T", lambda v: (v.d_abs_qa, v.wt)),
+    Term("k1.3", "nonresonant", "T[Qt'](T[Wt']Qt' + Pi(Wt', Qt'))", 1, "T",
+         lambda v: (v.qt_a, _t_pi(v.wt_a, v.qt_a))),
+    Term("k1.4", "null", "Pi(Qt' Qt'', 2Re Wt)", 1, "Pi", lambda v: (v.qa_dqa, v.re_wt)),
+    Term("k1.5", "null", "Pi(P[|Qt'|^2]', 2Re Wt)", 1, "Pi", lambda v: (v.d_abs_qa, v.re_wt)),
+    Term("k1.6", "nonresonant", "Pi(Qt', 2Re[Qt' Wt'])", 1, "Pi", lambda v: (v.qt_a, v.re_qa_wa)),
+    Term("k1.7", "nonresonant", "-Pi(Wt' Qt', Qt')", -1.0, "Pi", lambda v: (v.qa_wa, v.qt_a)),
+    Term("k1.8", "null", "Pi(Qt', conj F2)", 1, "Pi", lambda v: (v.qt_a, v.cf2)),
+    Term("k1.9", "nonresonant", "-T[Qt' Wt'] Qt'", -1.0, "T", lambda v: (v.qa_wa, v.qt_a)),
+    Term("k2.1", "nonresonant", "i T[Wt'^2] Wt", 1j, "T", lambda v: (v.wa2, v.wt)),
+    Term("k2.2", "null", "i Pi(Wt'^2, 2Re Wt)", 1j, "Pi", lambda v: (v.wa2, v.re_wt)),
+    Term("k2.3", "null", "-T[F2] Qt'", -1.0, "T", lambda v: (v.f2, v.qt_a)),
+    Term("k3.1", "nonresonant", "-T[2Re(T[Qt']Wt + Pi(Qt', Wt))'] Qt'", -1.0, "T",
+         lambda v: (_tr(v.d_qa_wt), v.qt_a)),
+    Term("k3.2", "null", "-T[2Re(Pi(Qt', conj Wt))'] Qt'", -1.0, "T",
+         lambda v: (v.re_d_pi_qa_cwt, v.qt_a)),
+    Term("k3.3", "nonresonant", "-T[2Re Qt'](T[Qt']Wt + Pi(Qt', 2Re Wt))'", -1.0, "T",
+         lambda v: (v.re_qa, v.d_qa_re_wt)),
+    Term("k3.4", "nonresonant", "T[2Re(Qt' Wt')] Qt'", 1, "T", lambda v: (v.re_qa_wa, v.qt_a)),
+    Term("k3.5", "nonresonant", "T[conj Qt'](Qt' Wt')", 1, "T", lambda v: (v.cqa, v.qa_wa)),
+    Term("k3.6", "nonresonant", "T[Qt'] T[Qt'] Wt'", 1, "T", lambda v: (v.qt_a, T(v.qt_a, v.wt_a))),
 )
 
 
@@ -230,16 +237,13 @@ _LAST = {name: t.tid for t in _ORDER for name in t.reads}  # last reader of each
 _DROPS = {t.tid: [name for name in t.reads if _LAST[name] == t.tid] for t in _ORDER}
 
 
-def evaluate_terms(nf, reduce=None):
-    """Every term of the table on the fields of a `NormalFormState`, keyed by
-    id in table order; with `reduce`, `reduce(term, field)` is kept in place
-    of each field as it is built, so the fields need not all be held at once.
-    The atoms are built in `_ORDER`, and each shared operand is dropped from
-    `nf` after its last reader there."""
-    keep = reduce or (lambda term, u: u)
+def evaluate_terms(nf, duals=None):
+    """Every term of the table on a `NormalFormState`, keyed by id in table
+    order; given a dual row per side, "g" and "k", its pairing (`Term.pair`).
+    Atoms go in `_ORDER`, each shared operand dropped after its last reader."""
     out = {}
     for t in _ORDER:
-        out[t.tid] = keep(t, t.build(nf))
+        out[t.tid] = t.build(nf) if duals is None else t.pair(nf, duals[t.group[0]])
         for name in _DROPS[t.tid]:
             vars(nf).pop(name, None)
     return {t.tid: out[t.tid] for t in TERMS}

@@ -28,6 +28,12 @@ P_m b, is kept on its field (`Field._pieces`) the first time a product
 needs it, keyed by the run's first mode, length and N', so both halves of
 a block that share N' share the low piece, and a field read again as an
 operand is not transformed again.
+
+The pairings give <X, d> for X = T_a b, Pi(a, b) or P[a b] without forming
+X, from a dual row d (`dual`) cut to the modes X has, k < 0 inside the dealias
+cut.  By Parseval on each sub-grid, half h adds length (1/N') sum conj(D_h)
+low(a) block(b), D_h the inverse transform of length N' of d on the band
+`out`; P[a b] adds length (1/n) sum conj(d) a b over the grid values.
 """
 
 import numpy as np
@@ -62,21 +68,23 @@ def _half_sum(pairs, halves):
         prod = sum(_piece(a, "low", half.low, half.size) * _piece(b, "block", half.read, half.size)
                    for a, b in pairs)
         prod = np.fft.fft(prod, norm="forward")  # the linear convolution of the pieces
-        for at, run in half.out:
+        for at, run in half.out.parts:
             coef[at] += prod[run]
     return Field(grid, np.where(grid.dealias_mask, coef, 0.0))
 
 
+def _halves(grid, flag):  # the block halves whose `flag`, "read" or "neg", is set
+    return [half for _, pair in band_table(grid) for half in pair if getattr(half, flag)]
+
+
 def _lohi(a, b):
     """Unprojected low-high sum: P_m b times the part of a below 2^(m - SEPARATION)."""
-    halves = [half for _, pair in band_table(a.grid) for half in pair if half.read]
-    return _half_sum([(a, b)], halves)
+    return _half_sum([(a, b)], _halves(a.grid, "read"))
 
 
 def _para(*pairs):
     """Sum of T_a b over the (a, b) in `pairs`, from the halves whose product reaches k < 0."""
-    halves = [half for _, pair in band_table(pairs[0][0].grid) for half in pair if half.neg]
-    return project_neg(_half_sum(pairs, halves))
+    return project_neg(_half_sum(pairs, _halves(pairs[0][0].grid, "neg")))
 
 
 def para(a, b):
@@ -88,6 +96,37 @@ def balanced(a, b):
     """Balanced product Pi(a, b) = P[a b] - T_a b - T_b a, the two
     paraproducts summed on each sub-grid before one transform."""
     return project_neg(a * b) - _para((a, b), (b, a))
+
+
+def dual(u):
+    """The dual row d of u that the pairings <., u> read, as (values, [D_h]):
+    the grid values of u's modes with k < 0 inside the dealias cut, and D_h
+    for each half that reaches k < 0.  Its coefficients are not kept."""
+    d = project_neg(u.dealiased())
+    return d.values, [np.fft.ifft(gather(d.coef, half.out, half.size), norm="forward")
+                      for half in _halves(u.grid, "neg")]
+
+
+def pair_product(a, b, d):
+    """<P[a b], d> for a dual row d, summed over the grid values."""
+    a._check(b)
+    return a.grid.length / a.grid.n * complex(np.vdot(d[0], a.values * b.values))
+
+
+def pair_para(a, b, d):
+    """<T_a b, d> for a dual row d: the loop of `_half_sum`, each product
+    paired with D_h on its sub-grid in place of its transform."""
+    a._check(b)
+    total = 0j
+    for half, row in zip(_halves(a.grid, "neg"), d[1]):
+        prod = _piece(a, "low", half.low, half.size) * _piece(b, "block", half.read, half.size)
+        total += np.vdot(row, prod) / half.size
+    return a.grid.length * complex(total)
+
+
+def pair_balanced(a, b, d):
+    """<Pi(a, b), d> for a dual row d: <P[a b], d> less both paraproducts."""
+    return pair_product(a, b, d) - pair_para(a, b, d) - pair_para(b, a, d)
 
 
 def trichotomy_residual(a, b):

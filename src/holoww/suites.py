@@ -64,7 +64,7 @@ from .packets import (
     spectral_profile,
     weighted_l2_v,
 )
-from .paradiff import trichotomy_residual
+from .paradiff import dual, trichotomy_residual
 
 
 @dataclass
@@ -133,19 +133,14 @@ def _class_pairings(grid, t, v):
     (width, xi_v), the (g, k) totals of each class, res = |g + k| of the
     resonant class and |res - c| / c for c = |cubic_coefficient(1, t, v)|.
     `structure` and `gamma`'s coefficient audit both read it, so the asymptotic
-    equation's coefficient is compared with the table along one path."""
+    equation's coefficient is compared with the table along one path.  A side
+    pairs with one dual row (`paradiff.dual`): w, and |D| q = i q' on the kept
+    k < 0 modes, as <i K', q> = <K, i q'>; no atom or packet field is held."""
     fr = build_packet(grid, t, v)
-    geometry, pw, pq = (fr.width, fr.xi_v), Field(grid, fr.w.coef), Field(grid, fr.q.coef)
+    geometry, duals = (fr.width, fr.xi_v), {"g": dual(fr.w), "k": dual(frac_deriv(fr.q, 1.0))}
     wt, wt_a, qt, qt_a = monochrome_ansatz(grid, t, v)
-    del fr, qt  # only what is paired, or read by an atom, is held through the table
-
-    def pairing(term, field):
-        if term.group.startswith("g"):
-            return complex(field.inner(pw))
-        return complex(1j * field.deriv().inner(pq))
-
-    # each atom is paired as it is built (41 numbers are kept); none reads Qt
-    pairs = evaluate_terms(NormalFormState(t, wt, None, wt_a, qt_a), pairing)
+    del fr, qt  # only the duals, and what an atom reads, are held through the table
+    pairs = evaluate_terms(NormalFormState(t, wt, None, wt_a, qt_a), duals)  # none reads Qt
     totals = {}
     for klass in ("resonant", "nonresonant", "null"):
         g = sum(pairs[x.tid] for x in TERMS if x.klass == klass and x.group.startswith("g"))

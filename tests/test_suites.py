@@ -1,6 +1,7 @@
 """Acceptance suites: the report rows, suite lookup, one cheap suite end to
 end through `verify` and the command line, smoke runs of the cheap suites,
-and the resonant-coefficient comparison that `structure` and `gamma` share."""
+the resonant-coefficient comparison that `structure` and `gamma` share, and
+the dual-row pairing of the cubic table's atoms that it rests on."""
 
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 from holoww import suites
 from holoww.cli import main
 from holoww.errors import UsageError
-from holoww.grid import GridSpec
-from holoww.packets import omega0_grid
+from holoww.grid import Field, GridSpec
+from holoww.normalform import TERMS, NormalFormState, evaluate_terms
+from holoww.packets import build_packet, omega0_grid
 from holoww.suites import RESONANT_MATCH, Check, _class_pairings, verify
 
 IDENTITIES = ["trichotomy-residual", "f-identity", "m-identity", "taylor-term-real",
@@ -110,3 +112,33 @@ def test_coefficient_audit_compares_the_table_with_the_formula():
 def test_coefficient_audit_fails_a_wrong_coefficient(monkeypatch, v, wrong):
     monkeypatch.setattr(suites, "cubic_coefficient", wrong)
     assert _class_pairings(GAMMA_GRID, 1024.0, v)[3] > RESONANT_MATCH
+
+
+@pytest.mark.parametrize("grid, t, v", [
+    (GridSpec(400.0 * math.pi, 2048), 400.0, 1.0),
+    (GAMMA_GRID, 1024.0, EDGE_LO),
+    (GAMMA_GRID, 1024.0, EDGE_HI),
+    (GridSpec(12800.0 * math.pi, 65536), 18432.0, 1.0),
+], ids=["desk", "gamma-lo", "gamma-hi", "structure"])
+def test_paired_atoms_equal_their_fields_paired(monkeypatch, grid, t, v):
+    # each atom as `_class_pairings` pairs it, through its side's dual row,
+    # equals the atom formed as a field and paired with the packet on the
+    # whole grid: <K, w> for a g-atom and <i K', q> for a k-atom, to 1e-13
+    # of the largest pairing of its side
+    seen = {}
+
+    def recording(nf, duals):
+        seen["nf"] = NormalFormState(nf.t, *(None if u is None else Field(grid, u.coef.copy())
+                                             for u in (nf.wt, nf.qt, nf.wt_a, nf.qt_a)))
+        seen["pairs"] = evaluate_terms(nf, duals)
+        return seen["pairs"]
+    monkeypatch.setattr(suites, "evaluate_terms", recording)
+    _class_pairings(grid, t, v)
+    fr = build_packet(grid, t, v)
+    pw, pq = Field(grid, fr.w.coef), Field(grid, fr.q.coef)
+    fields = evaluate_terms(seen["nf"])
+    for side, want in (("g", lambda u: u.inner(pw)), ("k", lambda u: 1j * u.deriv().inner(pq))):
+        atoms = [x.tid for x in TERMS if x.group.startswith(side)]
+        scale = max(abs(seen["pairs"][tid]) for tid in atoms)
+        for tid in atoms:
+            assert abs(seen["pairs"][tid] - want(fields[tid])) <= 1e-13 * scale, tid
