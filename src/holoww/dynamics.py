@@ -42,6 +42,11 @@ The differentiated system evolves (bW, R):
 
 and is self-contained, which `DiffState`/`rhs_diff` exploit.
 
+`step` is the one integrator, RK4 in the integrating-factor form of Lawson
+(1967): the diagonal pair W +- |D|^(1/2) Q turns by its exact linear phases
+exp(i omega dt), omega = sqrt|k|.  Classical RK4 (`_classical_step`) is kept
+only as the reference flow of one consistency check.
+
 All right-hand sides are projected onto the holomorphic class; for
 holomorphic input the projection only pins the k >= 0 modes that the torus
 discretization would otherwise populate at O(1/length).
@@ -51,7 +56,6 @@ import json
 import math
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,34 +272,17 @@ def hamiltonian(state):
 
 # time stepping --------------------------------------------------------------
 
-RK4_PHASE_MARGIN = 2.8  # |dt * omega| bound for the classical scheme
+RK4_PHASE_MARGIN = 2.8  # |dt * omega| bound, at classical RK4's stability edge
 TIME_TOL = 1e-9  # times closer than this count as equal
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    """Step size and scheme of `step`.
-
-    "rk4_integrating_factor" advances the dispersive linear part exactly
-    through the phases exp(+-i omega dt); "rk4" is classical RK4, the
-    unit-phase case of the same driver.  Every step applies the dealias mask.
-    """
-
-    dt: float
-    scheme: str = "rk4_integrating_factor"
-
-    def __post_init__(self):
-        if self.scheme not in ("rk4", "rk4_integrating_factor"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-    def validate(self, grid):
-        omega_max = math.sqrt(grid.k_max)
-        if self.dt * omega_max >= RK4_PHASE_MARGIN:
-            raise StabilityViolation(
-                f"dt*max(omega) = {self.dt * omega_max:.3f} >= {RK4_PHASE_MARGIN}"
-            )
+def _check_dt(grid, dt):
+    """`ValueError` unless dt > 0, `StabilityViolation` unless dt max(omega) < RK4_PHASE_MARGIN."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    omega_max = math.sqrt(grid.k_max)
+    if dt * omega_max >= RK4_PHASE_MARGIN:
+        raise StabilityViolation(f"dt*max(omega) = {dt * omega_max:.3f} >= {RK4_PHASE_MARGIN}")
 
 
 def _to_diag(root, wc, qc):
@@ -320,8 +307,8 @@ def _rk4(y, a, rates, dt, half, full):
 
     `a` is N(y), so stage 1 reuses the caller's state, and `rates(z)` is N
     at a stage value z.  `half` and `full` hold the phases exp(L dt/2) and
-    exp(L dt) of every row, which make this the integrating-factor (Lawson)
-    scheme, exact on the linear part; unit phases (L = 0) give classical RK4.
+    exp(L dt) of every row: `step`'s make this the integrating-factor
+    (Lawson) scheme, exact on the linear part; unit phases give classical RK4.
     """
     h = dt / 2
     b = rates(half * (y + h * a))
@@ -340,44 +327,49 @@ def _rk4(y, a, rates, dt, half, full):
     return out
 
 
-def step(state, cfg):
-    """One Runge-Kutta step; the integrating-factor variant advances the
-    dispersive linear part (omega = sqrt|k| after diagonalization) exactly.
-    The stages run the kernel on coefficient stacks of the kept band, the
-    only modes a step keeps; stage 1 reads the state itself."""
-    cfg.validate(state.grid)
-    grid, dt, tab = state.grid, cfg.dt, _tables(state.grid)
-    band, integrating = tab.band, cfg.scheme == "rk4_integrating_factor"
-    root, half_root = tab.root[band], tab.half_root[band]
-
-    def coefs(z):
-        return _from_diag(half_root, z) if integrating else z
+def step(state, dt):
+    """One integrating-factor (Lawson) RK4 step of size dt, exact on the
+    dispersive linear part.  The stages run the kernel on coefficient stacks
+    of the kept band, the only modes a step keeps; stage 1 reads the state."""
+    _check_dt(state.grid, dt)
+    grid, tab = state.grid, _tables(state.grid)
+    band, root, half_root = tab.band, tab.root[tab.band], tab.half_root[tab.band]
 
     def nonlinear(s, d):  # the phases carry the linear part (-Q_a, iW)
-        if integrating:
-            d[0] += s.da[1, band]
-            d[1] -= 1j * s.w
-            d = _to_diag(root, *d)
-        return d
+        d[0] += s.da[1, band]
+        d[1] -= 1j * s.w
+        return _to_diag(root, *d)
 
     def stage(z):
-        s = _state_arrays(tab, coefs(z))
+        s = _state_arrays(tab, _from_diag(half_root, z))
         return nonlinear(s, _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1])
 
-    y, phases = np.array([state.w.coef[band], state.q.coef[band]]), (1.0, 1.0)
-    if integrating:
-        if dt not in tab.phases:
-            tab.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
-        y, phases = _to_diag(root, *y), tab.phases[dt]
-    z = _rk4(y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *phases)
-    return WaveState(state.t + dt, *_embed(grid, coefs(z)))
+    if dt not in tab.phases:
+        tab.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
+    y = _to_diag(root, state.w.coef[band], state.q.coef[band])
+    z = _rk4(y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *tab.phases[dt])
+    return WaveState(state.t + dt, *_embed(grid, _from_diag(half_root, z)))
 
 
-def evolve(state, cfg, t_end, observer=None):
-    """The march loop: `step` while t < t_end - TIME_TOL, calling
+def _classical_step(state, dt):
+    """Classical RK4, `_rk4` with unit phases on the kept-band (W, Q) stack:
+    the flow `suites`' dual-dt-estimator-order check is pinned on, deleted
+    when ROADMAP item 1 lets that check move to `step`."""
+    grid, tab = state.grid, _tables(state.grid)
+
+    def stage(z):
+        s = _state_arrays(tab, z)
+        return _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1]
+
+    y = np.array([state.w.coef[tab.band], state.q.coef[tab.band]])
+    return WaveState(state.t + dt, *_embed(grid, _rk4(y, _rates(state)[1], stage, dt, 1.0, 1.0)))
+
+
+def evolve(state, dt, t_end, observer=None):
+    """The march loop: `step` by dt while t < t_end - TIME_TOL, calling
     observer(state) after each step; returns the last state."""
     while state.t < t_end - TIME_TOL:
-        state = step(state, cfg)
+        state = step(state, dt)
         if observer is not None:
             observer(state)
     return state

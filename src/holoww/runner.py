@@ -1,14 +1,15 @@
 """Experiment orchestration: configuration, simulation runs, persistence.
 
-A run is one process marching one state forward while sampling norm records
-and the ray profile gamma(t, v); everything lands in a run directory:
+A run is one process marching one state by `dynamics.evolve` while sampling
+norm records and the ray profile gamma(t, v); everything lands in a run directory:
 
     config.txt     the exact configuration text
     manifest.json  code version, config hash, grid
     norms.csv      one row per norm sample; `simulate` owns its columns
     gamma.csv      rows (t, v, Re gamma, Im gamma, |e|, |cubic|)
-    state_*.txt    whole checkpoints (`_write_whole`); state_final.txt is always
-                   written, a byte copy of the checkpoint taken at the last time if any
+    state_*.txt    whole checkpoints (`_write_whole`), their JSON line t and data.eps;
+                   state_final.txt is always written, a byte copy of the checkpoint
+                   taken at the last time if any
 
 Configuration is flat `key = value` text with strict unknown-key rejection.
 """
@@ -34,7 +35,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     TIME_TOL,
-    StepperConfig,
+    _check_dt,
     evolve,
     hamiltonian,
     load_state,
@@ -50,7 +51,6 @@ _DEFAULTS = {
     "grid.length": 400.0 * math.pi,
     "grid.dealias": 2.0 / 3.0,
     "step.dt": 0.2,
-    "step.scheme": "rk4_integrating_factor",
     "data.kind": "plateau",
     "data.eps": 1e-3,
     "data.velocity": 1.0,
@@ -121,11 +121,10 @@ class RunConfig:
         for key, value in self.values.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{key} must be finite")
-        try:  # GridSpec and StepperConfig validate themselves
-            grid, stepper = self.grid(), self.stepper()
+        try:  # GridSpec and `_check_dt` raise ValueError on a bad value
+            _check_dt(self.grid(), self["step.dt"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        stepper.validate(grid)
         if self["data.velocity"] == 0:
             raise UsageError("data.velocity must be nonzero")
         if self["gamma.velocities"] < 1:
@@ -143,9 +142,6 @@ class RunConfig:
 
     def grid(self):
         return GridSpec(self["grid.length"], self["grid.n"], self["grid.dealias"])
-
-    def stepper(self):
-        return StepperConfig(self["step.dt"], self["step.scheme"])
 
     def initial_state(self):
         grid = self.grid()
@@ -276,8 +272,7 @@ def simulate(cfg, out_dir, resume_state=None):
 
     def save(st, name):
         path = os.path.join(out_dir, f"state_{name}.txt")
-        extra = {"eps": cfg["data.eps"], "scheme": cfg["step.scheme"]}
-        _write_whole(path, lambda tmp: save_state(tmp, st, extra=extra))
+        _write_whole(path, lambda tmp: save_state(tmp, st, extra={"eps": cfg["data.eps"]}))
         return path
 
     # time and path of the last checkpoint; holding its state would keep a
@@ -296,7 +291,7 @@ def simulate(cfg, out_dir, resume_state=None):
     with norm_fh, gamma_fh:
         observe(state)
         start, state = [state], None  # hand over: the march holds its only reference
-        final = evolve(start.pop(), cfg.stepper(), cfg["run.t_end"], observe)
+        final = evolve(start.pop(), cfg["step.dt"], cfg["run.t_end"], observe)
         if final.t == saved_t:  # times only grow: the observer saved this state
             _write_whole(os.path.join(out_dir, "state_final.txt"),
                          lambda tmp: shutil.copyfile(saved_path, tmp))

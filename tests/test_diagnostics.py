@@ -7,7 +7,6 @@ from holoww import diagnostics, lp
 from holoww.errors import InsufficientSamples, TimeTooSmall
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.dynamics import (
-    StepperConfig,
     WaveState,
     linear_propagate,
     packet_data,
@@ -76,7 +75,7 @@ def test_control_norms_transform_budget(monkeypatch, grid, budget):
     # where the 30 LP blocks of the three Besov norms go four rows per call
     # (38 calls in all when each block was a call); from n = 8192 on every
     # call is one row, 39 of them LP blocks
-    st = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2))
+    st = step(plateau_data(grid, 1e-3), 0.2)
     rows = transform_calls(monkeypatch)
     control_norms(st)
     assert (len(rows), sum(rows)) == budget

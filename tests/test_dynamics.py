@@ -7,8 +7,8 @@ from holoww.errors import DegenerateJacobian, StabilityViolation
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg, pos_leakage
 from holoww.dynamics import (
     DiffState,
-    StepperConfig,
     WaveState,
+    _classical_step,
     _rk4,
     diff_coefficients,
     evolve,
@@ -131,7 +131,7 @@ def test_single_mode_period_return(grid):
     st = WaveState(0.0, w0, q0)
     omega = math.sqrt(abs(grid.k[k_idx]))
     period = 2 * math.pi / omega
-    out = evolve(st, StepperConfig(dt=period / 128), period)
+    out = evolve(st, period / 128, period)
     assert (out.w - w0).l2() / w0.l2() < 1e-8
 
 
@@ -150,12 +150,12 @@ def rhs_full_oracle(w, q):
     return dw, project_neg(dq)
 
 
-def field_step_oracle(w, q, cfg):
-    """`step` on Fields with `rhs_full_oracle`: RK4 on slot lists, in the
-    diagonal variables with exact phases for the integrating-factor scheme."""
-    grid, dt, h = w.grid, cfg.dt, cfg.dt / 2
+def field_step_oracle(w, q, dt, integrating):
+    """`step` (`integrating`) or `_classical_step` on Fields with
+    `rhs_full_oracle`: RK4 on slot lists, in the diagonal variables with
+    exact phases for the integrating-factor scheme."""
+    grid, h = w.grid, dt / 2
     neg, root = grid.k < 0, np.sqrt(grid.abs_k)
-    integrating = cfg.scheme == "rk4_integrating_factor"
 
     def fields(z):
         if integrating:
@@ -183,16 +183,16 @@ def field_step_oracle(w, q, cfg):
                    for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)])
 
 
-def step_oracle(grid, w, q, cfg):
-    """`step` on (W, Q) coefficient arrays as the array kernel took it with
-    every array n long: the masks k < 0 (`neg`) and k < 0 inside the dealias
-    cut (`keep`) applied by multiplies, and the transforms scaling by 1/n and
-    n apart from the centring phase.  Returns the new (W, Q) coefficients."""
-    n, dt, cp = grid.n, cfg.dt, grid.center_phase
+def step_oracle(grid, w, q, dt, integrating):
+    """`step` (`integrating`) or `_classical_step` on (W, Q) coefficient
+    arrays as the array kernel took it with every array n long: the masks
+    k < 0 (`neg`) and k < 0 inside the dealias cut (`keep`) applied by
+    multiplies, and the transforms scaling by 1/n and n apart from the
+    centring phase.  Returns the new (W, Q) coefficients."""
+    n, cp = grid.n, grid.center_phase
     neg = grid.k < 0
     keep, root = neg & grid.dealias_mask, np.sqrt(grid.abs_k)
     half_root = np.divide(0.5, root, where=neg, out=np.zeros(n))
-    integrating = cfg.scheme == "rk4_integrating_factor"
 
     def coef(values):
         c = np.fft.fft(values)
@@ -255,17 +255,20 @@ def step_oracle(grid, w, q, cfg):
     return coefs(_rk4(y, nonlinear(s, rate_arrays(s)), stage, dt, *phases))
 
 
-def march_both(st, cfg, steps):
-    """`step` and `step_oracle` from st: the two (W, Q) coefficient pairs."""
+# the step each scheme names and the `integrating` flag of its oracles
+SCHEMES = {"rk4_integrating_factor": (step, True), "rk4": (_classical_step, False)}
+
+
+def march_both(st, dt, scheme, steps):
+    """The step of `scheme` and its `step_oracle` from st: the two (W, Q)
+    coefficient pairs."""
+    stepper, integrating = SCHEMES[scheme]
     got, (w, q) = st, (st.w.coef, st.q.coef)
     for _ in range(steps):
-        new = step_oracle(st.grid, w, q, cfg)
+        new = step_oracle(st.grid, w, q, dt, integrating)
         w, q = (project_neg(Field(st.grid, c)).coef for c in new)
-        got = step(got, cfg)
+        got = stepper(got, dt)
     return (got.w.coef, got.q.coef), (w, q)
-
-
-SCHEMES = ("rk4_integrating_factor", "rk4")
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -274,7 +277,7 @@ def test_step_on_the_kept_band_matches_the_full_length_oracle(n, scheme):
     # bit for bit: the band holds every mode a step keeps, and with n a power
     # of two folding 1/n into the transform is exact
     grid = GridSpec(length=64.0 * n / 64, n=n)
-    got, want = march_both(random_state(grid, 0.05, seed=17), StepperConfig(0.1, scheme), 20)
+    got, want = march_both(random_state(grid, 0.05, seed=17), 0.1, scheme, 20)
     assert all(np.array_equal(g, o) for g, o in zip(got, want))
 
 
@@ -287,7 +290,7 @@ def test_step_reads_content_outside_the_dealias_cut_as_before(scheme):
             for _ in range(2))
     st = WaveState(0.0, project_neg(w), project_neg(q))
     assert np.any(st.w.coef[(grid.k < 0) & ~grid.dealias_mask] != 0)
-    got, want = march_both(st, StepperConfig(0.1, scheme), 20)
+    got, want = march_both(st, 0.1, scheme, 20)
     assert all(np.array_equal(g, o) for g, o in zip(got, want))
 
 
@@ -297,7 +300,7 @@ def test_step_matches_the_oracle_without_a_cut_and_off_powers_of_two(n, dealias,
     # dealias = 1.0 keeps every k < 0 mode but the unpaired Nyquist one; at
     # n = 1000 the folded 1/n scale is exact only to roundoff
     grid = GridSpec(length=64.0, n=n, dealias=dealias)
-    got, want = march_both(random_state(grid, 0.05, seed=19), StepperConfig(0.1, scheme), 20)
+    got, want = march_both(random_state(grid, 0.05, seed=19), 0.1, scheme, 20)
     gap = max(np.max(np.abs(g - o)) for g, o in zip(got, want))
     assert gap <= tol * max(np.max(np.abs(o)) for o in want)
 
@@ -313,12 +316,11 @@ def test_rhs_full_matches_field_oracle(n):
     grid = GridSpec(length=64.0, n=n)
     st = random_state(grid, 0.05, seed=15)
     assert relative_gap(rhs_full(st), rhs_full_oracle(st.w, st.q)) <= 1e-14
-    for scheme in ("rk4_integrating_factor", "rk4"):
-        cfg = StepperConfig(dt=0.1, scheme=scheme)
+    for stepper, integrating in SCHEMES.values():
         got, w, q = st, st.w, st.q
         for _ in range(20):
-            got = step(got, cfg)
-            w, q = field_step_oracle(w, q, cfg)
+            got = stepper(got, 0.1)
+            w, q = field_step_oracle(w, q, 0.1, integrating)
         assert relative_gap((got.w, got.q), (w, q)) <= 1e-13
 
 
@@ -381,7 +383,7 @@ def test_hamiltonian_single_mode_quadrature(grid):
 def test_hamiltonian_drift_short_run(grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     e0 = hamiltonian(st).real
-    out = evolve(st, StepperConfig(dt=0.1), 5.0)
+    out = evolve(st, 0.1, 5.0)
     assert abs((hamiltonian(out).real - e0) / e0) < 1e-8
 
 
@@ -390,21 +392,22 @@ def test_hamiltonian_drift_short_run(grid):
 def test_stability_guard(grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     with pytest.raises(StabilityViolation):
-        step(st, StepperConfig(dt=10.0))
+        step(st, 10.0)
+    with pytest.raises(ValueError):
+        step(st, 0.0)
 
 
 def test_stage_below_jacobian_floor_raises(grid):
     # the input state clears the floor (min J = 0.55^2); the second stage of a
-    # classical step, W + dt/2 dW/dt, does not, and `step` raises from it
+    # classical step, W + dt/2 dW/dt, does not, and `_classical_step` raises from it
     kk = grid.k[np.argmin(np.abs(grid.k + 1.0))]
     st = state_from_wa(grid, 0.45 * np.exp(1j * kk * grid.alpha), q_mode="zero")
     st = WaveState(0.0, st.w, 0.6j / kk * st.w)
-    cfg = StepperConfig(dt=0.4, scheme="rk4")
     dw, dq = rhs_full(st)
     with pytest.raises(DegenerateJacobian):
         WaveState(0.0, st.w + 0.2 * dw, st.q + 0.2 * dq)
     with pytest.raises(DegenerateJacobian):
-        step(st, cfg)
+        _classical_step(st, 0.4)
 
 
 def test_integrating_factor_exact_linear_phase(grid):
@@ -413,7 +416,7 @@ def test_integrating_factor_exact_linear_phase(grid):
     coef[k_idx] = 1e-9
     w0 = Field(grid, coef)
     st = WaveState(0.0, w0, project_neg(frac_deriv(w0, -0.5)))
-    out = step(st, StepperConfig(dt=0.5))
+    out = step(st, 0.5)
     exact = linear_propagate(st, 0.5)
     phase_err = np.angle(out.w.coef[k_idx] / exact.w.coef[k_idx])
     assert abs(phase_err) < 1e-12
@@ -426,7 +429,7 @@ def test_rk4_order(grid):
     def advance(n, delta):
         s = st
         for _ in range(n):
-            s = step(s, StepperConfig(dt=delta, scheme="rk4"))
+            s = _classical_step(s, delta)
         return s
 
     a = advance(1, dt)
@@ -440,17 +443,16 @@ def test_rk4_order(grid):
 def test_holomorphy_preserved_many_steps():
     grid = GridSpec(length=64.0, n=64)
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
-    cfg = StepperConfig(dt=0.2)
     for _ in range(10_000):
-        st = step(st, cfg)
+        st = step(st, 0.2)
     assert pos_leakage(st.w) < 1e-12
     assert pos_leakage(st.q) < 1e-12
 
 
-def step_diff(state, cfg):
+def step_diff(state, dt):
     """Classical RK4 step of the self-contained differentiated system, each
     stage masked to the dealias band."""
-    grid, t = state.grid, state.t + cfg.dt  # no rate reads the time
+    grid, t = state.grid, state.t + dt  # no rate reads the time
 
     def make(z):
         return DiffState(t, *(Field(grid, np.where(grid.dealias_mask, c, 0.0)) for c in z))
@@ -459,18 +461,17 @@ def step_diff(state, cfg):
         return np.stack([u.coef for u in rhs_diff(s)])
 
     z = _rk4(np.stack([state.wa.coef, state.r.coef]), rates(state),
-             lambda z: rates(make(z)), cfg.dt, 1.0, 1.0)
+             lambda z: rates(make(z)), dt, 1.0, 1.0)
     return make(z)
 
 
 def test_diff_system_trajectory_matches_differentiated_full(grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     ds = DiffState(0.0, st.wa, st.r)
-    cfg = StepperConfig(dt=0.05, scheme="rk4")
     full, diff = st, ds
     while full.t < 1.0 - 1e-12:
-        full = step(full, cfg)
-        diff = step_diff(diff, cfg)
+        full = _classical_step(full, 0.05)
+        diff = step_diff(diff, 0.05)
     assert (full.wa - diff.wa).l2() < 1e-8
     assert (full.r - diff.r).l2() < 1e-8
 
@@ -478,14 +479,14 @@ def test_diff_system_trajectory_matches_differentiated_full(grid):
 def test_evolve_stops_at_first_step_past_t_end(grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     seen = []
-    out = evolve(st, StepperConfig(dt=0.2), 0.5, seen.append)
+    out = evolve(st, 0.2, 0.5, seen.append)
     assert [s.t for s in seen] == pytest.approx([0.2, 0.4, 0.6])
     assert seen[-1] is out
     # on the dt grid, roundoff in the accumulated time adds no step
     seen.clear()
-    assert evolve(st, StepperConfig(dt=0.1), 1.0, seen.append).t == pytest.approx(1.0)
+    assert evolve(st, 0.1, 1.0, seen.append).t == pytest.approx(1.0)
     assert len(seen) == 10
-    assert evolve(st, StepperConfig(dt=0.1), 0.0, seen.append) is st
+    assert evolve(st, 0.1, 0.0, seen.append) is st
     assert len(seen) == 10
 
 
@@ -514,8 +515,8 @@ def test_transform_budget(grid, monkeypatch):
         return len(calls), sum(calls)
 
     assert budget(WaveState, st.t, st.w, st.q) == (2, 4)
-    assert budget(step, st, StepperConfig(dt=0.05)) == (24, 40)
-    assert budget(step, st, StepperConfig(dt=0.05, scheme="rk4")) == (23, 38)
+    assert budget(step, st, 0.05) == (24, 40)
+    assert budget(_classical_step, st, 0.05) == (23, 38)
     assert budget(rhs_full, WaveState(st.t, st.w, st.q)) == (4, 6)
     dw, dq = rhs_full(st)
     assert budget(r_rate, st, dw, dq) == (5, 5)
@@ -523,19 +524,19 @@ def test_transform_budget(grid, monkeypatch):
     assert budget(rhs_diff, ds) == (27, 27)
     assert budget(rational_forms, st) == (22, 22)
     long = packet_data(GridSpec(length=4096.0, n=16384), 1e-3, velocity=1.4, width=8.0)
-    assert budget(step, long, StepperConfig(dt=0.05)) == (40, 40)
+    assert budget(step, long, 0.05) == (40, 40)
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
-    out = evolve(st, StepperConfig(dt=0.1), 1.0)
+    out = evolve(st, 0.1, 1.0)
     path = tmp_path / "state.txt"
     save_state(path, out, extra={"eps": 1e-3})
     loaded, meta = load_state(path)
     assert meta["t"] == out.t and meta["eps"] == 1e-3
     assert (loaded.w - out.w).l2() == 0.0
-    resumed_a = evolve(out, StepperConfig(dt=0.1), 2.0)
-    resumed_b = evolve(loaded, StepperConfig(dt=0.1), 2.0)
+    resumed_a = evolve(out, 0.1, 2.0)
+    resumed_b = evolve(loaded, 0.1, 2.0)
     assert (resumed_a.w - resumed_b.w).l2() < 1e-13
 
 
@@ -543,7 +544,7 @@ def test_checkpoint_of_the_long_grid_is_exact(tmp_path):
     # perfbench's march-xl grid: after its header line each field takes 34
     # characters per mode, and a stepped state reads back bit for bit
     grid = GridSpec(12800.0 * math.pi, 65536)
-    out = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2))
+    out = step(plateau_data(grid, 1e-3), 0.2)
     path = tmp_path / "state.txt"
     save_state(path, out)
     loaded, meta = load_state(path)

@@ -141,14 +141,15 @@ def defaulted_parameters(source):
 def unset_defaults(source, sources):
     """Defaulted parameters of `source` that no call in `sources` passes.
 
-    A call passes a parameter by keyword or by position; a call with `*args`
-    or `**kwargs` passes everything, a call through a subscript (or any
-    other expression) passes its keywords to every function, and calls of
-    `cls` or of a class name are calls of `__init__`.
+    A call passes a parameter by keyword or by position; a named call with
+    `*args` or `**kwargs` passes everything, a call through a subscript (or
+    any other expression) passes the keywords it names to every function and
+    nothing by `*args` or `**kwargs`, and calls of `cls` or of a class name
+    are calls of `__init__`.
     """
     keywords, positions = {}, {}  # called name (None: any) -> keywords, max positionals
     for name, args, kwargs in _calls(tuple(sources)):
-        keywords.setdefault(name, set()).update(kwargs)
+        keywords.setdefault(name, set()).update(k for k in kwargs if name is not None or k != "*")
         positions[name] = max(positions.get(name, 0), len(args))
     return [f"{name}({param})" for name, param, position, _ in defaulted_parameters(source)
             if not {param, "*"} & (keywords.get(name, set()) | keywords.get(None, set()))
@@ -325,7 +326,7 @@ def test_checkers_flag_what_they_should():
     source = ("def f(a, b=1, c=2, d=3):\n    pass\n\n\nclass C:\n"
               "    def __init__(self, x=0, y=1):\n        pass\n\n"
               "    def m(self, z=0):\n        pass\n\n\n"
-              "f(0, 1, d=4)\nC(5)\nTABLE['k'](y=2)\nc.m(*args)\n")
+              "f(0, 1, d=4)\nC(5)\nTABLE['k'](y=2)\nc.m(*args)\nTABLE['k'](*xs)\n")
     assert unset_defaults(source, [source]) == ["f(c)"]
     source = ("def f(a, b=1, c=2, d=3, e=4):\n    pass\n\n\n"
               "f(0, 5, c=x)\nf(1, 5, d=3)\nf(2, b=5, c=2)\n")

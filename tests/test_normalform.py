@@ -9,12 +9,11 @@ from holoww.errors import InconsistentTimes
 from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
 from holoww.lp import x_sup_norm, x_zero_norm
 from holoww.dynamics import (
-    StepperConfig,
     WaveState,
+    _classical_step,
     packet_data,
     rhs_full,
     scaling_pair,
-    step,
 )
 from holoww.normalform import (
     NormalFormState,
@@ -389,9 +388,8 @@ def test_centered_vs_analytic_residual_second_order(grid):
     st = small_state(grid, 1e-2)
 
     def mismatch(dt):
-        cfg = StepperConfig(dt=dt, scheme="rk4")
-        mid = step(st, cfg)
-        nxt = step(mid, cfg)
+        mid = _classical_step(st, dt)
+        nxt = _classical_step(mid, dt)
         _, g, k = flow_residual_centered(st, mid, nxt)
         _, g_an, k_an = flow_residual_analytic(mid)
         return math.sqrt((g - g_an).l2() ** 2 + (k - k_an).l2() ** 2)
@@ -402,9 +400,8 @@ def test_centered_vs_analytic_residual_second_order(grid):
 
 def test_inconsistent_times_raises(grid):
     st = small_state(grid, 1e-2)
-    cfg = StepperConfig(dt=0.1, scheme="rk4")
-    s1 = step(st, cfg)
-    s2 = step(s1, StepperConfig(dt=0.2, scheme="rk4"))
+    s1 = _classical_step(st, 0.1)
+    s2 = _classical_step(s1, 0.2)
     with pytest.raises(InconsistentTimes):
         flow_residual_centered(st, s1, s2)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holoww.dynamics import StepperConfig, plateau_data, step
+from holoww.dynamics import plateau_data, step
 from holoww.grid import Field, GridSpec, project_neg, read_field, write_field
 from holoww.lp import (
     SEPARATION,
@@ -257,7 +257,7 @@ def test_field_text_of_a_stepped_state():
     # the writer's common input: a stepped state whose modes off the kept band
     # are +0.0, with -0.0 and a subnormal set on the band
     grid = GridSpec(1600.0 * math.pi, 8192)
-    coef = step(plateau_data(grid, 1e-3), StepperConfig(dt=0.2)).w.coef.copy()
+    coef = step(plateau_data(grid, 1e-3), 0.2).w.coef.copy()
     bits = coef.view(np.int64)
     assert 0.6 < np.mean(bits == 0) < 0.7
     band = np.flatnonzero(bits[0::2])
