@@ -278,7 +278,7 @@ TIME_TOL = 1e-9  # times closer than this count as equal
 
 def _check_dt(grid, dt):
     """`ValueError` unless dt > 0, `StabilityViolation` unless dt max(omega) < RK4_PHASE_MARGIN."""
-    if dt <= 0:
+    if not dt > 0:  # NaN included
         raise ValueError("dt must be positive")
     omega_max = math.sqrt(grid.k_max)
     if dt * omega_max >= RK4_PHASE_MARGIN:
@@ -430,7 +430,10 @@ def load_state(path):
     """The state and metadata `save_state` wrote; `ValueError` if cut short or garbled."""
     with open(path) as fh:
         meta = json.loads(fh.readline())
+        t = meta.get("t") if isinstance(meta, dict) else None
+        if type(t) not in (int, float) or not math.isfinite(t):
+            raise ValueError("metadata line holds no finite time t")
         w = read_field(fh)
         q = read_field(fh, grid=w.grid)
-    return WaveState(meta["t"], w, q), meta
+    return WaveState(t, w, q), meta
 

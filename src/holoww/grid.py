@@ -180,15 +180,11 @@ class Field:
         self._check(other)
         return Field(self.grid, self.coef - other.coef)
 
-    def __neg__(self):
-        return Field(self.grid, -self.coef)
-
     def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            prod = self.values * other.values
-            return Field.from_values(self.grid, prod, dealias=True)
-        return Field(self.grid, self.coef * other)
+        if not isinstance(other, Field):
+            return NotImplemented  # a scalar goes through `__rmul__`
+        self._check(other)
+        return Field.from_values(self.grid, self.values * other.values, dealias=True)
 
     def __rmul__(self, scalar):
         return Field(self.grid, self.coef * scalar)

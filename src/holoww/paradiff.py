@@ -1,15 +1,10 @@
 """Paraproducts, balanced products, and the trichotomy they split off.
 
 T_a b sums the dyadic pieces P_m b multiplied by the part of a lying at
-least `lp.SEPARATION` octaves below 2^m.  The balanced product is defined
-as the exact pointwise complement
-
-    Pi(a, b) = a b - T_a b - T_b a,
-
-so the trichotomy holds to machine precision by construction.  Both
-operators return the negative-frequency projection P of that sum; the
-unprojected low-high sum `_lohi` is what the trichotomy residual uses, since
-P does not commute with multiplication.
+least `lp.SEPARATION` octaves below 2^m.  The balanced product is the
+complement Pi(a, b) = P[a b] - T_a b - T_b a, P the negative-frequency
+projection that both operators apply; `trichotomy_residual` compares it with
+the sum of comparable block pairs.
 
 Each LP block's support is split at k = 0 (`lp.band_table`).  One half of
 P_m b spans 2^(m-1) < |k| < 2^(m+1) on one side of 0, and the low piece of a
@@ -19,9 +14,8 @@ reach of the dealias cut reaches a kept mode.  The product of that run is
 formed on the shortest fast length N' that holds its band, the run placed
 at the band's offset, and added back at its modes mod n: its transform is
 the exact convolution, so the sum is the full-grid one to rounding,
-aliasing of the top blocks included.  `_lohi` sums both halves of every
-block; `para` only the halves whose product reaches a kept k < 0 mode, the
-k < 0 ones.
+aliasing of the top blocks included.  Only the halves whose product reaches
+a kept k < 0 mode are formed.
 
 The sub-grid transform of each piece, the low piece of a and the run of
 P_m b, is kept on its field (`Field._pieces`) the first time a product
@@ -39,7 +33,7 @@ low(a) block(b), D_h the inverse transform of length N' of d on the band
 import numpy as np
 
 from .grid import Field, project_neg
-from .lp import band_table, gather
+from .lp import SEPARATION, band_table, block_range, gather, lowpass_symbol, lp_blocks
 
 
 def _piece(u, kind, band, size):
@@ -56,35 +50,31 @@ def _piece(u, kind, band, size):
     return piece
 
 
-def _half_sum(pairs, halves):
-    """Sum over `halves` and over the (a, b) in `pairs` of the read run of
-    one half of P_m b times the part of a below 2^(m - SEPARATION),
-    unprojected: the pairs' products are summed before the one transform."""
-    grid = pairs[0][0].grid
+def _halves(grid):  # the block halves whose product reaches a kept k < 0 mode
+    return [half for _, pair in band_table(grid) for half in pair if half.neg]
+
+
+def _products(pairs):
+    """(half, product) for each half of `_halves`: the read run of P_m b times
+    the part of a below 2^(m - SEPARATION) on the half's sub-grid, summed
+    over the (a, b) in `pairs`."""
     for a, b in pairs:
         a._check(b)
-    coef = np.zeros(grid.n, dtype=complex)
-    for half in halves:
-        prod = sum(_piece(a, "low", half.low, half.size) * _piece(b, "block", half.read, half.size)
-                   for a, b in pairs)
-        prod = np.fft.fft(prod, norm="forward")  # the linear convolution of the pieces
-        for at, run in half.out.parts:
-            coef[at] += prod[run]
-    return Field(grid, np.where(grid.dealias_mask, coef, 0.0))
-
-
-def _halves(grid, flag):  # the block halves whose `flag`, "read" or "neg", is set
-    return [half for _, pair in band_table(grid) for half in pair if getattr(half, flag)]
-
-
-def _lohi(a, b):
-    """Unprojected low-high sum: P_m b times the part of a below 2^(m - SEPARATION)."""
-    return _half_sum([(a, b)], _halves(a.grid, "read"))
+    for half in _halves(pairs[0][0].grid):
+        yield half, sum(_piece(a, "low", half.low, half.size)
+                        * _piece(b, "block", half.read, half.size) for a, b in pairs)
 
 
 def _para(*pairs):
-    """Sum of T_a b over the (a, b) in `pairs`, from the halves whose product reaches k < 0."""
-    return project_neg(_half_sum(pairs, _halves(pairs[0][0].grid, "neg")))
+    """Sum of T_a b over the (a, b) in `pairs`: each half's product transformed
+    once (the linear convolution of its pieces) and added at its modes mod n."""
+    grid = pairs[0][0].grid
+    coef = np.zeros(grid.n, dtype=complex)
+    for half, prod in _products(pairs):
+        prod = np.fft.fft(prod, norm="forward")
+        for at, run in half.out.parts:
+            coef[at] += prod[run]
+    return project_neg(Field(grid, np.where(grid.dealias_mask, coef, 0.0)))
 
 
 def para(a, b):
@@ -104,7 +94,7 @@ def dual(u):
     for each half that reaches k < 0.  Its coefficients are not kept."""
     d = project_neg(u.dealiased())
     return d.values, [np.fft.ifft(gather(d.coef, half.out, half.size), norm="forward")
-                      for half in _halves(u.grid, "neg")]
+                      for half in _halves(u.grid)]
 
 
 def pair_product(a, b, d):
@@ -114,13 +104,10 @@ def pair_product(a, b, d):
 
 
 def pair_para(a, b, d):
-    """<T_a b, d> for a dual row d: the loop of `_half_sum`, each product
-    paired with D_h on its sub-grid in place of its transform."""
-    a._check(b)
-    total = 0j
-    for half, row in zip(_halves(a.grid, "neg"), d[1]):
-        prod = _piece(a, "low", half.low, half.size) * _piece(b, "block", half.read, half.size)
-        total += np.vdot(row, prod) / half.size
+    """<T_a b, d> for a dual row d: each product of `_products` paired with
+    D_h on its sub-grid in place of its transform."""
+    total = sum(np.vdot(row, prod) / half.size
+                for (half, prod), row in zip(_products([(a, b)]), d[1]))
     return a.grid.length * complex(total)
 
 
@@ -130,13 +117,22 @@ def pair_balanced(a, b, d):
 
 
 def trichotomy_residual(a, b):
-    """L2 size of  a b - T_a b - T_b a - Pi(a, b)  with the projection off.
-
-    The product is formed exactly as the operators form it (dealiased), and
-    the residual is zero up to roundoff.
-    """
-    prod = a * b
-    t_ab, t_ba = _lohi(a, b), _lohi(b, a)
-    pi = a * b - t_ab - t_ba  # Pi(a, b) before the projection
-    return (prod - t_ab - t_ba - pi).l2()
-
+    """L2 size of Pi(a, b) - P[Pi_pairs(a, b)], Pi_pairs the sum of
+    comparable block pairs (Bony 1981) in full-grid dealiased products: the
+    product of the means, plus P_j a times the blocks of b within SEPARATION
+    octaves of j, less the part of a below 2^(lo - 1) off k = 0 times block
+    lo + SEPARATION - 1 of b (and the mirror term), which T_a b holds and no
+    block pair does."""
+    grid = a.grid
+    nz = grid.k != 0
+    sym = {block.m: block.symbol(grid.k) for block in lp_blocks(grid)}
+    pairs = Field(grid, np.where(nz, 0.0, a.coef)) * Field(grid, np.where(nz, 0.0, b.coef))
+    for j, s in sym.items():
+        near = sum(s_m for m, s_m in sym.items() if abs(j - m) < SEPARATION)
+        pairs = pairs + Field(grid, a.coef * s) * Field(grid, b.coef * near)
+    lo, _ = block_range(grid)
+    edge = np.where(nz, lowpass_symbol(grid.k, 2.0 ** (lo - 1)), 0.0)
+    top = sym.get(lo + SEPARATION - 1, 0.0)  # none on a grid of fewer blocks
+    for u, v in ((a, b), (b, a)):
+        pairs = pairs - Field(grid, u.coef * edge) * Field(grid, v.coef * top)
+    return (balanced(a, b) - project_neg(pairs)).l2()

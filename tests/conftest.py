@@ -67,7 +67,8 @@ def transform_calls(monkeypatch):
 
 
 def lohi_oracle(a, b, separation=SEPARATION):
-    """`paradiff._lohi` as the full-grid formula: one dealiased product per block."""
+    """T_a b before the projection, as the full-grid formula: one dealiased
+    product per block."""
     grid = a.grid
     out = Field.zero(grid)
     for block in lp_blocks(grid):
@@ -75,30 +76,6 @@ def lohi_oracle(a, b, separation=SEPARATION):
         lo = Field(grid, a.coef * lowpass_symbol(grid.k, 2.0 ** (block.m - separation)))
         out = out + lo * hi
     return out
-
-
-def pi_from_block_pairs(a, b):
-    """Pi(a, b) before the projection, from block pairs (Bony 1981): the
-    product of the means, plus P_j a P_m b over |j - m| < SEPARATION, minus
-    the clamped low edge.  T_a b multiplies block m* = lo + SEPARATION - 1
-    of b by the part of a below 2^(lo - 1), which no block of a holds but
-    which is nonzero at k = dk; that part off k = 0, E a, times P_m* b (and
-    the mirror term) is taken off.  Every term is one dealiased product on
-    the full grid."""
-    grid = a.grid
-    nz = grid.k != 0
-    blocks = [(block.m, block.symbol(grid.k)) for block in lp_blocks(grid)]
-    pa = {m: Field(grid, a.coef * sym) for m, sym in blocks}
-    pb = {m: Field(grid, b.coef * sym) for m, sym in blocks}
-    out = Field(grid, np.where(nz, 0.0, a.coef)) * Field(grid, np.where(nz, 0.0, b.coef))
-    for j in pa:
-        for m in pb:
-            if abs(j - m) < SEPARATION:
-                out = out + pa[j] * pb[m]
-    lo, _ = block_range(grid)
-    edge = np.where(nz, lowpass_symbol(grid.k, 2.0 ** (lo - 1)), 0.0)
-    top = lo + SEPARATION - 1
-    return out - Field(grid, a.coef * edge) * pb[top] - Field(grid, b.coef * edge) * pa[top]
 
 
 def lp_project(u, m):

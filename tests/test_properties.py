@@ -8,12 +8,14 @@ import io
 import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holoww import paradiff
 from holoww.dynamics import plateau_data, step
 from holoww.grid import Field, GridSpec, project_neg, read_field, write_field
 from holoww.lp import (
@@ -25,7 +27,7 @@ from holoww.lp import (
     lp_blocks,
     partition_defect,
 )
-from holoww.paradiff import _half_sum, _lohi, balanced, para, trichotomy_residual
+from holoww.paradiff import balanced, para, trichotomy_residual
 
 from conftest import full_spectrum_field, lohi_oracle, scatter
 
@@ -83,9 +85,7 @@ def test_half_band_kernel_matches_full_grid_formula(n, length, seed, dealias):
     grid = GridSpec(length, n, dealias)
     a, b = full_spectrum_field(grid, seed), full_spectrum_field(grid, seed + 1)
     scale = a.linf() * b.linf()
-    oracle = lohi_oracle(a, b)
-    assert np.max(np.abs(_lohi(a, b).coef - oracle.coef)) <= 1e-13 * scale
-    assert np.max(np.abs(para(a, b).coef - project_neg(oracle).coef)) <= 1e-13 * scale
+    assert np.max(np.abs(para(a, b).coef - project_neg(lohi_oracle(a, b)).coef)) <= 1e-13 * scale
 
 
 @PROPERTY
@@ -93,13 +93,15 @@ def test_half_band_kernel_matches_full_grid_formula(n, length, seed, dealias):
        seed=st.integers(0, 2**32 - 1))
 def test_block_term_of_para_lies_in_its_band(n, length, seed):
     # Bony's support property, on the runs products read: for an unclamped
-    # block m, P_m b times the part of a below 2^(m - SEPARATION) is nonzero
-    # only at 3/8 2^m < |k| < 17/8 2^m
+    # block m, `para` formed from that block's k < 0 half alone, P_m b times
+    # the part of a below 2^(m - SEPARATION), is nonzero only at
+    # 3/8 2^m < -k < 17/8 2^m
     grid = GridSpec(length, n)
     a, b = full_spectrum_field(grid, seed), full_spectrum_field(grid, seed + 1)
-    for m, halves in band_table(grid)[1:-1]:
-        term = _half_sum([(a, b)], [half for half in halves if half.read]).coef
-        inside = (grid.abs_k > 3.0 / 8.0 * 2.0**m) & (grid.abs_k < 17.0 / 8.0 * 2.0**m)
+    for m, (neg, _) in band_table(grid)[1:-1]:
+        with mock.patch.object(paradiff, "_halves", lambda grid, half=neg: [half]):
+            term = para(a, b).coef
+        inside = (-grid.k > 3.0 / 8.0 * 2.0**m) & (-grid.k < 17.0 / 8.0 * 2.0**m)
         assert np.all(term[~inside] == 0.0) and np.any(term[inside] != 0.0), m
 
 

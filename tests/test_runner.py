@@ -186,6 +186,18 @@ def test_truncated_checkpoint_is_a_usage_error(lines, chars, full_run, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("meta", ["{}", "[1]", '{"t": "x"}'])
+def test_checkpoint_without_a_numeric_time_is_a_usage_error(meta, full_run, tmp_path, capsys):
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    ckpt = crashed / "state_0000001.0000.txt"
+    ckpt.write_text(meta + "\n" + ckpt.read_text().split("\n", 1)[1])
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--resume-from", str(crashed), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint ") and str(ckpt) in err
+    assert not out.exists()
+
+
 def test_a_checkpoint_write_stopped_midway_leaves_the_earlier_ones(full_run, tmp_path,
                                                                   monkeypatch):
     # the write of the t = 2 checkpoint fails after its W: the run keeps the
