@@ -26,14 +26,18 @@ so the rational M is reported with its mean removed.
 One kernel on coefficient arrays forms a state and its rate, in the
 conformal-variable layout of Dyachenko, Kuznetsov, Spector and Zakharov
 (1996): products are pointwise in value space, and one call transforms a
-(2, n) stack where two fields need it (`grid._rows_per_call`: for n a power
-of two, a row per call from n = 8192 on).
+(2, m) stack where two fields need it (`grid._rows_per_call`).
 A state (`WaveState`, an RK stage) takes inverse (W_a, Q_a), forward
 (Q_a, W_a) / (1 + W_a) = (R, Y); its rate (`rhs_full`, `flux`, a stage)
 inverse (R, Y), forward conj(R) Y - R conj(Y) for F, inverse F, forward
 (F W_a, F Q_a + |R|^2): 10 transforms in 6 calls, one multiply each.  The
-rates and `step`'s stacks live on the kept band (k < 0 inside the dealias
-cut, the last ~n/3 modes in fft order).
+rates and `step`'s stacks live on the kept band of K modes (k < 0 inside the
+dealias cut, the last ~n/3 in fft order).  The kernel runs on two tables
+(`_tables`): analysis on the grid's n ~ 3K points, whose values it reads,
+and `step` (40 transforms) on the least even 2.3.5.7-smooth M >= 2K + 2, at
+most n, uncentred, with (R, Y) masked to k <= 0 inside the cut.  Every
+product in the rate is then of two fields at k <= 0, or of one at k <= 0 and
+one at k >= 0: on M points it aliases only into k > 0, which the band drops.
 
 The differentiated system evolves (bW, R):
 
@@ -78,15 +82,25 @@ _Arrays = namedtuple("_Arrays", "w da va ry")  # see `_state_arrays`
 
 
 def _tables(grid):
-    """Per-grid arrays of the kernel and the stepper, built once: the kept band,
-    the centring phase cp, 1j k cp, cp times the dealias mask, sqrt|k| and
+    """Per-grid arrays of the kernel and the stepper, built once, on the grid's
+    n points and, as `kernel`, on M (module notes): the kept band, the centring
+    phase cp (None on M), 1j k, cp times the (R, Y) mask, sqrt|k| and
     0.5 / sqrt|k| on k < 0, and the integrating-factor phases on the band."""
     if grid not in _TABLES:
-        neg, root, cp = grid.neg, np.sqrt(grid.abs_k), grid.center_phase
-        _TABLES[grid] = SimpleNamespace(
-            n=grid.n, band=slice(grid.n - np.count_nonzero(neg & grid.dealias_mask), grid.n),
-            cp=cp, ik=1j * grid.k * cp, ry_phase=cp * grid.dealias_mask, root=root,
-            half_root=np.divide(0.5, root, where=neg, out=np.zeros(grid.n)), phases={})
+        kept = np.count_nonzero(grid.neg & grid.dealias_mask)
+        # a length below 2**41 divides 210**40 exactly when it is 2.3.5.7-smooth
+        m = next((m for m in range(2 * kept + 2, grid.n, 2) if 210**40 % m == 0), grid.n)
+
+        def table(n, k, cp, ry_mask):
+            root = np.sqrt(np.abs(k))
+            return SimpleNamespace(
+                n=n, band=slice(n - kept, n), cp=cp, ik=1j * k,
+                ry_phase=ry_mask if cp is None else cp * ry_mask, root=root,
+                half_root=np.divide(0.5, root, where=k < 0, out=np.zeros(n)), phases={})
+
+        modes = np.rint(np.fft.fftfreq(m) * m)
+        _TABLES[grid] = tab = table(grid.n, grid.k, grid.center_phase, grid.dealias_mask)
+        tab.kernel = table(m, grid.dk * modes, None, (modes <= 0) & (modes >= -kept))
     return _TABLES[grid]
 
 
@@ -96,15 +110,19 @@ def _floor(onewa):
         raise DegenerateJacobian("min J dropped below 1/4")
 
 
+def _values(tab, coef):
+    """Values on the table's points of a stack of its coefficients."""
+    return _fft("ifft", coef if tab.cp is None else coef * tab.cp)
+
+
 def _state_arrays(tab, wq):
-    """The kernel's state half of projected (W, Q) coefficients `wq` on the grid
-    or on the kept band: W on the band, (2, n) stacks of the coefficients and
-    values of (W_a, Q_a), dealiased coefficients of (R, Y)."""
+    """The kernel's state half of projected (W, Q) coefficients `wq` on the
+    table's points or on its kept band: W on the band, (2, n) stacks of the
+    coefficients and values of (W_a, Q_a), masked coefficients of (R, Y)."""
     part = tab.band if len(wq[0]) < tab.n else slice(None)
     da = np.zeros((2, tab.n), dtype=complex)
-    np.multiply(wq, tab.ik[part], out=da[:, part])  # times the centring phase
-    va = _fft("ifft", da)
-    da[:, part] *= tab.cp[part]
+    np.multiply(wq, tab.ik[part], out=da[:, part])
+    va = _values(tab, da)
     onewa = 1.0 + va[0]
     _floor(onewa)
     ry = _fft("fft", va[::-1] / onewa)
@@ -115,10 +133,11 @@ def _state_arrays(tab, wq):
 def _rate_arrays(tab, s, ryv):
     """The kernel's rate half: the coefficients of F and the (2, band) stack
     of (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry."""
-    (rv, yv), band, cp = ryv, tab.band, tab.cp[tab.band]
+    (rv, yv), band = ryv, tab.band
+    cp = 1.0 if tab.cp is None else tab.cp[band]
     fc = s.ry[0].copy()  # F = R + P[conj(R) Y - R conj(Y)], 2i Im(conj(R) Y) inside P
     fc[band] += _fft("fft", 2j * (np.conj(rv) * yv).imag)[band] * cp
-    prod = s.va * _fft("ifft", fc * tab.cp)
+    prod = s.va * _values(tab, fc)
     prod[1] += np.square(rv.real) + np.square(rv.imag)
     rates = _fft("fft", prod)[:, band]
     rates *= cp
@@ -142,28 +161,40 @@ def _one_minus(u):
 
 
 class WaveState:
-    """Snapshot of the full system at time t, with W_a, Q_a, R and Y."""
+    """Snapshot of the full system at time t, with W_a, Q_a, R and Y.  A state
+    on the kept band (every stepped, loaded and data-built one) forms the
+    kernel's arrays on M points when built, checking J there, and the n-point
+    fields, checking J again, on first read; any other state, when built."""
 
-    __slots__ = ("t", "w", "q", "wa", "qa", "r", "y", "_arrays")
+    __slots__ = ("t", "w", "q", "_first", "_full")
 
     def __init__(self, t, w, q):
         self.t, self.w, self.q = t, project_neg(w), project_neg(q)
-        grid = self.grid
-        self._arrays = s = _state_arrays(_tables(grid), (self.w.coef, self.q.coef))
-        self.wa, self.qa = (Field(grid, c, v) for c, v in zip(s.da, s.va))
-        self.r, self.y = (Field(grid, c) for c in s.ry)
+        tab, self._full, wc, qc = _tables(self.grid), None, self.w.coef, self.q.coef
+        if wc[:tab.band.start].any() or qc[:tab.band.start].any():
+            self._first = tab, self._fields()[0]  # the table and arrays `step` starts from
+        else:
+            self._first = tab.kernel, _state_arrays(tab.kernel, (wc[tab.band], qc[tab.band]))
 
-    @property
-    def grid(self):
-        return self.w.grid
+    def _fields(self):
+        """The n-point state arrays and the Fields W_a, Q_a, R, Y, built once."""
+        if self._full is None:
+            grid = self.grid
+            s = _state_arrays(_tables(grid), (self.w.coef, self.q.coef))
+            self._full = (s, *(Field(grid, c, v) for c, v in zip(s.da, s.va)),
+                          *(Field(grid, c) for c in s.ry))
+        return self._full
+
+    grid = property(lambda st: st.w.grid)
+    wa, qa, r, y = (property(lambda st, i=i: st._fields()[i]) for i in range(1, 5))
 
 
 def _rates(state):
-    """The kernel's rate half at a state, whose (R, Y) values it keeps."""
-    r, y = state.r, state.y
+    """The kernel's rate half at a state's n-point arrays, whose (R, Y) values it keeps."""
+    tab, (s, _, _, r, y) = _tables(state.grid), state._fields()
     if r._values is None or y._values is None:
-        r._values, y._values = state.grid.values_from_coef(state._arrays.ry)
-    return _rate_arrays(_tables(state.grid), state._arrays, (r._values, y._values))
+        r._values, y._values = _values(tab, s.ry)
+    return _rate_arrays(tab, s, (r._values, y._values))
 
 
 class DiffState:
@@ -330,25 +361,28 @@ def _rk4(y, a, rates, dt, half, full):
 def step(state, dt):
     """One integrating-factor (Lawson) RK4 step of size dt, exact on the
     dispersive linear part.  The stages run the kernel on coefficient stacks
-    of the kept band, the only modes a step keeps; stage 1 reads the state."""
+    of the kept band, the only modes a step keeps, on M points, where they
+    check J (`DegenerateJacobian`); stage 1 reads the state's arrays, on n
+    points for a state with content off the band."""
     _check_dt(state.grid, dt)
-    grid, tab = state.grid, _tables(state.grid)
-    band, root, half_root = tab.band, tab.root[tab.band], tab.half_root[tab.band]
+    tab = _tables(state.grid)
+    ker = tab.kernel
+    root, half_root = ker.root[ker.band], ker.half_root[ker.band]
 
-    def nonlinear(s, d):  # the phases carry the linear part (-Q_a, iW)
-        d[0] += s.da[1, band]
+    def rates(t, s):  # the phases carry the linear part (-Q_a, iW)
+        d = _rate_arrays(t, s, _values(t, s.ry))[1]
+        d[0] += s.da[1, t.band]
         d[1] -= 1j * s.w
         return _to_diag(root, *d)
 
     def stage(z):
-        s = _state_arrays(tab, _from_diag(half_root, z))
-        return nonlinear(s, _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1])
+        return rates(ker, _state_arrays(ker, _from_diag(half_root, z)))
 
-    if dt not in tab.phases:
-        tab.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
-    y = _to_diag(root, state.w.coef[band], state.q.coef[band])
-    z = _rk4(y, nonlinear(state._arrays, _rates(state)[1]), stage, dt, *tab.phases[dt])
-    return WaveState(state.t + dt, *_embed(grid, _from_diag(half_root, z)))
+    if dt not in ker.phases:
+        ker.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
+    y = _to_diag(root, state.w.coef[tab.band], state.q.coef[tab.band])
+    z = _rk4(y, rates(*state._first), stage, dt, *ker.phases[dt])
+    return WaveState(state.t + dt, *_embed(state.grid, _from_diag(half_root, z)))
 
 
 def _classical_step(state, dt):
@@ -359,7 +393,7 @@ def _classical_step(state, dt):
 
     def stage(z):
         s = _state_arrays(tab, z)
-        return _rate_arrays(tab, s, grid.values_from_coef(s.ry))[1]
+        return _rate_arrays(tab, s, _values(tab, s.ry))[1]
 
     y = np.array([state.w.coef[tab.band], state.q.coef[tab.band]])
     return WaveState(state.t + dt, *_embed(grid, _rk4(y, _rates(state)[1], stage, dt, 1.0, 1.0)))

@@ -41,7 +41,9 @@ def _rows_per_call(n):
     """Rows of length n that one transform call takes: ROW_CALLS_FROM // n, at
     least one.  For n a power of two, a (2, n) stack is one call below
     n = 8192 and one row per call from there on, where that is faster; other
-    lengths between 4096 and 8192 also go one row per call."""
+    lengths between 4096 and 8192 also go one row per call.  The step
+    kernel's lengths are not powers of two: 1372 takes 5 rows per call, so a
+    stack is one call, and 43740 takes one."""
     return max(1, ROW_CALLS_FROM // n)
 
 

@@ -67,14 +67,15 @@ def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
     assert rec.a_quarter == lp.x_zero_norm(st.wa, st.r)
 
 
-@pytest.mark.parametrize("grid, budget", [(GridSpec(), (17, 38)),
-                                          (GridSpec(3200.0 * math.pi, 16384), (47, 47))])
+@pytest.mark.parametrize("grid, budget", [(GridSpec(), (19, 42)),
+                                          (GridSpec(3200.0 * math.pi, 16384), (51, 51))])
 def test_control_norms_transform_budget(monkeypatch, grid, budget):
     # counted as (calls, 1-D transforms) on a stepped state, as a run samples
-    # it: two forward rows, and 36 inverse rows in 15 calls on the desk grid,
-    # where the 30 LP blocks of the three Besov norms go four rows per call
-    # (38 calls in all when each block was a call); from n = 8192 on every
-    # call is one row, 39 of them LP blocks
+    # it: the state's n-point (W_a, Q_a) and (R, Y), formed on this first
+    # read, in two calls of two rows; then two forward rows, and 36 inverse
+    # rows in 15 calls on the desk grid, where the 30 LP blocks of the three
+    # Besov norms go four rows per call (38 calls in all when each block was a
+    # call); from n = 8192 on every call is one row, 39 of them LP blocks
     st = step(plateau_data(grid, 1e-3), 0.2)
     rows = transform_calls(monkeypatch)
     control_norms(st)

@@ -1,15 +1,21 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from holoww import dynamics
 from holoww.errors import DegenerateJacobian, StabilityViolation
 from holoww.grid import Field, GridSpec, frac_deriv, project_neg, pos_leakage
 from holoww.dynamics import (
     DiffState,
     WaveState,
     _classical_step,
+    _rate_arrays,
     _rk4,
+    _state_arrays,
+    _tables,
+    _values,
     diff_coefficients,
     evolve,
     flux,
@@ -183,76 +189,89 @@ def field_step_oracle(w, q, dt, integrating):
                    for y0, a0, b0, c0, d0, eh, ef in zip(y, a, b, c, d, half, full)])
 
 
-def step_oracle(grid, w, q, dt, integrating):
+def step_oracle(grid, w, q, dt, integrating, m):
     """`step` (`integrating`) or `_classical_step` on (W, Q) coefficient
-    arrays as the array kernel took it with every array n long: the masks
-    k < 0 (`neg`) and k < 0 inside the dealias cut (`keep`) applied by
-    multiplies, and the transforms scaling by 1/n and n apart from the
-    centring phase.  Returns the new (W, Q) coefficients."""
-    n, cp = grid.n, grid.center_phase
-    neg = grid.k < 0
-    keep, root = neg & grid.dealias_mask, np.sqrt(grid.abs_k)
-    half_root = np.divide(0.5, root, where=neg, out=np.zeros(n))
+    arrays as the kernel takes them, with every array as long as the
+    transforms that read it: the stages on m points (the kernel length M for
+    `step`, n for `_classical_step`), and stage 1 on n for a state with
+    content off the kept band.  The masks k < 0 (`neg`), k < 0 inside the cut
+    (`keep`) and that of (R, Y) are applied by multiplies, the transforms
+    scale as the kernel's do (norm="forward"), and only the n-point table
+    is centred.  Returns the new (W, Q) coefficients."""
+    n = grid.n
+    kept = np.count_nonzero((grid.k < 0) & grid.dealias_mask)
 
-    def coef(values):
-        c = np.fft.fft(values)
-        c /= n
-        c *= cp
-        return c
+    def table(length, centred):
+        modes = np.rint(np.fft.fftfreq(length) * length)
+        k = 2.0 * np.pi / grid.length * modes
+        root = np.sqrt(np.abs(k))
+        return SimpleNamespace(
+            length=length, k=k, neg=k < 0, keep=(k < 0) & (modes >= -kept), root=root,
+            half_root=np.divide(0.5, root, where=k < 0, out=np.zeros(length)),
+            cp=grid.center_phase if centred else 1.0,
+            ry_mask=grid.dealias_mask if centred else (modes <= 0) & (modes >= -kept))
 
-    def vals(c):
-        scaled = c * cp
-        scaled *= n
-        return np.fft.ifft(scaled)
+    def on(length, c):  # the kept band of the stack c, on `length` points
+        out = np.zeros((len(c), length), dtype=complex)
+        out[:, length - kept:] = np.asarray(c)[:, -kept:]
+        return out
 
-    def state_arrays(wc, qc):
-        da = np.empty((2, n), dtype=complex)
-        np.multiply(wc, grid.k, out=da[0])
-        np.multiply(qc, grid.k, out=da[1])
+    def coef(tab, values):
+        return np.fft.fft(values, norm="forward") * tab.cp
+
+    def vals(tab, c):
+        return np.fft.ifft(c * tab.cp, norm="forward")
+
+    def state_arrays(tab, wc, qc):
+        da = np.empty((2, tab.length), dtype=complex)
+        np.multiply(wc, tab.k, out=da[0])
+        np.multiply(qc, tab.k, out=da[1])
         da *= 1j
-        va = vals(da)
-        ry = coef(va[::-1] / (1.0 + va[0]))
-        ry *= grid.dealias_mask
+        va = vals(tab, da)
+        ry = coef(tab, va[::-1] / (1.0 + va[0]))
+        ry *= tab.ry_mask
         return wc, da, va, ry
 
-    def rate_arrays(s):
+    def rate_arrays(tab, s):
         wc, _, va, ry = s
-        rv, yv = vals(ry)
-        fc = coef(2j * (np.conj(rv) * yv).imag) * keep + ry[0]
-        prod = va * vals(fc)
+        rv, yv = vals(tab, ry)
+        fc = coef(tab, 2j * (np.conj(rv) * yv).imag) * tab.keep + ry[0]
+        prod = va * vals(tab, fc)
         prod[1] += np.square(rv.real) + np.square(rv.imag)
-        rates = coef(prod)
-        rates *= keep
-        rates[0] = -(fc + rates[0]) * neg
+        rates = coef(tab, prod)
+        rates *= tab.keep
+        rates[0] = -(fc + rates[0]) * tab.neg
         rates[1] = 1j * wc - rates[1]
         return rates
 
-    def to_diag(wc, qc):
-        rq = root * qc
+    def to_diag(tab, wc, qc):
+        rq = tab.root * qc
         return np.stack([wc + rq, np.conj(wc - rq)])
 
-    def coefs(z):
+    def coefs(tab, z):
         if not integrating:
-            return z * keep
+            return z * tab.keep
         zm = np.conj(z[1])
-        return (z[0] + zm) * (0.5 * keep), (z[0] - zm) * (keep * half_root)
+        return (z[0] + zm) * (0.5 * tab.keep), (z[0] - zm) * (tab.keep * tab.half_root)
 
-    def nonlinear(s, d):
+    def rates(tab, s):
+        d = rate_arrays(tab, s)
         if integrating:
             d[0] += s[1][1]
             d[1] -= 1j * s[0]
-            d = to_diag(*d)
+            d = to_diag(tab, *d)
         return d
 
-    def stage(z):
-        s = state_arrays(*coefs(z))
-        return nonlinear(s, rate_arrays(s))
-
-    y, phases = np.stack([w, q]), (1.0, 1.0)
+    stages = table(m, centred=not integrating)
+    off = np.any(w[:n - kept]) or np.any(q[:n - kept])
+    first = table(n, centred=True) if off else stages
+    a = on(m, rates(first, state_arrays(first, *((w, q) if off else on(m, [w, q])))))
+    y, phases = on(m, [w, q]), (1.0, 1.0)
     if integrating:
-        y, phases = to_diag(w, q), (np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt))
-    s = state_arrays(w, q)
-    return coefs(_rk4(y, nonlinear(s, rate_arrays(s)), stage, dt, *phases))
+        y, phases = to_diag(stages, *y), (np.exp(1j * stages.root * (dt / 2)),
+                                          np.exp(1j * stages.root * dt))
+    z = _rk4(y, a, lambda z: rates(stages, state_arrays(stages, *coefs(stages, z))), dt, *phases)
+    return on(n, coefs(stages, z))
 
 
 # the step each scheme names and the `integrating` flag of its oracles
@@ -260,12 +279,13 @@ SCHEMES = {"rk4_integrating_factor": (step, True), "rk4": (_classical_step, Fals
 
 
 def march_both(st, dt, scheme, steps):
-    """The step of `scheme` and its `step_oracle` from st: the two (W, Q)
-    coefficient pairs."""
+    """The step of `scheme` and its `step_oracle` from st, the stages of
+    `step` on the kernel's M points: the two (W, Q) coefficient pairs."""
     stepper, integrating = SCHEMES[scheme]
+    m = _tables(st.grid).kernel.n if integrating else st.grid.n
     got, (w, q) = st, (st.w.coef, st.q.coef)
     for _ in range(steps):
-        new = step_oracle(st.grid, w, q, dt, integrating)
+        new = step_oracle(st.grid, w, q, dt, integrating, m)
         w, q = (project_neg(Field(st.grid, c)).coef for c in new)
         got = stepper(got, dt)
     return (got.w.coef, got.q.coef), (w, q)
@@ -295,14 +315,83 @@ def test_step_reads_content_outside_the_dealias_cut_as_before(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("n, dealias, tol", [(64, 1.0, 0.0), (1000, 2.0 / 3.0, 1e-13)])
+@pytest.mark.parametrize("n, dealias, tol", [(64, 1.0, 0.0), (1000, 2.0 / 3.0, 0.0)])
 def test_step_matches_the_oracle_without_a_cut_and_off_powers_of_two(n, dealias, tol, scheme):
-    # dealias = 1.0 keeps every k < 0 mode but the unpaired Nyquist one; at
-    # n = 1000 the folded 1/n scale is exact only to roundoff
+    # dealias = 1.0 keeps every k < 0 mode but the unpaired Nyquist one, and
+    # M = n = 64; n = 1000 (M = 672) is exact too, the oracle scaling its
+    # transforms by 1/length as the kernel does
     grid = GridSpec(length=64.0, n=n, dealias=dealias)
     got, want = march_both(random_state(grid, 0.05, seed=19), 0.1, scheme, 20)
     gap = max(np.max(np.abs(g - o)) for g, o in zip(got, want))
     assert gap <= tol * max(np.max(np.abs(o)) for o in want)
+
+
+def seven_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("n, dealias, m", [
+    (2048, 2.0 / 3.0, 1372), (8192, 2.0 / 3.0, 5488), (16384, 2.0 / 3.0, 10976),
+    (65536, 2.0 / 3.0, 43740), (64, 1.0, 64), (64, 2.0 / 3.0, 48), (256, 2.0 / 3.0, 180),
+    (1000, 2.0 / 3.0, 672)])
+def test_kernel_length_is_the_least_even_seven_smooth_one_past_twice_the_band(n, dealias, m):
+    # the grids of the runner, suites and perfbench, and those of the tests:
+    # 1372 = 2^2 7^3 where 2K + 2 = 1366 = 2 * 683 transforms 3x slower
+    grid = GridSpec(n=n, dealias=dealias)
+    kept = np.count_nonzero(grid.neg & grid.dealias_mask)
+    assert _tables(grid).kernel.n == m
+    assert m % 2 == 0 and seven_smooth(m) and 2 * kept + 2 <= m <= n
+    assert not any(seven_smooth(j) for j in range(2 * kept + 2, m, 2))
+
+
+def test_kernel_products_on_m_points_match_the_n_point_products():
+    # (W_a, Q_a) on the kept band and (R, Y) on k <= 0 inside the cut, the
+    # same coefficients on both tables: every product of the rate half (the
+    # flux bracket, F W_a, F Q_a and |R|^2) is alias-free on the band at M
+    # points as at n, so F and the rates agree to roundoff
+    grid = GridSpec(length=64.0, n=256)
+    tab = _tables(grid)
+    kept = tab.n - tab.band.start
+    rng = np.random.default_rng(21)
+    wq, ry = (1e-3 * (rng.standard_normal((2, j)) + 1j * rng.standard_normal((2, j)))
+              for j in (kept, kept + 1))
+
+    def rate(t):
+        coef = np.zeros((2, t.n), dtype=complex)
+        coef[:, t.band], coef[:, 0] = ry[:, 1:], ry[:, 0]
+        s = _state_arrays(t, wq)._replace(ry=coef)
+        fc, rates = _rate_arrays(t, s, _values(t, coef))
+        return np.concatenate([fc[t.band], fc[:1]]), rates
+
+    (fn, rn), (fm, rm) = rate(tab), rate(tab.kernel)
+    assert tab.kernel.n < tab.n
+    assert np.max(np.abs(fm - fn)) <= 1e-14 * np.max(np.abs(fn))
+    assert np.max(np.abs(rm - rn)) <= 1e-14 * np.max(np.abs(rn))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15])
+def test_kernel_truncation_error_at_equal_band(eps):
+    # packet data on n = 256 against a fine reference on n = 768 (same period),
+    # at t = 20: stepping on M = 180 points errs by at most 2.5x the 2/3-rule
+    # step (the n-point `step_oracle`) at the same kept band; the errors are
+    # about 6e-10, 1.4e-6 and 1.4e-4
+    grid, fine = GridSpec(64.0 * math.pi, 256), GridSpec(64.0 * math.pi, 768)
+    ref, st = packet_data(fine, eps, 24.0), packet_data(grid, eps, 24.0)
+    w, q = st.w.coef, st.q.coef
+    for _ in range(100):
+        ref, st = step(ref, 0.2), step(st, 0.2)
+        w, q = (project_neg(Field(grid, c)).coef for c in step_oracle(grid, w, q, 0.2, True, 256))
+
+    def error(wc, qc):  # relative, over every mode of the reference, by mode number
+        gap = np.array([ref.w.coef, ref.q.coef])
+        gap[:, -128:] -= [wc[-128:], qc[-128:]]
+        return np.linalg.norm(gap) / np.linalg.norm([ref.w.coef, ref.q.coef])
+
+    kernel, two_thirds = error(st.w.coef, st.q.coef), error(w, q)
+    assert 0.0 < kernel <= 2.5 * two_thirds
 
 
 def relative_gap(got, want):
@@ -411,6 +500,25 @@ def test_stage_below_jacobian_floor_raises(grid):
         _classical_step(st, 0.4)
 
 
+def test_step_stage_below_jacobian_floor_raises_on_the_kernel_points(grid, monkeypatch):
+    # the state above on the kept band clears the floor (min J = 0.55^2) on the
+    # M points it is built on; `step` checks J on M points at stages 2 to 4,
+    # and the last of these (min J = 0.233) raises
+    kk = grid.k[np.argmin(np.abs(grid.k + 1.0))]
+    w = state_from_wa(grid, 0.45 * np.exp(1j * kk * grid.alpha), q_mode="zero").w.dealiased()
+    checked = []
+
+    def floor(onewa, _floor=dynamics._floor):
+        checked.append(len(onewa))
+        _floor(onewa)
+    monkeypatch.setattr(dynamics, "_floor", floor)
+    st = WaveState(0.0, w, 0.6j / kk * w)
+    with pytest.raises(DegenerateJacobian):
+        step(st, 0.4)
+    m = _tables(grid).kernel.n
+    assert m < grid.n and checked == [m] * 4
+
+
 def test_integrating_factor_exact_linear_phase(grid):
     k_idx = np.argmin(np.abs(grid.k + 1.0))
     coef = np.zeros(grid.n, dtype=complex)
@@ -492,40 +600,46 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
 
 
 def test_transform_budget(grid, monkeypatch):
-    # counted as (calls, 1-D transforms).  A state makes one inverse call for
-    # (W_a, Q_a) and one forward call for (R, Y).  A rate makes four calls of
-    # six rows: inverse (R, Y), the flux product, inverse F and the
-    # (F W_a, F Q_a + |R|^2) stack.  A step makes four rates, three of which
-    # first form their stage state, and builds the state it returns; a second
-    # step from the same state finds its (R, Y) values kept.  From n = 8192 on
-    # each row of a stack is one call, so a step makes its 40 in 40.  r_rate forms
-    # two products of three transforms and reads the kept values of R.
-    # rhs_diff and rational_forms transform no 1 + W_a or J, and conjugates
+    # counted as (calls, 1-D transforms, lengths).  A state on the kept band
+    # makes one inverse call for (W_a, Q_a) and one forward call for (R, Y) on
+    # the kernel's M points, and the same two on the grid's n points at the
+    # first read of an n-point field.  A rate makes four calls of six rows:
+    # inverse (R, Y), the flux product, inverse F and the (F W_a, F Q_a + |R|^2)
+    # stack.  A step makes four rates, three of which first form their stage
+    # state, and builds the state it returns, all on M.  From n = 8192 on each
+    # row of a stack is one call, so a step makes its 40 in 40.  The classical
+    # step runs on n, from the state's n-point arrays, and returns a state
+    # built on M.  r_rate forms two products of three transforms and reads the
+    # kept values of R.  rhs_diff and rational_forms transform no 1 + W_a or J, and conjugates
     # and real parts make no forward transform
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
         def counted(x, *args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(np.size(x) // np.shape(x)[-1])
+            calls.append((np.size(x) // np.shape(x)[-1], np.shape(x)[-1]))
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
     def budget(fn, *args):
         calls.clear()
         fn(*args)
-        return len(calls), sum(calls)
+        return len(calls), sum(rows for rows, _ in calls), {length for _, length in calls}
 
-    assert budget(WaveState, st.t, st.w, st.q) == (2, 4)
-    assert budget(step, st, 0.05) == (24, 40)
-    assert budget(_classical_step, st, 0.05) == (23, 38)
-    assert budget(rhs_full, WaveState(st.t, st.w, st.q)) == (4, 6)
+    m = _tables(grid).kernel.n
+    assert budget(WaveState, st.t, st.w, st.q) == (2, 4, {m})
+    assert budget(step, st, 0.05) == (24, 40, {m})
+    out = step(st, 0.05)
+    assert budget(lambda: out.wa) == (2, 4, {grid.n})
+    assert budget(lambda: (out.wa, out.qa, out.r, out.y)) == (0, 0, set())
+    assert budget(_classical_step, st, 0.05) == (26, 44, {m, grid.n})
+    assert budget(rhs_full, WaveState(st.t, st.w, st.q)) == (6, 10, {grid.n})
     dw, dq = rhs_full(st)
-    assert budget(r_rate, st, dw, dq) == (5, 5)
+    assert budget(r_rate, st, dw, dq) == (5, 5, {grid.n})
     ds = DiffState(st.t, st.wa, st.r)
-    assert budget(rhs_diff, ds) == (27, 27)
-    assert budget(rational_forms, st) == (22, 22)
+    assert budget(rhs_diff, ds) == (27, 27, {grid.n})
+    assert budget(rational_forms, st) == (22, 22, {grid.n})
     long = packet_data(GridSpec(length=4096.0, n=16384), 1e-3, velocity=1.4, width=8.0)
-    assert budget(step, long, 0.05) == (40, 40)
+    assert budget(step, long, 0.05) == (40, 40, {_tables(long.grid).kernel.n})
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):
