@@ -34,10 +34,11 @@ inverse (R, Y), forward conj(R) Y - R conj(Y) for F, inverse F, forward
 rates and `step`'s stacks live on the kept band of K modes (k < 0 inside the
 dealias cut, the last ~n/3 in fft order).  The kernel runs on two tables
 (`_tables`): analysis on the grid's n ~ 3K points, whose values it reads,
-and `step` (40 transforms) on the least even 2.3.5.7-smooth M >= 2K + 2, at
-most n, uncentred, with (R, Y) masked to k <= 0 inside the cut.  Every
-product in the rate is then of two fields at k <= 0, or of one at k <= 0 and
-one at k >= 0: on M points it aliases only into k > 0, which the band drops.
+and both steps (40 transforms each) on the least even 2.3.5.7-smooth
+M >= 2K + 2, at most n, uncentred, with (R, Y) masked to k <= 0 inside the
+cut.  Every product in the rate is then of two fields at k <= 0, or of one at
+k <= 0 and one at k >= 0: on M points it aliases only into k > 0, which the
+band drops.
 
 The differentiated system evolves (bW, R):
 
@@ -144,6 +145,11 @@ def _rate_arrays(tab, s, ryv):
     rates[0] = -(fc[band] + rates[0])
     rates[1] = 1j * s.w - rates[1]
     return fc, rates
+
+
+def _band_rates(tab, s):
+    """The (2, band) rate stack of the state half `s` on the table `tab`."""
+    return _rate_arrays(tab, s, _values(tab, s.ry))[1]
 
 
 def _embed(grid, z):
@@ -370,7 +376,7 @@ def step(state, dt):
     root, half_root = ker.root[ker.band], ker.half_root[ker.band]
 
     def rates(t, s):  # the phases carry the linear part (-Q_a, iW)
-        d = _rate_arrays(t, s, _values(t, s.ry))[1]
+        d = _band_rates(t, s)
         d[0] += s.da[1, t.band]
         d[1] -= 1j * s.w
         return _to_diag(root, *d)
@@ -386,17 +392,14 @@ def step(state, dt):
 
 
 def _classical_step(state, dt):
-    """Classical RK4, `_rk4` with unit phases on the kept-band (W, Q) stack:
-    the flow `suites`' dual-dt-estimator-order check is pinned on, deleted
-    when ROADMAP item 1 lets that check move to `step`."""
-    grid, tab = state.grid, _tables(state.grid)
-
-    def stage(z):
-        s = _state_arrays(tab, z)
-        return _rate_arrays(tab, s, _values(tab, s.ry))[1]
-
+    """Classical RK4, `_rk4` with unit phases on the kept-band (W, Q) stack,
+    stages as in `step`: the flow `suites`' dual-dt-estimator-order check is
+    pinned on, deleted when ROADMAP item 1 lets that check move to `step`."""
+    tab = _tables(state.grid)
     y = np.array([state.w.coef[tab.band], state.q.coef[tab.band]])
-    return WaveState(state.t + dt, *_embed(grid, _rk4(y, _rates(state)[1], stage, dt, 1.0, 1.0)))
+    z = _rk4(y, _band_rates(*state._first),
+             lambda z: _band_rates(tab.kernel, _state_arrays(tab.kernel, z)), dt, 1.0, 1.0)
+    return WaveState(state.t + dt, *_embed(state.grid, z))
 
 
 def evolve(state, dt, t_end, observer=None):

@@ -309,15 +309,18 @@ def write_field(fh, u):
 def read_field(fh, grid=None):
     """The field `write_field` wrote; reads its header and the 34 n characters
     of its rows, no further, and raises `ValueError` on a header without the
-    grid data, or rows cut short or not of that form."""
+    grid data or naming a grid other than `grid`, or rows cut short or not of
+    that form."""
     header = fh.readline().split()
     meta = dict(item.split("=") for item in header[1:])
     try:
-        g = grid or GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
+        g = GridSpec(float(meta["length"]), int(meta["n"]), float(meta["dealias"]))
     except KeyError as exc:
         raise ValueError(f"field header without {exc.args[0]}") from None
+    if grid not in (None, g):
+        raise ValueError(f"field header names {g}, not {grid}")
     text = fh.read(34 * g.n)
     raw, bits = text.encode("ascii"), bytes.fromhex(text)  # fromhex skips whitespace
     if len(bits) != 16 * g.n or raw[16::34] != b" " * g.n or raw[33::34] != b"\n" * g.n:
         raise ValueError(f"expected {g.n} rows of two 16-digit hex words")
-    return Field(g, np.frombuffer(bits, ">c16").astype(complex))
+    return Field(grid or g, np.frombuffer(bits, ">c16").astype(complex))

@@ -9,8 +9,9 @@ removes quadratic interactions entirely, while the paradifferential variant
     Wt = W - T_{W_a} W - Pi(W_a, 2Re W),
     Qt = Q - T_R W  - Pi(R,  2Re W)
 
-removes only the balanced ones, leaving paradifferential quadratic terms on
-the left of the evolved system
+removes only the balanced ones (`para_nf`, each correction formed as
+T_a W + Pi(a, 2Re W) = P[a 2Re W] - T_{2Re W} a by `_t_pi`), leaving
+paradifferential quadratic terms on the left of the evolved system
 
     d_t Wt + d_a Qt - T_{2Re Wt_a} Qt_a + T_{2Re Qt_a} Wt_a = G,
     d_t Qt - i Wt + T_{2Re Qt_a} Qt_a = K,
@@ -100,20 +101,11 @@ class NormalFormState:
     re_d_pi_qa_cwt = cached_property(lambda v: balanced(v.qt_a, v.cwt).deriv().two_re())
 
 
-def _corrected(u, terms):
-    """P[u - sum T_a v - sum Pi(a, 2Re v)] over (a, v, 2Re v) in `terms`, T terms first."""
-    for a, v, _ in terms:
-        u = u - para(a, v)
-    for a, _, v2 in terms:
-        u = u - balanced(a, v2)
-    return project_neg(u)
-
-
 def para_nf(state):
-    """Partial (paradifferential) normal form of a state."""
-    w, w2 = state.w, state.w.two_re()
-    wt = _corrected(w, [(state.wa, w, w2)])
-    qt = _corrected(state.q, [(state.r, w, w2)])
+    """Partial (paradifferential) normal form of a state, one `_t_pi` per correction."""
+    w2 = state.w.two_re()
+    wt = project_neg(state.w - _t_pi(state.wa, w2))
+    qt = project_neg(state.q - _t_pi(state.r, w2))
     return NormalFormState(state.t, wt, qt, wt.deriv(), qt.deriv())
 
 
@@ -263,11 +255,11 @@ def cubic_sources(nf):
 # measured flow residuals ----------------------------------------------------
 
 def nf_rate(state):
-    """Analytic rate of the normal-form pair: the correction is bilinear."""
+    """Analytic rate of the normal-form pair: two `_t_pi` per bilinear correction."""
     dw, dq = rhs_full(state)
-    w, w2, dw2 = state.w, state.w.two_re(), dw.two_re()
-    dwt = _corrected(dw, [(dw.deriv(), w, w2), (state.wa, dw, dw2)])
-    dqt = _corrected(dq, [(r_rate(state, dw, dq), w, w2), (state.r, dw, dw2)])
+    w2, dw2 = state.w.two_re(), dw.two_re()
+    dwt = project_neg(dw - _t_pi(dw.deriv(), w2) - _t_pi(state.wa, dw2))
+    dqt = project_neg(dq - _t_pi(r_rate(state, dw, dq), w2) - _t_pi(state.r, dw2))
     return dwt, dqt
 
 

@@ -193,11 +193,11 @@ def step_oracle(grid, w, q, dt, integrating, m):
     """`step` (`integrating`) or `_classical_step` on (W, Q) coefficient
     arrays as the kernel takes them, with every array as long as the
     transforms that read it: the stages on m points (the kernel length M for
-    `step`, n for `_classical_step`), and stage 1 on n for a state with
-    content off the kept band.  The masks k < 0 (`neg`), k < 0 inside the cut
-    (`keep`) and that of (R, Y) are applied by multiplies, the transforms
-    scale as the kernel's do (norm="forward"), and only the n-point table
-    is centred.  Returns the new (W, Q) coefficients."""
+    either step), and stage 1 on n for a state with content off the kept
+    band.  The masks k < 0 (`neg`), k < 0 inside the cut (`keep`) and that of
+    (R, Y) are applied by multiplies, the transforms scale as the kernel's do
+    (norm="forward"), and only the n-point table of stage 1 is centred.
+    Returns the new (W, Q) coefficients."""
     n = grid.n
     kept = np.count_nonzero((grid.k < 0) & grid.dealias_mask)
 
@@ -262,7 +262,7 @@ def step_oracle(grid, w, q, dt, integrating, m):
             d = to_diag(tab, *d)
         return d
 
-    stages = table(m, centred=not integrating)
+    stages = table(m, centred=False)
     off = np.any(w[:n - kept]) or np.any(q[:n - kept])
     first = table(n, centred=True) if off else stages
     a = on(m, rates(first, state_arrays(first, *((w, q) if off else on(m, [w, q])))))
@@ -279,10 +279,10 @@ SCHEMES = {"rk4_integrating_factor": (step, True), "rk4": (_classical_step, Fals
 
 
 def march_both(st, dt, scheme, steps):
-    """The step of `scheme` and its `step_oracle` from st, the stages of
-    `step` on the kernel's M points: the two (W, Q) coefficient pairs."""
+    """The step of `scheme` and its `step_oracle` from st, the stages on the
+    kernel's M points: the two (W, Q) coefficient pairs."""
     stepper, integrating = SCHEMES[scheme]
-    m = _tables(st.grid).kernel.n if integrating else st.grid.n
+    m = _tables(st.grid).kernel.n
     got, (w, q) = st, (st.w.coef, st.q.coef)
     for _ in range(steps):
         new = step_oracle(st.grid, w, q, dt, integrating, m)
@@ -608,10 +608,10 @@ def test_transform_budget(grid, monkeypatch):
     # stack.  A step makes four rates, three of which first form their stage
     # state, and builds the state it returns, all on M.  From n = 8192 on each
     # row of a stack is one call, so a step makes its 40 in 40.  The classical
-    # step runs on n, from the state's n-point arrays, and returns a state
-    # built on M.  r_rate forms two products of three transforms and reads the
-    # kept values of R.  rhs_diff and rational_forms transform no 1 + W_a or J, and conjugates
-    # and real parts make no forward transform
+    # step does the same without its phases.  r_rate forms two products of
+    # three transforms and reads the kept values of R.  rhs_diff and
+    # rational_forms transform no 1 + W_a or J, and conjugates and real parts
+    # make no forward transform
     st = packet_data(grid, 1e-3, velocity=1.4, width=8.0)
     calls = []
     for name in ("fft", "ifft"):
@@ -631,7 +631,7 @@ def test_transform_budget(grid, monkeypatch):
     out = step(st, 0.05)
     assert budget(lambda: out.wa) == (2, 4, {grid.n})
     assert budget(lambda: (out.wa, out.qa, out.r, out.y)) == (0, 0, set())
-    assert budget(_classical_step, st, 0.05) == (26, 44, {m, grid.n})
+    assert budget(_classical_step, st, 0.05) == (24, 40, {m})
     assert budget(rhs_full, WaveState(st.t, st.w, st.q)) == (6, 10, {grid.n})
     dw, dq = rhs_full(st)
     assert budget(r_rate, st, dw, dq) == (5, 5, {grid.n})

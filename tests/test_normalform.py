@@ -12,6 +12,7 @@ from holoww.dynamics import (
     WaveState,
     _classical_step,
     packet_data,
+    r_rate,
     rhs_full,
     scaling_pair,
 )
@@ -28,6 +29,7 @@ from holoww.normalform import (
     evaluate_terms,
     flow_residual_analytic,
     flow_residual_centered,
+    nf_rate,
     para_nf,
     residual_from_rate,
     scaling_fields,
@@ -85,13 +87,29 @@ def test_para_nf_zero(grid):
 
 
 def test_para_nf_defining_identity(grid):
-    from holoww.paradiff import balanced, para
-
+    # Wt = W - T_{W_a}W - Pi(W_a, 2Re W) and Qt = Q - T_R W - Pi(R, 2Re W),
+    # each paraproduct and balanced product formed on its own
     st = small_state(grid, 1e-2, seed=50)
     nf = para_nf(st)
     w2 = st.w.two_re()
-    resid = nf.wt - st.w + para(st.wa, st.w) + balanced(st.wa, w2)
+    resid = nf.wt - st.w + T(st.wa, st.w) + Pi(st.wa, w2)
     assert resid.l2() < 1e-13 * max(st.w.l2(), 1e-30)
+    resid = nf.qt - st.q + T(st.r, st.w) + Pi(st.r, w2)
+    assert resid.l2() < 1e-13 * max(st.q.l2(), 1e-30)
+
+
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_nf_rate_textbook_form(grid, seed):
+    # the rate of each correction, one factor differentiated at a time with
+    # dW_a = dW' and dR = r_rate:  dWt = dW - T_{dW_a}W - T_{W_a}dW
+    # - Pi(dW_a, 2Re W) - Pi(W_a, 2Re dW), and dQt alike with R, dR
+    st = small_state(grid, 1e-2, seed=seed)
+    dw, dq = rhs_full(st)
+    w2, dw2 = st.w.two_re(), dw.two_re()
+    for got, d, a, da in zip(nf_rate(st), (dw, dq), (st.wa, st.r),
+                             (dw.deriv(), r_rate(st, dw, dq))):
+        want = d - T(da, st.w) - T(a, dw) - Pi(da, w2) - Pi(a, dw2)
+        assert (got - project_neg(want)).l2() < 1e-13 * d.l2()
 
 
 def test_para_nf_derivative_difference_scales_quadratically(grid):
@@ -175,6 +193,23 @@ def test_paired_table_transform_budget(monkeypatch, desk_nf):
     points = transform_points(monkeypatch)
     evaluate_terms(nf, {"g": paradiff.dual(nf.wt), "k": paradiff.dual(nf.qt)})
     assert sum(points) <= 90 * nf.wt.grid.n
+
+
+def test_para_nf_and_nf_rate_transform_budget(monkeypatch):
+    # each correction T_a W + Pi(a, 2Re W) is formed as P[a 2Re W] - T_{2Re W}a
+    # (`_t_pi`), one paraproduct sum where T_a W and Pi(a, 2Re W) formed apart
+    # take three: on the desk grid para_nf transforms about 9.0n points and
+    # nf_rate, rhs_full and r_rate included, about 29.1n (15.1n and 41.2n
+    # with three sums per correction)
+    st0 = packet_data(GridSpec(), 3e-2, velocity=1.4, width=8.0)
+    n = st0.grid.n
+    for fn, budget in ((para_nf, 10), (nf_rate, 30)):
+        st = WaveState(st0.t, st0.w, st0.q)
+        st.wa  # the n-point fields
+        points = transform_points(monkeypatch)
+        fn(st)
+        monkeypatch.undo()
+        assert sum(points) <= budget * n, fn.__name__
 
 
 def test_atoms_equal_their_build_on_a_fresh_state(desk_nf):

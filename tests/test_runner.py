@@ -224,6 +224,28 @@ def test_a_checkpoint_write_stopped_midway_leaves_the_earlier_ones(full_run, tmp
     assert_same_final_state(out, full_run)
 
 
+@pytest.mark.parametrize("header", ["# length=100.0 n=256 dealias=0.5\n",
+                                    "# length=100.0 n=128 dealias=0.5\n"])
+def test_a_checkpoint_whose_fields_name_two_grids_is_a_usage_error(header, full_run, tmp_path,
+                                                                  capsys):
+    # Q's header must name W's grid: its rows are not read onto W's grid
+    # under another length, dealias fraction or mode count, and nothing is
+    # written
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    ckpt = crashed / "state_0000001.0000.txt"
+    text = ckpt.read_text().splitlines(keepends=True)
+    assert text[1] == text[258] != header  # the headers of W and Q
+    text[258] = header
+    ckpt.write_text("".join(text))
+    before = {f.name: f.read_bytes() for f in crashed.iterdir()}
+    for out in (tmp_path / "resumed", crashed):
+        assert main(["simulate", "--resume-from", str(crashed), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: unreadable checkpoint {ckpt}: field header names " in err
+    assert not (tmp_path / "resumed").exists()
+    assert {f.name: f.read_bytes() for f in crashed.iterdir()} == before
+
+
 def test_a_checkpoint_in_decimal_rows_is_a_usage_error(full_run, tmp_path, capsys):
     # checkpoints written before the hex rows spelled each mode `m re im`,
     # each value its repr; they get no second parser, and nothing is written

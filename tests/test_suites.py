@@ -3,6 +3,7 @@ end through `verify` and the command line, smoke runs of the cheap suites,
 the resonant-coefficient comparison that `structure` and `gamma` share, and
 the dual-row pairing of the cubic table's atoms that it rests on."""
 
+import importlib.util
 import math
 import os
 import pathlib
@@ -23,10 +24,30 @@ IDENTITIES = ["trichotomy-residual", "f-identity", "m-identity", "taylor-term-re
               "projector-idempotent", "projector-orthogonal", "partition-of-unity"]
 
 
-def test_identities_suite_passes():
+@pytest.fixture(scope="module")
+def pins():
+    """perfbench's `reference` module and its verify-core series of variant
+    0, whose seed is `verify`'s default 1234; read, never written."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference, reference.load()["verify-core"]["0"]
+
+
+def assert_pinned(pins, checks):
+    """Each row's measured value within the benchmark's tolerance of its pin."""
+    reference, series = pins
+    for c in checks:
+        key = f"check.{c.cid}"
+        assert abs(c.measured - series[key][0]) <= reference.tolerance(key, series[key]), c.cid
+
+
+def test_identities_suite_passes(pins):
     checks = verify("identities")
     assert [c.cid for c in checks] == IDENTITIES
     assert all(c.passed and not c.informational for c in checks)
+    assert_pinned(pins, checks)
 
 
 @pytest.mark.parametrize("suite, cids", [
@@ -38,11 +59,14 @@ def test_identities_suite_passes():
     ("packets", ["defect-size-slope", "ray-error-l2v-slope",
                  "spectrum-profile-modulus-collapse", "spectrum-profile-phase-collapse"]),
 ])
-def test_suite_reports_its_rows(suite, cids):
-    # rows and finite values only: `ray-error-l2v-slope` is red (ROADMAP item 3)
+def test_suite_reports_its_rows(suite, cids, pins):
+    # rows, finite values, and the benchmark's pins of the verify-core suites
+    # (all but linear): `ray-error-l2v-slope` is red (ROADMAP item 3)
     checks = verify(suite)
     assert [c.cid for c in checks] == cids
     assert all(math.isfinite(c.measured) for c in checks)
+    if suite != "linear":
+        assert_pinned(pins, checks)
 
 
 def test_unknown_suite_names_the_choices(capsys):
