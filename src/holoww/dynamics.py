@@ -38,7 +38,9 @@ and both steps (40 transforms each) on the least even 2.3.5.7-smooth
 M >= 2K + 2, at most n, uncentred, with (R, Y) masked to k <= 0 inside the
 cut.  Every product in the rate is then of two fields at k <= 0, or of one at
 k <= 0 and one at k >= 0: on M points it aliases only into k > 0, which the
-band drops.
+band drops.  The kernel writes into the arrays it is given and allocates the
+rest: `step` allocates its M-point arrays once per call, those of the state it
+returns (which hold every stage's values first) and four rows, and keeps none.
 
 The differentiated system evolves (bW, R):
 
@@ -80,6 +82,7 @@ JACOBIAN_FLOOR = 0.25
 _TABLES = weakref.WeakKeyDictionary()  # grid -> `_tables`, dropped with the grid
 
 _Arrays = namedtuple("_Arrays", "w da va ry")  # see `_state_arrays`
+_Scratch = namedtuple("_Scratch", "da va ry fc row re re2")  # see `step`
 
 
 def _tables(grid):
@@ -100,8 +103,9 @@ def _tables(grid):
                 half_root=np.divide(0.5, root, where=k < 0, out=np.zeros(n)), phases={})
 
         modes = np.rint(np.fft.fftfreq(m) * m)
-        _TABLES[grid] = tab = table(grid.n, grid.k, grid.center_phase, grid.dealias_mask)
+        tab = table(grid.n, grid.k, grid.center_phase, grid.dealias_mask)
         tab.kernel = table(m, grid.dk * modes, None, (modes <= 0) & (modes >= -kept))
+        _TABLES[grid] = tab  # whole before another thread can read it
     return _TABLES[grid]
 
 
@@ -111,45 +115,50 @@ def _floor(onewa):
         raise DegenerateJacobian("min J dropped below 1/4")
 
 
-def _values(tab, coef):
-    """Values on the table's points of a stack of its coefficients."""
-    return _fft("ifft", coef if tab.cp is None else coef * tab.cp)
+def _values(tab, coef, out=None):
+    """Values on the table's points of a stack of its coefficients, into `out` when given."""
+    return _fft("ifft", coef if tab.cp is None else np.multiply(coef, tab.cp, out=out), out)
 
 
-def _state_arrays(tab, wq):
+def _state_arrays(tab, wq, out=None):
     """The kernel's state half of projected (W, Q) coefficients `wq` on the
     table's points or on its kept band: W on the band, (2, n) stacks of the
-    coefficients and values of (W_a, Q_a), masked coefficients of (R, Y)."""
+    coefficients and values of (W_a, Q_a), masked coefficients of (R, Y).
+    Into `out` (a `_Scratch`, da zero off the band) when given."""
     part = tab.band if len(wq[0]) < tab.n else slice(None)
-    da = np.zeros((2, tab.n), dtype=complex)
-    np.multiply(wq, tab.ik[part], out=da[:, part])
-    va = _values(tab, da)
-    onewa = 1.0 + va[0]
+    o = out or _Scratch(np.zeros((2, tab.n), dtype=complex), *[None] * 6)
+    np.multiply(wq, tab.ik[part], out=o.da[:, part])
+    va = _values(tab, o.da, o.va)
+    onewa = np.add(1.0, va[0], out=o.row)
     _floor(onewa)
-    ry = _fft("fft", va[::-1] / onewa)
+    ry = _fft("fft", np.divide(va[::-1], onewa, out=o.ry), o.ry)
     ry *= tab.ry_phase
-    return _Arrays(wq[0] if part is tab.band else wq[0][tab.band], da, va, ry)
+    return _Arrays(wq[0] if part is tab.band else wq[0][tab.band], o.da, va, ry)
 
 
-def _rate_arrays(tab, s, ryv):
+def _rate_arrays(tab, s, ryv=None, out=None):
     """The kernel's rate half: the coefficients of F and the (2, band) stack
-    of (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry."""
-    (rv, yv), band = ryv, tab.band
-    cp = 1.0 if tab.cp is None else tab.cp[band]
-    fc = s.ry[0].copy()  # F = R + P[conj(R) Y - R conj(Y)], 2i Im(conj(R) Y) inside P
-    fc[band] += _fft("fft", 2j * (np.conj(rv) * yv).imag)[band] * cp
-    prod = s.va * _values(tab, fc)
-    prod[1] += np.square(rv.real) + np.square(rv.imag)
-    rates = _fft("fft", prod)[:, band]
-    rates *= cp
-    rates[0] = -(fc[band] + rates[0])
-    rates[1] = 1j * s.w - rates[1]
-    return fc, rates
-
-
-def _band_rates(tab, s):
-    """The (2, band) rate stack of the state half `s` on the table `tab`."""
-    return _rate_arrays(tab, s, _values(tab, s.ry))[1]
+    of (dW/dt, dQ/dt) of the state half `s`, given the values `ryv` of s.ry
+    or forming them.  Into `out` (a `_Scratch`) when given: the values over
+    out.ry, after F's R row is copied out, and the products over out.va."""
+    band, n, cp = tab.band, tab.n, tab.cp
+    o = out or _Scratch(None, np.empty((2, n), dtype=complex), None, np.empty(n, dtype=complex),
+                        np.empty(n, dtype=complex), np.empty(n), np.empty(n))
+    np.copyto(o.fc, s.ry[0])  # F = R + P[conj(R) Y - R conj(Y)], 2i Im(conj(R) Y) inside P
+    rv, yv = _values(tab, s.ry, o.ry) if ryv is None else ryv
+    np.copyto(o.re, np.multiply(np.conj(rv, out=o.row), yv, out=o.row).imag)
+    bracket = _fft("fft", np.multiply(2j, o.re, out=o.row), o.row)
+    if cp is not None:
+        bracket[band] *= cp[band]
+    o.fc[band] += bracket[band]
+    prod = np.multiply(s.va, _values(tab, o.fc, o.row), out=o.va)
+    prod[1] += np.add(np.square(rv.real, out=o.re), np.square(rv.imag, out=o.re2), out=o.re)
+    rates = _fft("fft", prod, prod)[:, band]
+    if cp is not None:
+        rates *= cp[band]
+    np.negative(np.add(o.fc[band], rates[0], out=rates[0]), out=rates[0])
+    np.subtract(1j * s.w, rates[1], out=rates[1])
+    return o.fc, rates
 
 
 def _embed(grid, z):
@@ -190,6 +199,12 @@ class WaveState:
             self._full = (s, *(Field(grid, c, v) for c, v in zip(s.da, s.va)),
                           *(Field(grid, c) for c in s.ry))
         return self._full
+
+    @classmethod
+    def _stepped(cls, t, w, q, first):  # as `step` forms it: w, q on the band, J checked
+        st = cls.__new__(cls)
+        st.t, st.w, st.q, st._first, st._full = t, w, q, first, None
+        return st
 
     grid = property(lambda st: st.w.grid)
     wa, qa, r, y = (property(lambda st, i=i: st._fields()[i]) for i in range(1, 5))
@@ -322,19 +337,25 @@ def _check_dt(grid, dt):
         raise StabilityViolation(f"dt*max(omega) = {dt * omega_max:.3f} >= {RK4_PHASE_MARGIN}")
 
 
-def _to_diag(root, wc, qc):
+def _to_diag(root, wc, qc, out=None):
     """Stack of the diagonal pair (W + |D|^(1/2) Q, conj(W - |D|^(1/2) Q)),
     `root` = |D|^(1/2) on the modes of wc and qc; the conjugate makes both
-    rows turn with the same phase exp(i omega t)."""
+    rows turn with the same phase exp(i omega t).  Into `out` when given."""
     rq = root * qc
-    return np.array([wc + rq, np.conj(wc - rq)])
+    out = np.empty((2, len(rq)), dtype=complex) if out is None else out
+    np.conj(np.subtract(wc, rq, out=out[1]), out=out[1])
+    np.add(wc, rq, out=out[0])
+    return out
 
 
-def _from_diag(half_root, z):
+def _from_diag(half_root, z, out=None):
     """(W, Q) stack of the diagonal pair z, `half_root` = 0.5 / sqrt|k| on
-    its modes."""
+    its modes.  Into `out` when given, which may be z."""
     zm = np.conj(z[1])
-    return np.array([(z[0] + zm) * 0.5, (z[0] - zm) * half_root])
+    out = np.empty_like(z) if out is None else out
+    np.multiply(np.subtract(z[0], zm, out=out[1]), half_root, out=out[1])
+    np.multiply(np.add(z[0], zm, out=out[0]), 0.5, out=out[0])
+    return out
 
 
 def _rk4(y, a, rates, dt, half, full):
@@ -343,9 +364,10 @@ def _rk4(y, a, rates, dt, half, full):
     so no stage reads a time.
 
     `a` is N(y), so stage 1 reuses the caller's state, and `rates(z)` is N
-    at a stage value z.  `half` and `full` hold the phases exp(L dt/2) and
-    exp(L dt) of every row: `step`'s make this the integrating-factor
-    (Lawson) scheme, exact on the linear part; unit phases give classical RK4.
+    at a stage value z, which it may overwrite.  `half` and `full` hold the
+    phases exp(L dt/2) and exp(L dt) of every row: `step`'s make this the
+    integrating-factor (Lawson) scheme, exact on the linear part; unit phases
+    give classical RK4.
     """
     h = dt / 2
     b = rates(half * (y + h * a))
@@ -369,26 +391,34 @@ def step(state, dt):
     dispersive linear part.  The stages run the kernel on coefficient stacks
     of the kept band, the only modes a step keeps, on M points, where they
     check J (`DegenerateJacobian`); stage 1 reads the state's arrays, on n
-    points for a state with content off the band."""
+    points for a state with content off the band, and writes none of them.
+    Its M-point arrays are allocated once per call (`_Scratch`): those of the
+    state it returns, which hold every stage's values and products before its
+    own, and four rows; stages 2-4 write their band stacks over their stage
+    values.  Nothing is held between calls."""
     _check_dt(state.grid, dt)
     tab = _tables(state.grid)
-    ker = tab.kernel
+    ker, m = tab.kernel, tab.kernel.n
     root, half_root = ker.root[ker.band], ker.half_root[ker.band]
+    out = _Scratch(np.zeros((2, m), dtype=complex), *np.empty((2, 2, m), dtype=complex),
+                   *np.empty((2, m), dtype=complex), *np.empty((2, m)))
 
-    def rates(t, s):  # the phases carry the linear part (-Q_a, iW)
-        d = _band_rates(t, s)
+    def rates(t, s, z=None):  # the phases carry the linear part (-Q_a, iW)
+        d = _rate_arrays(t, s, out=out if t is ker else None)[1]
         d[0] += s.da[1, t.band]
         d[1] -= 1j * s.w
-        return _to_diag(root, *d)
+        return _to_diag(root, *d, out=z)
 
     def stage(z):
-        return rates(ker, _state_arrays(ker, _from_diag(half_root, z)))
+        return rates(ker, _state_arrays(ker, _from_diag(half_root, z, z), out), z)
 
     if dt not in ker.phases:
         ker.phases[dt] = np.exp(1j * root * (dt / 2)), np.exp(1j * root * dt)
     y = _to_diag(root, state.w.coef[tab.band], state.q.coef[tab.band])
     z = _rk4(y, rates(*state._first), stage, dt, *ker.phases[dt])
-    return WaveState(state.t + dt, *_embed(state.grid, _from_diag(half_root, z)))
+    w, q = _embed(state.grid, _from_diag(half_root, z, z))
+    wq = w.coef[tab.band], q.coef[tab.band]
+    return WaveState._stepped(state.t + dt, w, q, (ker, _state_arrays(ker, wq, out)))
 
 
 def _classical_step(state, dt):
@@ -397,8 +427,8 @@ def _classical_step(state, dt):
     pinned on, deleted when ROADMAP item 1 lets that check move to `step`."""
     tab = _tables(state.grid)
     y = np.array([state.w.coef[tab.band], state.q.coef[tab.band]])
-    z = _rk4(y, _band_rates(*state._first),
-             lambda z: _band_rates(tab.kernel, _state_arrays(tab.kernel, z)), dt, 1.0, 1.0)
+    z = _rk4(y, _rate_arrays(*state._first)[1],
+             lambda z: _rate_arrays(tab.kernel, _state_arrays(tab.kernel, z))[1], dt, 1.0, 1.0)
     return WaveState(state.t + dt, *_embed(state.grid, z))
 
 
@@ -463,14 +493,14 @@ def save_state(path, state, extra=None):
         write_field(fh, state.q)
 
 
-def load_state(path):
-    """The state and metadata `save_state` wrote; `ValueError` if cut short or garbled."""
+def load_state(path, grid=None):
+    """The state and metadata `save_state` wrote; `ValueError` if garbled, cut or off `grid`."""
     with open(path) as fh:
         meta = json.loads(fh.readline())
         t = meta.get("t") if isinstance(meta, dict) else None
         if type(t) not in (int, float) or not math.isfinite(t):
             raise ValueError("metadata line holds no finite time t")
-        w = read_field(fh)
+        w = read_field(fh, grid)
         q = read_field(fh, grid=w.grid)
     return WaveState(t, w, q), meta
 

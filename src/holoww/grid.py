@@ -75,8 +75,8 @@ class GridSpec:
             raise ValueError("mode count must be even and at least 16")
         if not 0.0 < self.dealias <= 1.0:
             raise ValueError("dealias fraction must lie in (0, 1]")
-        if self.length <= 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.length < math.inf:  # NaN included
+            raise ValueError("period must be finite and positive")
 
     @cached_property
     def modes(self):

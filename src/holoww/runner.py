@@ -315,7 +315,7 @@ def resume(run_dir, out_dir):
         raise UsageError(f"{out_dir} already holds a run")
     path = os.path.join(run_dir, candidates[-1])
     try:
-        state, _ = load_state(path)
+        state, _ = load_state(path, cfg.grid())
     except ValueError as exc:  # a checkpoint cut short or garbled
         raise UsageError(f"unreadable checkpoint {path}: {exc}") from None
     return simulate(cfg, out_dir, resume_state=state)

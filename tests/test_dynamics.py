@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -597,6 +599,62 @@ def test_evolve_stops_at_first_step_past_t_end(grid):
     assert len(seen) == 10
     assert evolve(st, 0.1, 0.0, seen.append) is st
     assert len(seen) == 10
+
+
+def off_band_state(grid, seed):
+    """A state with content at k < 0 outside the dealias cut: its first
+    arrays are on the grid's n points."""
+    rng = np.random.default_rng(seed)
+    w, q = (Field(grid, 1e-3 * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)))
+            for _ in range(2))
+    st = WaveState(0.0, project_neg(w), project_neg(q))
+    assert st._first[0] is _tables(grid)
+    return st
+
+
+def test_step_writes_nothing_into_its_input(grid):
+    # stage 1 reads the input's arrays and writes its values and products
+    # into the arrays of the state it returns; stepping twice reads the same
+    for st in (packet_data(grid, 0.05, velocity=1.4, width=8.0),
+               off_band_state(grid, 18)):
+        before = [a.copy() for a in (st.w.coef, st.q.coef, *st._first[1])]
+        one, two = step(st, 0.1), step(st, 0.1)
+        after = (st.w.coef, st.q.coef, *st._first[1])
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (one.w.coef, one.q.coef, *one._first[1]), (two.w.coef, two.q.coef, *two._first[1])))
+
+
+@pytest.mark.parametrize("n", [256, 16384])
+def test_stepped_state_arrays_match_a_rebuilt_state(n):
+    # the arrays the stages wrote over end as the returned state's own, as
+    # `WaveState` forms them from its coefficients; at n = 16384 the kernel
+    # (M = 10976) transforms one row per call
+    grid = GridSpec(length=64.0 * n / 256, n=n)
+    out = step(step(packet_data(grid, 0.05, velocity=1.4, width=8.0), 0.05), 0.05)
+    rebuilt = WaveState(out.t, out.w, out.q)
+    assert out._first[0] is rebuilt._first[0] is _tables(grid).kernel
+    assert all(np.array_equal(a, b) for a, b in zip(out._first[1], rebuilt._first[1]))
+    assert out._full is None
+
+
+def test_step_from_two_threads():
+    # a step keeps no scratch between calls, so two threads stepping the
+    # same data on one grid each get the sequential result bit for bit
+    grid = GridSpec(length=400.0, n=2048)
+    st = step(packet_data(grid, 0.05, velocity=1.4, width=8.0), 0.05)
+    want = evolve(st, 0.05, st.t + 1.0)
+    start = threading.Barrier(2)
+
+    def run(_):
+        start.wait()  # both threads step at once
+        return evolve(st, 0.05, st.t + 1.0)
+
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(run, range(2)))
+    for out in got:
+        assert out.t == want.t
+        assert np.array_equal(out.w.coef, want.w.coef) and np.array_equal(out.q.coef, want.q.coef)
 
 
 def test_transform_budget(grid, monkeypatch):

@@ -27,6 +27,9 @@ def test_grid_validation():
         GridSpec(n=8)
     with pytest.raises(ValueError):
         GridSpec(dealias=0.0)
+    for length in (0.0, -1.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="period must be finite and positive"):
+            GridSpec(length=length)
 
 
 def test_roundtrip_and_parseval(grid):

@@ -246,6 +246,26 @@ def test_a_checkpoint_whose_fields_name_two_grids_is_a_usage_error(header, full_
     assert {f.name: f.read_bytes() for f in crashed.iterdir()} == before
 
 
+@pytest.mark.parametrize("length, reason", [("100.0", "field header names "),
+                                            ("inf", "period must be finite and positive")])
+def test_a_checkpoint_off_the_configured_grid_is_a_usage_error(length, reason, full_run,
+                                                               tmp_path, capsys):
+    # both headers agree, on a grid other than config.txt's 400 pi (or on
+    # none): the rows are not read onto it, and nothing is written
+    crashed = crashed_copy(full_run, 1.0, tmp_path / "crashed")
+    ckpt = crashed / "state_0000001.0000.txt"
+    text = ckpt.read_text().splitlines(keepends=True)
+    assert text[1] == text[258] == f"# length={400 * np.pi!r} n=256 dealias={2 / 3!r}\n"
+    text[1] = text[258] = f"# length={length} n=256 dealias={2 / 3!r}\n"
+    ckpt.write_text("".join(text))
+    before = {f.name: f.read_bytes() for f in crashed.iterdir()}
+    for out in (tmp_path / "resumed", crashed):
+        assert main(["simulate", "--resume-from", str(crashed), "--out", str(out)]) == 2
+        assert f"error: unreadable checkpoint {ckpt}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+    assert {f.name: f.read_bytes() for f in crashed.iterdir()} == before
+
+
 def test_a_checkpoint_in_decimal_rows_is_a_usage_error(full_run, tmp_path, capsys):
     # checkpoints written before the hex rows spelled each mode `m re im`,
     # each value its repr; they get no second parser, and nothing is written
