@@ -8,7 +8,8 @@ The pointwise control norm of the differentiated pair is
 and the scale-graded family A0, A_(1/4), A_(1/2), A# accompanies it.  Sup
 norms are grid maxima; BMO entries are evaluated as L-inf (a documented
 approximation: BMO <= L-inf and the two are interchangeable here up to
-constants).
+constants).  `control_norms` reads them from 3B + 8 n-point rows (B blocks of
+`lp.band_table`) through one buffer of `grid._rows_per_call` rows and its |.|.
 
 The space-frequency split localizes a pair (w, q) with the dyadic bumps of
 `lp.LPBlock` taken in alpha, chi_m = `LPBlock(m).symbol(alpha)` on
@@ -23,6 +24,7 @@ it.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,11 +33,13 @@ from .errors import InsufficientSamples, TimeTooSmall
 from .grid import Field, frac_deriv, pair_sobolev
 from .lp import (
     LPBlock,
+    _besov_sum,
     _log2_abs,
+    _moduli,
+    _project,
     band_symbol,
-    besov_inf2,
+    band_table,
     ramp,
-    x_sup_norm,
     x_zero_norm,
 )
 
@@ -65,20 +69,39 @@ class NormRecord:
 
 
 def control_norms(state, sigma=SIGMA_DEFAULT):
-    """Scale-graded norms of one snapshot (sup norms as grid maxima)."""
+    """Scale-graded norms of one snapshot (sup norms as grid maxima), read in
+    one pass of `lp._moduli` (a reused row buffer and its |.|) over the
+    `lp.band_table` blocks of |D|^(1/2) R, W_a, R, then R_a, |D|^s W_a (s = 1/2,
+    -1/2, 1/4), |D|^(3/4) R, |D|^(1/2) R, Y, R; Y's and R's values are kept."""
     wa, r, y = state.wa, state.r, state.y
-    half_r = frac_deriv(r, 0.5)
-    a0 = wa.linf() + y.linf() + max(half_r.linf(), besov_inf2(half_r, 0.0))
-    a_quarter = x_zero_norm(wa, r)
-    a_half = frac_deriv(wa, 0.5).linf() + r.deriv().linf()
-    a_sharp = frac_deriv(wa, 0.25).lp(4) + frac_deriv(r, 0.75).lp(4)
+    grid, table = wa.grid, band_table(wa.grid)
+    cp, b = grid.center_phase, len(table)
+    # times the centring phase once per field: the sign commutes exactly with each row's multiplier
+    hc, wc, rc = frac_deriv(r, 0.5).coef * cp, Field(grid, wa.coef * cp), r.coef * cp
+    fills = [partial(_project, c, halves) for c in (hc, wc.coef, rc) for _, halves in table]
+    fills += [lambda row: np.multiply(rc, 1j * grid.k, out=row)]
+    fills += [lambda row, u=u, s=s: np.copyto(row, frac_deriv(u, s).coef) for u, s in (
+        (wc, 0.5), (wc, -0.5), (wc, 0.25), (Field(grid, rc), 0.75))]
+    fills += [lambda row: np.copyto(row, hc), partial(np.multiply, y.coef, cp),  # (y, cp, out)
+              lambda row: np.copyto(row, rc)]
+
+    def read(i, values, mag):  # the views die with the comprehension below
+        if i >= len(fills) - 2:  # Y and R, whose values a later rate reads
+            (y, r)[i - len(fills) + 2]._values = values.copy()
+        return (np.mean(mag ** 4) * grid.length) ** 0.25 if i - 3 * b in (3, 4) else mag.max()
+
+    out = [read(i, *item) for i, item in enumerate(_moduli(grid, fills))]
+    half_r_b, wa_b, r_b = (_besov_sum(table, s, out[i * b:(i + 1) * b])
+                           for i, s in enumerate((0.0, 0.25, 0.75)))
+    r_a_sup, half_wa_sup, wa_x_sup, wa_l4, r_l4, half_r_sup, y_sup, r_sup = out[3 * b:]
+    a_quarter = wa_b + r_b  # the Besov pair of X, `lp.x_zero_norm`
     return NormRecord(
         t=state.t,
-        a0=a0,
+        a0=float(wa.linf() + y_sup + max(half_r_sup, half_r_b)),
         a_quarter=a_quarter,
-        a_half=a_half,
-        a_sharp=a_sharp,
-        x=x_sup_norm(wa, r) + a_quarter,  # X: a_quarter is its Besov pair
+        a_half=float(half_wa_sup + r_a_sup),
+        a_sharp=float(wa_l4 + r_l4),
+        x=float(wa_x_sup + r_sup + a_quarter),
         hs={s: pair_sobolev((wa, r), s) for s in hs_exponents(sigma)},
     )
 

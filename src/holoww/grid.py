@@ -235,10 +235,6 @@ class Field:
     def linf(self):
         return float(np.max(np.abs(self.values)))
 
-    def lp(self, p):
-        v = np.abs(self.values) ** p
-        return float((np.mean(v) * self.grid.length) ** (1.0 / p))
-
     def integral(self):
         return self.grid.length * self.mean()
 
@@ -285,11 +281,11 @@ def frac_deriv(u, s):
 
 def pair_sobolev(pair, s):
     """Norm of (w, r) with first slot measured in L2 and second in H^(1/2),
-    both weighted by |k|^s."""
-    w, r = pair
-    ws = frac_deriv(w, s)
-    rs = frac_deriv(r, s + 0.5)
-    return math.sqrt(ws.l2() ** 2 + rs.l2() ** 2)
+    both weighted by |k|^s: the squares of |D|^s of each slot's coefficient
+    moduli |c|, summed, so no complex array is formed."""
+    total = sum(np.sum(np.square(frac_deriv(Field(u.grid, np.abs(u.coef)), e).coef))
+                for u, e in zip(pair, (s, s + 0.5)))
+    return math.sqrt(pair[0].grid.length * total)
 
 
 # serialization ------------------------------------------------------------

@@ -13,11 +13,12 @@ to machine precision and makes the blocks of a field sum to u - mean(u).
 import math
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _fft, _rows_per_call, frac_deriv
+from .grid import _fft, _rows_per_call
 
 SEPARATION = 4  # octaves between a paraproduct's symbol and its argument
 _BANDS = weakref.WeakKeyDictionary()  # grid -> `band_table`, dropped with the grid
@@ -149,7 +150,7 @@ def band_table(grid):
     (open at a clamped end), and the low-pass symbol of cut 2^(m - SEPARATION)
     on |k| < 2^(m + 1 - SEPARATION); each is stored as its nonzero run on
     consecutive modes (`Band`), the block split at k = 0 into two
-    `HalfBlock`s.  `spread` reads a whole half, products its run `read` on
+    `HalfBlock`s.  `_project` reads a whole half, products its run `read` on
     |j| <= cut + reach (cut = floor(dealias n / 2), reach the low run's
     half-width): modes further out reach no kept mode, unless cut + reach
     >= n/2, where products wrap back inside the cut and read the whole half.
@@ -187,13 +188,13 @@ def band_table(grid):
     return _BANDS[grid]
 
 
-def spread(coef, halves, out):
-    """Write `coef` times the block symbol made of `halves` into the
-    fft-order row `out`, zero off the block."""
-    out.fill(0.0)
+def _project(coef, halves, row):
+    """P_m of the coefficients `coef` into the fft-order row `row`, zero off
+    the block: m's entry `halves` in `band_table`."""
+    row.fill(0.0)
     for half in halves:
         for at, run in half.block.parts:
-            out[at] = coef[at] * half.block.values[run]
+            np.multiply(coef[at], half.block.values[run], out=row[at])
 
 
 def gather(coef, band, size):
@@ -204,27 +205,29 @@ def gather(coef, band, size):
     return out
 
 
-def besov_inf2(u, s):
-    """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 ).
+def _moduli(grid, fills):
+    """(values, |values|) of the centred coefficients each `fill(row)` writes, in order,
+    through one buffer of `grid._rows_per_call` rows and one of moduli: views, read at once."""
+    rows = np.empty((min(_rows_per_call(grid.n), len(fills)), grid.n), dtype=complex)
+    mags = np.empty(rows.shape)
+    for lo in range(0, len(fills), len(rows)):
+        buf = rows[:len(fills[lo:lo + len(rows)])]
+        for row, fill in zip(buf, fills[lo:lo + len(rows)]):
+            fill(row)
+        yield from zip(_fft("ifft", buf, out=buf), np.abs(buf, out=mags[:len(buf)]))
 
-    The blocks P_m u go, times the centring phase, into the rows of one
-    reused buffer of `grid._rows_per_call` rows (no more than there are
-    blocks); each fill is transformed in place in one call, and the sup of
-    every row is read from it.  The terms are summed in the order of m."""
-    grid = u.grid
-    table = band_table(grid)
-    rows = np.empty((min(_rows_per_call(grid.n), len(table)), grid.n), dtype=complex)
-    total = 0.0
-    for lo in range(0, len(table), len(rows)):
-        part = table[lo:lo + len(rows)]
-        buf = rows[:len(part)]
-        for row, (_, halves) in zip(buf, part):
-            spread(u.coef, halves, row)
-        buf *= grid.center_phase
-        sups = np.max(np.abs(_fft("ifft", buf, out=buf)), axis=1)
-        for (m, _), sup in zip(part, sups):
-            total += 2.0 ** (2 * m * s) * sup ** 2
-    return math.sqrt(total)
+
+def _besov_sum(table, s, sups):
+    """sqrt( sum_m 2^(2 m s) sup_m^2 ) over the blocks of `table`, in order."""
+    return math.sqrt(sum(2.0 ** (2 * m * s) * sup ** 2 for (m, _), sup in zip(table, sups)))
+
+
+def besov_inf2(u, s):
+    """Homogeneous Besov norm: sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 ), the
+    blocks P_m u projected from u's centred coefficients."""
+    table, centred = band_table(u.grid), u.coef * u.grid.center_phase
+    fills = [partial(_project, centred, halves) for _, halves in table]
+    return _besov_sum(table, s, [mag.max() for _, mag in _moduli(u.grid, fills)])
 
 
 # smooth one-sided windows keyed to an arbitrary (non-dyadic) center --------
@@ -250,10 +253,3 @@ def band_symbol(grid, center):
 def x_zero_norm(w_alpha, q_alpha):
     """Besov pair  |w_a|_{B^(1/4)inf2} + |q_a|_{B^(3/4)inf2}."""
     return besov_inf2(w_alpha, 0.25) + besov_inf2(q_alpha, 0.75)
-
-
-def x_sup_norm(w_alpha, r):
-    """Sup-norm part of the X norm of the differentiated pair (w_alpha, r):
-    | |D|^(-1/2) w_alpha |_Linf + | r |_Linf.  X itself is this plus the
-    Besov pair `x_zero_norm`."""
-    return frac_deriv(w_alpha.demean(), -0.5).linf() + r.linf()

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from holoww.grid import Field, GridSpec, project_neg
-from holoww.lp import SEPARATION, band_table, block_range, lowpass_symbol, lp_blocks, spread
+from holoww.grid import Field, GridSpec, frac_deriv, project_neg
+from holoww.lp import SEPARATION, band_table, block_range, lowpass_symbol, lp_blocks
 
 
 @pytest.fixture(scope="session")
@@ -79,11 +81,39 @@ def lohi_oracle(a, b, separation=SEPARATION):
 
 
 def lp_project(u, m):
-    """The dyadic piece P_m u as `lp.besov_inf2` forms it: block m of the band
-    table spread onto the grid."""
-    coef = np.empty(u.grid.n, dtype=complex)
-    spread(u.coef, band_table(u.grid)[m - block_range(u.grid)[0]][1], coef)
-    return Field(u.grid, coef)
+    """The dyadic piece P_m u: u's coefficients times block m of the band
+    table, its two halves placed on the grid by `scatter`."""
+    halves = band_table(u.grid)[m - block_range(u.grid)[0]][1]
+    return Field(u.grid, u.coef * sum(scatter(half.block, u.grid.n) for half in halves))
+
+
+def besov_oracle(u, s):
+    """sqrt( sum_m 2^(2 m s) |P_m u|_Linf^2 ) block by block, in the order of m."""
+    lo, hi = block_range(u.grid)
+    return math.sqrt(sum(2.0 ** (2 * m * s) * lp_project(u, m).linf() ** 2
+                         for m in range(lo, hi + 1)))
+
+
+def x_sup_oracle(w_alpha, r):
+    """Sup part of the X norm of (w_alpha, r): | |D|^(-1/2) w_alpha |_Linf + |r|_Linf."""
+    return frac_deriv(w_alpha.demean(), -0.5).linf() + r.linf()
+
+
+def l4_oracle(u):
+    """|u|_L4 from u's grid values."""
+    return float((np.mean(np.abs(u.values) ** 4) * u.grid.length) ** 0.25)
+
+
+def control_norms_oracle(wa, r, y):
+    """(a0, a_quarter, a_half, a_sharp, x) of `diagnostics.control_norms`,
+    one Field and one transform per sup or L^4 norm: the reference for the
+    one-pass form."""
+    half_r = frac_deriv(r, 0.5)
+    a0 = wa.linf() + y.linf() + max(half_r.linf(), besov_oracle(half_r, 0.0))
+    a_quarter = besov_oracle(wa, 0.25) + besov_oracle(r, 0.75)
+    a_half = frac_deriv(wa, 0.5).linf() + r.deriv().linf()
+    a_sharp = l4_oracle(frac_deriv(wa, 0.25)) + l4_oracle(frac_deriv(r, 0.75))
+    return a0, a_quarter, a_half, a_sharp, x_sup_oracle(wa, r) + a_quarter
 
 
 def scatter(band, n):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from holoww import diagnostics, lp
+from holoww import lp
 from holoww.errors import InsufficientSamples, TimeTooSmall
-from holoww.grid import Field, GridSpec, frac_deriv, pair_sobolev, project_neg
+from holoww.grid import Field, GridSpec, _rows_per_call, frac_deriv, pair_sobolev, project_neg
 from holoww.dynamics import (
     WaveState,
     linear_propagate,
@@ -26,7 +27,13 @@ from holoww.diagnostics import (
 )
 from holoww.packets import build_packet, bump_jet
 
-from conftest import holo_field, transform_calls
+from conftest import (
+    control_norms_oracle,
+    holo_field,
+    lp_project,
+    transform_calls,
+    x_sup_oracle,
+)
 
 DESK = GridSpec()
 BIG = GridSpec(length=1600.0 * math.pi, n=8192)
@@ -50,36 +57,82 @@ def test_control_norms_zero(grid):
     assert rec.a0 == rec.a_quarter == rec.a_half == rec.a_sharp == rec.x == 0.0
 
 
-def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
-    # a0 reads one Besov norm, a_quarter and x share the pair (w_alpha, r)
-    calls = []
-
-    def counted(u, s, _fn=lp.besov_inf2):
-        calls.append(s)
-        return _fn(u, s)
-    monkeypatch.setattr(lp, "besov_inf2", counted)
-    monkeypatch.setattr(diagnostics, "besov_inf2", counted)
-    st = small_random_state(grid, 1e-3, 7)
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(3200.0 * math.pi, 16384)],
+                         ids=lambda g: f"n{g.n}")
+def test_control_norms_are_the_block_by_block_spelling_bit_for_bit(grid):
+    # two equal stepped states: one read by control_norms, the other by the
+    # oracle, which forms each piece as its own Field; the H^s pair norms sum
+    # in another order than two frac_deriv Fields did
+    st, twin = (step(plateau_data(grid, 1e-3), 0.2) for _ in range(2))
     rec = control_norms(st)
-    assert sorted(calls) == [0.0, 0.25, 0.75]
-    x = lp.x_sup_norm(st.wa, st.r) + lp.x_zero_norm(st.wa, st.r)
-    assert rec.x == pytest.approx(x, rel=1e-15)
-    assert rec.a_quarter == lp.x_zero_norm(st.wa, st.r)
+    got = (rec.a0, rec.a_quarter, rec.a_half, rec.a_sharp, rec.x)
+    assert got == control_norms_oracle(twin.wa, twin.r, twin.y)
+    for s, value in rec.hs.items():
+        want = math.sqrt(frac_deriv(twin.wa, s).l2() ** 2 + frac_deriv(twin.r, s + 0.5).l2() ** 2)
+        assert value == pytest.approx(want, rel=1e-15, abs=0.0)
+    for field in (st.y, st.r):  # kept for a later rate, as Field.values forms them
+        assert np.array_equal(field._values, grid.values_from_coef(field.coef))
 
 
-@pytest.mark.parametrize("grid, budget", [(GridSpec(), (19, 42)),
+def test_control_norms_computes_the_besov_pair_once(grid, monkeypatch):
+    # every inverse row is one of the 3B LP blocks of |D|^(1/2) R, W_a, R or
+    # one of the eight single rows, each times the centring phase, and each
+    # of these goes through a transform exactly once
+    st = small_random_state(grid, 1e-3, 7)
+    wa, r, y = st.wa, st.r, st.y  # formed before counting
+    seen = []
+    real_ifft = np.fft.ifft
+
+    def recording(x, *args, **kwargs):
+        seen.extend(np.array(x, ndmin=2))
+        return real_ifft(x, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", recording)
+    control_norms(st)
+    lo, hi = lp.block_range(grid)
+    half_r = frac_deriv(r, 0.5)
+    want = [lp_project(u, m).coef for u in (half_r, wa, r) for m in range(lo, hi + 1)]
+    want += [half_r.coef, frac_deriv(wa, 0.5).coef, r.deriv().coef,
+             frac_deriv(wa.demean(), -0.5).coef, y.coef, r.coef,
+             frac_deriv(wa, 0.25).coef, frac_deriv(r, 0.75).coef]
+    assert len(seen) == len(want) == 3 * (hi - lo + 1) + 8
+    for coef in want:
+        assert sum(np.array_equal(row, coef * grid.center_phase) for row in seen) == 1
+
+
+@pytest.mark.parametrize("grid, budget", [(GridSpec(), (12, 42)),
                                           (GridSpec(3200.0 * math.pi, 16384), (51, 51))])
 def test_control_norms_transform_budget(monkeypatch, grid, budget):
     # counted as (calls, 1-D transforms) on a stepped state, as a run samples
     # it: the state's n-point (W_a, Q_a) and (R, Y), formed on this first
-    # read, in two calls of two rows; then two forward rows, and 36 inverse
-    # rows in 15 calls on the desk grid, where the 30 LP blocks of the three
-    # Besov norms go four rows per call (38 calls in all when each block was a
-    # call); from n = 8192 on every call is one row, 39 of them LP blocks
+    # read, in two calls of two rows; then the 30 LP blocks of the three
+    # Besov norms and eight single rows, 38 rows through one buffer, four per
+    # call on the desk grid (10 calls; 15 when each norm had its own buffer
+    # and each single row its own call, 19 in all); from n = 8192 on every
+    # call is one row, 39 of them LP blocks.  No call takes more rows than
+    # `_rows_per_call` allows
     st = step(plateau_data(grid, 1e-3), 0.2)
     rows = transform_calls(monkeypatch)
     control_norms(st)
     assert (len(rows), sum(rows)) == budget
+    assert max(rows) <= _rows_per_call(grid.n)
+
+
+def test_control_norms_memory_peak():
+    # one call at n = 16384 on a stepped state whose fields are formed and
+    # whose grid tables are built: tracemalloc peak 1,836,688 bytes with a
+    # Field per sup and a buffer per Besov norm, 1,451,152 with one pair of
+    # row buffers for all rows
+    grid = GridSpec(3200.0 * math.pi, 16384)
+    control_norms(step(plateau_data(grid, 1e-3), 0.2))
+    st = step(plateau_data(grid, 1.1e-3), 0.2)
+    st.wa, st.r, st.y
+    tracemalloc.start()
+    try:
+        control_norms(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_836_688
 
 
 def test_control_norms_single_mode(grid):
@@ -227,7 +280,7 @@ def test_x_below_xsharp_constant_is_stable():
         total, _ = xsharp_norm(split, sigma=3.0)
         hyp_wa = split.hyp_w.deriv()
         hyp_qa = sum((blk["qa_hyp"] for blk in split.blocks), Field.zero(DESK))
-        cs.append((lp.x_sup_norm(hyp_wa, hyp_qa) + lp.x_zero_norm(hyp_wa, hyp_qa)) / total)
+        cs.append((x_sup_oracle(hyp_wa, hyp_qa) + lp.x_zero_norm(hyp_wa, hyp_qa)) / total)
     assert max(cs) / min(cs) < 2.0
 
 
